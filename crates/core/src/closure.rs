@@ -70,8 +70,17 @@ pub struct ClosedEvent {
     pub rounds: u32,
     /// True if a limit stopped the fixpoint early.
     pub truncated: bool,
-    /// Names of the mapping functions that fired (deduplicated).
-    pub mappings_fired: Vec<String>,
+    /// True if hierarchy-derived pairs may have changed what the mapping
+    /// stage did: the hierarchy stage derived a pair whose attribute some
+    /// mapping function reads ([`SemanticSource::mapping_reads`]), or a
+    /// mapping production coincided with a pair the hierarchy had already
+    /// derived. While false, a distance bound removes hierarchy-derived
+    /// pairs and leaves every mapping production as it is.
+    pub hierarchy_feeds_mappings: bool,
+    /// True if the hierarchy stage generalized a mapping-produced pair (one
+    /// with at least one ancestor alternative). While false, no pair
+    /// outside the mapping stage's own derivations depends on that stage.
+    pub generalized_mapping_output: bool,
 }
 
 impl ClosedEvent {
@@ -187,7 +196,8 @@ pub fn semantic_closure(
         base_pairs,
         rounds: 0,
         truncated: false,
-        mappings_fired: Vec::new(),
+        hierarchy_feeds_mappings: false,
+        generalized_mapping_output: false,
     };
     if stages.is_syntactic() || (!stages.hierarchy() && !stages.mapping()) {
         return closed;
@@ -205,6 +215,7 @@ pub fn semantic_closure(
             expand_hierarchy(
                 &mut closed,
                 source,
+                stages,
                 max_distance,
                 &mut hierarchy_cursor,
                 len_before,
@@ -235,9 +246,14 @@ pub fn semantic_closure(
 /// (rule R1). Only generalization is performed — never specialization —
 /// which encodes rule R2 ("events that contain more generalized terms than
 /// those used in the subscriptions do not match").
+///
+/// Also records the two facts the tier cache's read-off rules rest on
+/// ([`ClosedEvent::hierarchy_feeds_mappings`] for derived pairs,
+/// [`ClosedEvent::generalized_mapping_output`]).
 fn expand_hierarchy(
     closed: &mut ClosedEvent,
     source: &dyn SemanticSource,
+    stages: StageMask,
     max_distance: Option<u32>,
     cursor: &mut usize,
     upto: usize,
@@ -247,7 +263,8 @@ fn expand_hierarchy(
     let start = *cursor;
     *cursor = upto;
     for idx in start..upto {
-        if closed.info[idx].hierarchy_derived {
+        let from = closed.info[idx];
+        if from.hierarchy_derived {
             continue;
         }
         let (attr, value) = closed.event.pairs()[idx];
@@ -266,7 +283,15 @@ fn expand_hierarchy(
                 }
             });
         }
+        // Both lists start with the unchanged term: more than two entries
+        // means this mapping-produced pair has something to generalize to.
+        if from.via_mapping && attr_alts.len() + value_alts.len() > 2 {
+            closed.generalized_mapping_output = true;
+        }
         for &(a, da) in &attr_alts {
+            // Whether mappings read `a` is asked at most once per
+            // alternative, and only while the answer can still set the flag.
+            let mut ask_reads = stages.mapping() && !closed.hierarchy_feeds_mappings;
             for &(v, dv) in &value_alts {
                 if da == 0 && dv == 0 {
                     continue; // the pair itself
@@ -289,9 +314,13 @@ fn expand_hierarchy(
                         closed.event.push(a, v);
                         closed.info.push(PairInfo {
                             distance: derived,
-                            via_mapping: closed.info[idx].via_mapping,
+                            via_mapping: from.via_mapping,
                             hierarchy_derived: true,
                         });
+                        if ask_reads {
+                            ask_reads = false;
+                            closed.hierarchy_feeds_mappings |= source.mapping_reads(a);
+                        }
                     }
                 }
             }
@@ -312,38 +341,41 @@ fn apply_mappings(
 ) {
     // The sink borrows `closed.event` immutably while producing, so collect
     // first and append afterwards.
-    let mut produced: Vec<(String, Vec<(Symbol, Value)>)> = Vec::new();
-    source.apply_mappings(&closed.event, interner, now_year, &mut |name, pairs| {
-        produced.push((name.to_owned(), pairs));
+    let mut produced: Vec<(Symbol, Value)> = Vec::new();
+    source.apply_mappings(&closed.event, interner, now_year, &mut |_, pairs| {
+        produced.extend(pairs);
     });
-    for (name, pairs) in produced {
-        let mut fired = false;
-        for (attr, value) in pairs {
-            if closed.event.len() >= limits.max_pairs {
-                closed.truncated = true;
-                return;
-            }
-            let (attr, value) = if stages.synonym() {
-                let attr = source.resolve_synonym(attr);
-                let value = match value {
-                    Value::Sym(s) => Value::Sym(source.resolve_synonym(s)),
-                    other => other,
-                };
-                (attr, value)
-            } else {
-                (attr, value)
+    for (attr, value) in produced {
+        if closed.event.len() >= limits.max_pairs {
+            closed.truncated = true;
+            return;
+        }
+        let (attr, value) = if stages.synonym() {
+            let attr = source.resolve_synonym(attr);
+            let value = match value {
+                Value::Sym(s) => Value::Sym(source.resolve_synonym(s)),
+                other => other,
             };
-            if closed.event.push_unique(attr, value) {
+            (attr, value)
+        } else {
+            (attr, value)
+        };
+        match closed.event.pairs().iter().position(|&(a, v)| a == attr && v == value) {
+            // A production the hierarchy already derived stays a
+            // hierarchy pair, so what later rounds see depends on it.
+            Some(existing) => {
+                if closed.info[existing].hierarchy_derived {
+                    closed.hierarchy_feeds_mappings = true;
+                }
+            }
+            None => {
+                closed.event.push(attr, value);
                 closed.info.push(PairInfo {
                     distance: 0,
                     via_mapping: true,
                     hierarchy_derived: false,
                 });
-                fired = true;
             }
-        }
-        if fired && !closed.mappings_fired.contains(&name) {
-            closed.mappings_fired.push(name);
         }
     }
 }
@@ -458,21 +490,27 @@ mod tests {
             semantic_closure(&e, &o, StageMask::all(), None, 2003, &i, &ClosureLimits::default());
         let pe = i.get("professional_experience").unwrap();
         assert_eq!(closed.event.get(pe), Some(&Value::Int(10)));
-        assert_eq!(closed.mappings_fired, vec!["experience".to_owned()]);
+        let mapped: Vec<_> = closed
+            .event
+            .pairs()
+            .iter()
+            .zip(&closed.info)
+            .filter(|(_, info)| info.via_mapping)
+            .map(|(pair, _)| *pair)
+            .collect();
+        assert_eq!(mapped, vec![(pe, Value::Int(10))], "exactly the experience production");
         let info = closed.info.last().unwrap();
         assert!(info.via_mapping);
         assert_eq!(info.distance, 0);
     }
 
-    #[test]
-    fn hierarchy_and_mapping_interleave() {
-        // Mapping guard requires the *general* term; only reachable after
-        // the hierarchy stage generalizes the event's specialized value.
-        let mut i = Interner::new();
+    /// `java is-a language`, and a function whose guard needs the general
+    /// term: `skill = language ⇒ label = coder`.
+    fn guarded_label_ontology(i: &mut Interner) -> Ontology {
         let mut o = Ontology::new("t");
         let lang = i.intern("language");
         let java = i.intern("java");
-        o.taxonomy.add_isa(java, lang, &i).unwrap();
+        o.taxonomy.add_isa(java, lang, i).unwrap();
         let skill = i.intern("skill");
         let label = i.intern("label");
         let coder = i.intern("coder");
@@ -489,6 +527,17 @@ mod tests {
                 vec![Production { attr: label, expr: Expr::Const(Value::Sym(coder)) }],
             ))
             .unwrap();
+        o
+    }
+
+    #[test]
+    fn hierarchy_and_mapping_interleave() {
+        // Mapping guard requires the *general* term; only reachable after
+        // the hierarchy stage generalizes the event's specialized value.
+        let mut i = Interner::new();
+        let o = guarded_label_ontology(&mut i);
+        let label = i.get("label").unwrap();
+        let coder = i.get("coder").unwrap();
 
         let e = EventBuilder::new(&mut i).term("skill", "java").build();
         let closed =
@@ -558,7 +607,7 @@ mod tests {
         let full = semantic_closure(&e, &o, StageMask::all(), None, 0, &i, &generous);
         assert!(!full.truncated);
         assert_eq!(full.event.len(), 11);
-        assert_eq!(full.mappings_fired.len(), 10);
+        assert_eq!(full.info.iter().filter(|p| p.via_mapping).count(), 10, "one pair per link");
     }
 
     #[test]
@@ -604,6 +653,82 @@ mod tests {
             &ClosureLimits::default(),
         );
         assert!(bounded.event.values_for(x).any(|v| *v == Value::Sym(top)));
+    }
+
+    fn full_closure(e: &Event, o: &Ontology, i: &Interner) -> ClosedEvent {
+        semantic_closure(e, o, StageMask::all(), None, 2003, i, &ClosureLimits::default())
+    }
+
+    #[test]
+    fn hierarchy_feeds_mappings_when_it_derives_a_mapping_read_attribute() {
+        let mut i = Interner::new();
+        let o = guarded_label_ontology(&mut i);
+        let e = EventBuilder::new(&mut i).term("skill", "java").build();
+        assert!(full_closure(&e, &o, &i).hierarchy_feeds_mappings, "skill = language is read");
+        // The same derivation with the mapping stage off feeds nothing.
+        let no_mapping = semantic_closure(
+            &e,
+            &o,
+            StageMask::SYNONYM.with(StageMask::HIERARCHY),
+            None,
+            0,
+            &i,
+            &ClosureLimits::default(),
+        );
+        assert!(!no_mapping.hierarchy_feeds_mappings);
+    }
+
+    #[test]
+    fn hierarchy_feeds_mappings_when_a_production_meets_a_derived_pair() {
+        // `y` present ⇒ `x = top`, which the hierarchy already derived from
+        // `x = low`: the production is absorbed into a hierarchy pair.
+        let mut i = Interner::new();
+        let mut o = Ontology::new("t");
+        let (low, top) = (i.intern("low"), i.intern("top"));
+        o.taxonomy.add_isa(low, top, &i).unwrap();
+        let (x, y) = (i.intern("x"), i.intern("y"));
+        o.mappings
+            .register(MappingFunction::new(
+                "top_if_y",
+                vec![PatternItem { attr: y, guard: None }],
+                vec![Production { attr: x, expr: Expr::Const(Value::Sym(top)) }],
+            ))
+            .unwrap();
+        let e = EventBuilder::new(&mut i).term("x", "low").pair("y", 1i64).build();
+        let closed = full_closure(&e, &o, &i);
+        assert!(!o.mapping_reads(x), "x is only produced, never read");
+        assert!(closed.hierarchy_feeds_mappings);
+    }
+
+    #[test]
+    fn hierarchy_does_not_feed_mappings_on_unread_attributes() {
+        let mut i = Interner::new();
+        let o = jobs_ontology(&mut i);
+        let e = EventBuilder::new(&mut i)
+            .term("credential", "phd")
+            .pair("graduation_year", 1993i64)
+            .build();
+        let closed = full_closure(&e, &o, &i);
+        assert_eq!(closed.derived_pairs(), 3, "two generalizations and one production");
+        assert!(!closed.hierarchy_feeds_mappings, "no function reads credential");
+        assert!(!closed.generalized_mapping_output, "the production is a number");
+    }
+
+    #[test]
+    fn generalized_mapping_output_when_a_production_has_ancestors() {
+        let mut i = Interner::new();
+        let mut o = guarded_label_ontology(&mut i);
+        let (coder, worker) = (i.intern("coder"), i.intern("worker"));
+        o.taxonomy.add_isa(coder, worker, &i).unwrap();
+        let e = EventBuilder::new(&mut i).term("skill", "language").build();
+        let closed = full_closure(&e, &o, &i);
+        let label = i.get("label").unwrap();
+        assert!(closed.event.values_for(label).any(|v| *v == Value::Sym(worker)));
+        assert!(closed.generalized_mapping_output);
+        assert!(!closed.hierarchy_feeds_mappings, "the guard matched a base pair");
+        // Without the coder → worker edge the production stays as it is.
+        let plain = guarded_label_ontology(&mut i);
+        assert!(!full_closure(&e, &plain, &i).generalized_mapping_output);
     }
 
     #[test]

@@ -49,6 +49,37 @@
 //! instead of searched by repeated re-closing. The oracle functions in
 //! [`crate::oracle`] are untouched ground truth; byte-identical behaviour
 //! is pinned by `tests/tier_cache_differential.rs`.
+//!
+//! # Reading entries off the main closure
+//!
+//! Every tier and class is a closure of the same raw event as the main
+//! closure [`prepare_event`] already computed, under fewer stages or a
+//! distance bound. Where filtering the main closure provably gives the
+//! pairs (and per-pair distances) a fresh [`semantic_closure`] would, the
+//! cache filters instead of re-running the fixpoint. That needs
+//! [`Strategy::GeneralizedEvent`], no system-wide `max_distance`,
+//! [`Config::tier_cache`] on, and a main closure that did not truncate and
+//! reached its fixpoint in fewer than `max_rounds` rounds (a bounded run
+//! can need one round more than the unbounded one). Then, with `S` the
+//! main closure's stages:
+//!
+//! * **synonym only** (the synonym tier and class): the first
+//!   `base_pairs` pairs, if `S` includes the synonym stage;
+//! * **`S` with bound `k`**: the pairs with `distance ≤ k`, unless
+//!   [`ClosedEvent::hierarchy_feeds_mappings`] — otherwise a bounded run
+//!   could bind a mapping to a different pair, or keep a production the
+//!   unbounded run absorbed into a hierarchy pair;
+//! * **`S` minus mapping, with bound `k` or none** (the hierarchy tier,
+//!   and classes such as synonym+hierarchy bounded `k`): the pairs with
+//!   `!via_mapping && distance ≤ k`, unless
+//!   [`ClosedEvent::generalized_mapping_output`] — otherwise a recorded
+//!   distance may come from a mapping-derived source.
+//!
+//! Every other entry (other stage subsets, a system-wide bound, the
+//! rewrite and materialize strategies, a truncated main closure) is
+//! computed by [`semantic_closure`] as before. The main closure itself
+//! stays where it is, in [`PreparedEvent::engine_events`]`[0]` and
+//! [`PreparedEvent::info`]; the cache borrows it through [`EventSide`].
 
 use stopss_types::sync::{Arc, OnceLock, RwLock};
 
@@ -97,6 +128,27 @@ pub struct PreparedEvent {
     pub tiers: TierCache,
 }
 
+impl PreparedEvent {
+    /// This artifact's event side, as [`TierCache`] reads it.
+    pub fn event_side(&self) -> EventSide<'_> {
+        EventSide { raw: &self.raw, engine_events: &self.engine_events, info: &self.info }
+    }
+}
+
+/// One publication's event side, borrowed from wherever it lives: the raw
+/// event plus the engine events and pair provenance [`prepare_event`]
+/// derived from it. A [`TierCache`] must only be handed the event side of
+/// the publication it was built for.
+#[derive(Clone, Copy, Debug)]
+pub struct EventSide<'a> {
+    /// See [`PreparedEvent::raw`].
+    pub raw: &'a Event,
+    /// See [`PreparedEvent::engine_events`].
+    pub engine_events: &'a [Event],
+    /// See [`PreparedEvent::info`].
+    pub info: &'a [PairInfo],
+}
+
 /// The engine-facing pieces of the event-side pass, without the owned raw
 /// event. The inline single-matcher publish path uses this directly so it
 /// can keep borrowing the caller's event; the detachable
@@ -112,6 +164,9 @@ pub(crate) struct PreparedParts {
     pub closure_pairs: usize,
     /// See [`PreparedEvent::truncated`].
     pub truncated: bool,
+    /// See [`PreparedEvent::tiers`]: empty, but told what it may read off
+    /// the main closure.
+    pub tiers: TierCache,
 }
 
 pub(crate) fn prepare_parts(
@@ -141,6 +196,7 @@ pub(crate) fn prepare_parts(
             PreparedParts {
                 closure_pairs: closed.event.len(),
                 truncated: closed.truncated,
+                tiers: TierCache { read_off: ReadOff::of(&closed, config), ..TierCache::new() },
                 engine_events: vec![closed.event],
                 info: closed.info,
                 derived_events: 1,
@@ -162,6 +218,7 @@ pub(crate) fn prepare_parts(
                 engine_events: materialized.events,
                 info: Vec::new(),
                 closure_pairs: 0,
+                tiers: TierCache::new(),
             }
         }
     }
@@ -173,14 +230,19 @@ pub(crate) fn prepare_parts(
 /// computed at most once per publication and shared read-only by all
 /// shards (interior mutability; all methods take `&self` and are safe to
 /// call concurrently). See the module docs for why this is event-side
-/// work and how it replaces the per-candidate oracle closures.
+/// work, how it replaces the per-candidate oracle closures, and when an
+/// entry is read off the main closure instead of computed.
 ///
 /// One cache serves exactly one `(publication, configuration)` pair: the
 /// tier slots memoize the first computation, so callers must not reuse a
 /// cache across events or across reconfigurations (the matcher creates
-/// one per publication; `reconfigure` never recycles artifacts).
+/// one per publication; `reconfigure` never recycles artifacts), and every
+/// call must pass that publication's [`EventSide`].
 #[derive(Debug, Default)]
 pub struct TierCache {
+    /// What may be read off the publication's main closure; `None` (a
+    /// cache from [`TierCache::new`]) computes every entry.
+    read_off: Option<ReadOff>,
     /// Classifier tier: the synonym-only closure (never truncated).
     synonym: OnceLock<ClosedEvent>,
     /// Classifier tier: the unbounded synonym∩stages+hierarchy closure,
@@ -194,6 +256,7 @@ pub struct TierCache {
 impl Clone for TierCache {
     fn clone(&self) -> Self {
         TierCache {
+            read_off: self.read_off,
             synonym: self.synonym.clone(),
             hierarchy: self.hierarchy.clone(),
             classes: RwLock::new(self.classes.read().clone()),
@@ -202,33 +265,41 @@ impl Clone for TierCache {
 }
 
 impl TierCache {
-    /// Creates an empty cache (every tier computed lazily on first use).
+    /// Creates an empty cache that computes every entry with
+    /// [`semantic_closure`], lazily on first use.
     pub fn new() -> Self {
         TierCache::default()
     }
 
-    /// The synonym-only closure of `raw` (classifier tier 2), computed on
-    /// first use.
+    /// The synonym-only closure of the raw event (classifier tier 2),
+    /// computed on first use.
     pub fn synonym_tier(
         &self,
-        raw: &Event,
+        side: EventSide<'_>,
         source: &dyn SemanticSource,
         now_year: i64,
         interner: &Interner,
         limits: &ClosureLimits,
     ) -> &ClosedEvent {
         self.synonym.get_or_init(|| {
-            semantic_closure(raw, source, StageMask::SYNONYM, None, now_year, interner, limits)
+            self.close(
+                side,
+                Tolerance::stages(StageMask::SYNONYM),
+                source,
+                now_year,
+                interner,
+                limits,
+            )
         })
     }
 
-    /// The unbounded `hier_stages` closure of `raw` (classifier tier 3),
-    /// computed on first use. `hier_stages` must be the same on every
-    /// call for a given cache (it is a pure function of the
+    /// The unbounded `hier_stages` closure of the raw event (classifier
+    /// tier 3), computed on first use. `hier_stages` must be the same on
+    /// every call for a given cache (it is a pure function of the
     /// configuration: `stages ∩ (SYNONYM | HIERARCHY)`).
     pub fn hierarchy_tier(
         &self,
-        raw: &Event,
+        side: EventSide<'_>,
         source: &dyn SemanticSource,
         hier_stages: StageMask,
         now_year: i64,
@@ -236,10 +307,8 @@ impl TierCache {
         limits: &ClosureLimits,
     ) -> &ClosedEvent {
         let (mask, closed) = self.hierarchy.get_or_init(|| {
-            (
-                hier_stages,
-                semantic_closure(raw, source, hier_stages, None, now_year, interner, limits),
-            )
+            let tolerance = Tolerance::stages(hier_stages);
+            (hier_stages, self.close(side, tolerance, source, now_year, interner, limits))
         });
         debug_assert_eq!(*mask, hier_stages, "one cache serves one configuration");
         let _ = mask;
@@ -253,7 +322,7 @@ impl TierCache {
     pub fn tolerance_class(
         &self,
         tolerance: &Tolerance,
-        raw: &Event,
+        side: EventSide<'_>,
         source: &dyn SemanticSource,
         now_year: i64,
         interner: &Interner,
@@ -265,17 +334,29 @@ impl TierCache {
         }
         // Computed outside the write lock; a concurrent shard racing on
         // the same class wastes one idempotent closure at worst.
-        let computed = Arc::new(semantic_closure(
-            raw,
-            source,
-            class.stages,
-            class.max_distance,
-            now_year,
-            interner,
-            limits,
-        ));
+        let computed = Arc::new(self.close(side, class, source, now_year, interner, limits));
         let mut classes = self.classes.write();
         Arc::clone(classes.entry(class).or_insert(computed))
+    }
+
+    /// The closure of the raw event under `tolerance`: read off the main
+    /// closure where the module docs' rules allow it, computed otherwise.
+    fn close(
+        &self,
+        side: EventSide<'_>,
+        tolerance: Tolerance,
+        source: &dyn SemanticSource,
+        now_year: i64,
+        interner: &Interner,
+        limits: &ClosureLimits,
+    ) -> ClosedEvent {
+        if let Some(read_off) = self.read_off {
+            if let Some(keep) = read_off.rule(tolerance) {
+                return read_off.read(side, keep);
+            }
+        }
+        let Tolerance { stages, max_distance } = tolerance;
+        semantic_closure(side.raw, source, stages, max_distance, now_year, interner, limits)
     }
 
     /// Eagerly fills the classifier tiers the configuration will need, so
@@ -284,19 +365,19 @@ impl TierCache {
     /// matching shard paying them in stage 2.
     pub fn warm_classifier_tiers(
         &self,
-        raw: &Event,
+        side: EventSide<'_>,
         source: &dyn SemanticSource,
         config: &Config,
         interner: &Interner,
     ) {
         if config.stages.synonym() {
-            self.synonym_tier(raw, source, config.now_year, interner, &config.limits.closure);
+            self.synonym_tier(side, source, config.now_year, interner, &config.limits.closure);
         }
         if config.stages.hierarchy() {
             let hier_stages =
                 config.stages.intersect(StageMask::SYNONYM.with(StageMask::HIERARCHY));
             self.hierarchy_tier(
-                raw,
+                side,
                 source,
                 hier_stages,
                 config.now_year,
@@ -317,13 +398,110 @@ impl TierCache {
     }
 }
 
-/// Classifies why `sub` matches `raw` (which it must, under `stages` with
-/// unbounded distance) from the publication's tier cache: behaviourally
-/// identical to [`crate::classify_match`] — the pinned oracle — but every
-/// event-side closure is computed at most once per *publication* instead
-/// of per candidate, and the minimal hierarchy distance is read off the
-/// cached closure's per-pair [`PairInfo`] instead of searched by
-/// re-closing the event once per candidate distance.
+/// The facts about a publication's main closure that decide which tier
+/// cache entries are read off it (see the module docs).
+#[derive(Clone, Copy, Debug)]
+struct ReadOff {
+    /// The stages the main closure ran.
+    stages: StageMask,
+    /// See [`ClosedEvent::base_pairs`].
+    base_pairs: usize,
+    /// See [`ClosedEvent::hierarchy_feeds_mappings`].
+    hierarchy_feeds_mappings: bool,
+    /// See [`ClosedEvent::generalized_mapping_output`].
+    generalized_mapping_output: bool,
+}
+
+/// Which of the main closure's pairs one read-off entry keeps.
+#[derive(Clone, Copy, Debug)]
+enum Keep {
+    /// The synonym-resolved raw event: the first `base_pairs` pairs.
+    Base,
+    /// The pairs within the distance bound, mapping-produced ones only if
+    /// `mapped`.
+    Within { max_distance: Option<u32>, mapped: bool },
+}
+
+impl ReadOff {
+    /// The read-off facts of `main`, the closure [`prepare_parts`] computed
+    /// under `config`, or `None` if no entry may be read off it.
+    fn of(main: &ClosedEvent, config: &Config) -> Option<ReadOff> {
+        let exact = config.tier_cache
+            && config.strategy == Strategy::GeneralizedEvent
+            && config.max_distance.is_none()
+            && !main.truncated
+            && main.rounds < config.limits.closure.max_rounds;
+        exact.then_some(ReadOff {
+            stages: config.stages,
+            base_pairs: main.base_pairs,
+            hierarchy_feeds_mappings: main.hierarchy_feeds_mappings,
+            generalized_mapping_output: main.generalized_mapping_output,
+        })
+    }
+
+    /// How the closure under `tolerance` reads off the main closure, or
+    /// `None` if it must be computed.
+    fn rule(&self, tolerance: Tolerance) -> Option<Keep> {
+        let Tolerance { stages, max_distance } = tolerance;
+        let main = self.stages;
+        if stages == StageMask::SYNONYM && main.synonym() {
+            Some(Keep::Base)
+        } else if stages == main && !self.hierarchy_feeds_mappings {
+            Some(Keep::Within { max_distance, mapped: true })
+        } else if main.mapping()
+            && stages == main.without(StageMask::MAPPING)
+            && !self.generalized_mapping_output
+        {
+            Some(Keep::Within { max_distance, mapped: false })
+        } else {
+            None
+        }
+    }
+
+    /// The entry `keep` selects from `side`'s main closure. It ran no
+    /// rounds of its own and, by the rules, neither truncated nor let the
+    /// hierarchy feed its mappings.
+    fn read(&self, side: EventSide<'_>, keep: Keep) -> ClosedEvent {
+        let main = &side.engine_events[0];
+        debug_assert_eq!(main.len(), side.info.len(), "info is aligned with the main closure");
+        let (event, info) = match keep {
+            Keep::Base => (
+                Event::from_pairs(main.pairs()[..self.base_pairs].to_vec()),
+                side.info[..self.base_pairs].to_vec(),
+            ),
+            Keep::Within { max_distance, mapped } => {
+                let (pairs, info): (Vec<_>, Vec<_>) = main
+                    .pairs()
+                    .iter()
+                    .zip(side.info)
+                    .filter(|(_, p)| {
+                        (mapped || !p.via_mapping) && max_distance.is_none_or(|k| p.distance <= k)
+                    })
+                    .map(|(pair, p)| (*pair, *p))
+                    .unzip();
+                (Event::from_pairs(pairs), info)
+            }
+        };
+        ClosedEvent {
+            event,
+            info,
+            base_pairs: self.base_pairs,
+            rounds: 0,
+            truncated: false,
+            hierarchy_feeds_mappings: false,
+            generalized_mapping_output: self.generalized_mapping_output
+                && matches!(keep, Keep::Within { mapped: true, .. }),
+        }
+    }
+}
+
+/// Classifies why `sub` matches the raw event of `side` (which it must,
+/// under `stages` with unbounded distance) from the publication's tier
+/// cache: behaviourally identical to [`crate::classify_match`] — the
+/// pinned oracle — but every event-side closure is computed at most once
+/// per *publication* instead of per candidate, and the minimal hierarchy
+/// distance is read off the cached closure's per-pair [`PairInfo`] instead
+/// of searched by re-closing the event once per candidate distance.
 ///
 /// `canonical` must be `sub` rewritten by
 /// [`crate::synonym_resolve_subscription`] whenever `stages` enables the
@@ -333,7 +511,7 @@ impl TierCache {
 pub fn classify_with_tiers(
     sub: &Subscription,
     canonical: &Subscription,
-    raw: &Event,
+    side: EventSide<'_>,
     tiers: &TierCache,
     source: &dyn SemanticSource,
     stages: StageMask,
@@ -341,6 +519,7 @@ pub fn classify_with_tiers(
     interner: &Interner,
     limits: &ClosureLimits,
 ) -> MatchOrigin {
+    let raw = side.raw;
     // 1. Syntactic: raw against raw.
     if sub.matches(raw, interner) {
         return MatchOrigin::Syntactic;
@@ -348,7 +527,7 @@ pub fn classify_with_tiers(
     // 2. Synonyms only: the canonical subscription against the cached
     // synonym tier.
     if stages.synonym() {
-        let tier = tiers.synonym_tier(raw, source, now_year, interner, limits);
+        let tier = tiers.synonym_tier(side, source, now_year, interner, limits);
         if canonical.matches(&tier.event, interner) {
             return MatchOrigin::Synonym;
         }
@@ -357,7 +536,7 @@ pub fn classify_with_tiers(
     // read off the cached unbounded closure.
     if stages.hierarchy() {
         let hier_stages = stages.intersect(StageMask::SYNONYM.with(StageMask::HIERARCHY));
-        let tier = tiers.hierarchy_tier(raw, source, hier_stages, now_year, interner, limits);
+        let tier = tiers.hierarchy_tier(side, source, hier_stages, now_year, interner, limits);
         if tier.truncated {
             // A truncated closure no longer equals "unbounded pairs
             // filtered by distance": bounded re-closures can reach pairs
@@ -424,10 +603,10 @@ pub fn prepare_event(
         derived_events: parts.derived_events,
         closure_pairs: parts.closure_pairs,
         truncated: parts.truncated,
-        tiers: TierCache::new(),
+        tiers: parts.tiers,
     };
     if config.track_provenance && config.tier_cache {
-        prepared.tiers.warm_classifier_tiers(&prepared.raw, source, config, interner);
+        prepared.tiers.warm_classifier_tiers(prepared.event_side(), source, config, interner);
     }
     prepared
 }
@@ -520,7 +699,7 @@ impl SemanticFrontEnd {
             for tolerance in self.verify_classes.iter() {
                 prepared.tiers.tolerance_class(
                     tolerance,
-                    &prepared.raw,
+                    prepared.event_side(),
                     self.source.as_ref(),
                     self.config.now_year,
                     interner,
@@ -646,7 +825,7 @@ mod tests {
             let lim = ClosureLimits::default();
             let a = prepared.tiers.tolerance_class(
                 &Tolerance::bounded(1),
-                &prepared.raw,
+                prepared.event_side(),
                 source.as_ref(),
                 2003,
                 i,
@@ -655,7 +834,7 @@ mod tests {
             // Same class again: served from the cache, same artifact.
             let b = prepared.tiers.tolerance_class(
                 &Tolerance::bounded(1),
-                &prepared.raw,
+                prepared.event_side(),
                 source.as_ref(),
                 2003,
                 i,
@@ -666,7 +845,7 @@ mod tests {
             // Equivalent tolerances (hierarchy off ≡ distance 0) collapse.
             let c = prepared.tiers.tolerance_class(
                 &Tolerance { stages: StageMask::all(), max_distance: Some(0) },
-                &prepared.raw,
+                prepared.event_side(),
                 source.as_ref(),
                 2003,
                 i,
@@ -674,7 +853,7 @@ mod tests {
             );
             let d = prepared.tiers.tolerance_class(
                 &Tolerance::stages(StageMask::all().without(StageMask::HIERARCHY)),
-                &prepared.raw,
+                prepared.event_side(),
                 source.as_ref(),
                 2003,
                 i,
@@ -722,10 +901,11 @@ mod tests {
         let event = EventBuilder::new(&mut i).term("credential", "phd").build();
         let lim = ClosureLimits::default();
         let tiers = TierCache::new();
+        let side = EventSide { raw: &event, engine_events: &[], info: &[] };
         for sub in &subs {
             let want = classify_match(sub, &event, &o, StageMask::all(), 2003, &i, &lim);
             let got =
-                classify_with_tiers(sub, sub, &event, &tiers, &o, StageMask::all(), 2003, &i, &lim);
+                classify_with_tiers(sub, sub, side, &tiers, &o, StageMask::all(), 2003, &i, &lim);
             assert_eq!(got, want, "sub {:?}", sub.id());
         }
     }

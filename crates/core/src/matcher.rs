@@ -40,7 +40,8 @@ use std::borrow::Cow;
 use crate::closure::synonym_resolve_subscription;
 use crate::config::{Config, Strategy};
 use crate::frontend::{
-    classify_with_tiers, prepare_event, prepare_parts, PreparedEvent, SemanticFrontEnd, TierCache,
+    classify_with_tiers, prepare_event, prepare_parts, EventSide, PreparedEvent, SemanticFrontEnd,
+    TierCache,
 };
 use crate::oracle::{classify_match, semantic_match};
 use crate::provenance::{Match, MatchOrigin};
@@ -487,12 +488,12 @@ impl MatcherCore {
         // ordering: monotone stats counters, as above.
         self.stats.derived_events.fetch_add(parts.derived_events as u64, Ordering::Relaxed);
         self.stats.closure_pairs.fetch_add(parts.closure_pairs as u64, Ordering::Relaxed);
-        let tiers = TierCache::new();
+        let side =
+            EventSide { raw: event_raw, engine_events: &parts.engine_events, info: &parts.info };
         self.match_inner(
-            &parts.engine_events,
-            event_raw,
+            side,
             (parts.derived_events, parts.closure_pairs, parts.truncated),
-            &tiers,
+            &parts.tiers,
             interner,
         )
     }
@@ -520,8 +521,7 @@ impl MatcherCore {
 
     fn match_prepared_inner(&self, prepared: &PreparedEvent, interner: &Interner) -> PublishResult {
         self.match_inner(
-            &prepared.engine_events,
-            &prepared.raw,
+            prepared.event_side(),
             (prepared.derived_events, prepared.closure_pairs, prepared.truncated),
             &prepared.tiers,
             interner,
@@ -539,8 +539,7 @@ impl MatcherCore {
     /// oracle path (byte-identical results either way).
     fn match_inner(
         &self,
-        engine_events: &[Event],
-        event_raw: &Event,
+        side: EventSide<'_>,
         (derived_events, closure_pairs, truncated): (usize, usize, bool),
         tiers: &TierCache,
         interner: &Interner,
@@ -557,7 +556,7 @@ impl MatcherCore {
         let mut state = self.state.lock();
         let state = &mut *state;
         state.scratch.candidates.clear();
-        for event in engine_events {
+        for event in side.engine_events {
             state.scratch.engine_out.clear();
             state.engine.match_event(event, interner, &mut state.scratch.engine_out);
             state.scratch.candidates.extend_from_slice(&state.scratch.engine_out);
@@ -584,7 +583,7 @@ impl MatcherCore {
                     // publication, then a plain conjunctive match.
                     let class = tiers.tolerance_class(
                         &entry.effective,
-                        event_raw,
+                        side,
                         self.source.as_ref(),
                         self.config.now_year,
                         interner,
@@ -594,7 +593,7 @@ impl MatcherCore {
                 } else {
                     semantic_match(
                         &entry.original,
-                        event_raw,
+                        side.raw,
                         self.source.as_ref(),
                         &entry.effective,
                         self.config.now_year,
@@ -615,7 +614,7 @@ impl MatcherCore {
                 classify_with_tiers(
                     &entry.original,
                     entry.canonical(),
-                    event_raw,
+                    side,
                     tiers,
                     self.source.as_ref(),
                     self.config.stages,
@@ -626,7 +625,7 @@ impl MatcherCore {
             } else {
                 classify_match(
                     &entry.original,
-                    event_raw,
+                    side.raw,
                     self.source.as_ref(),
                     self.config.stages,
                     self.config.now_year,

@@ -51,6 +51,15 @@ pub trait SemanticSource: Send + Sync {
         sink: &mut NamedMappingSink<'_>,
     );
 
+    /// True if some mapping function may read pairs of `attr` — as a
+    /// pattern attribute or from a production expression. Pairs of any
+    /// other attribute cannot change what [`SemanticSource::apply_mappings`]
+    /// produces. The default claims every attribute, which is always safe.
+    fn mapping_reads(&self, attr: Symbol) -> bool {
+        let _ = attr;
+        true
+    }
+
     /// Downcast hook for live ontology evolution: sources that are a
     /// plain single-domain [`Ontology`] return themselves, so a caller
     /// holding only `dyn SemanticSource` can clone the running ontology,
@@ -131,6 +140,10 @@ impl SemanticSource for Ontology {
     ) {
         self.mappings
             .apply_all(event, interner, now_year, &mut |_, func, pairs| sink(&func.name, pairs));
+    }
+
+    fn mapping_reads(&self, attr: Symbol) -> bool {
+        self.mappings.reads(attr)
     }
 }
 
@@ -255,6 +268,10 @@ impl SemanticSource for DomainRegistry {
         self.bridges
             .apply_all(event, interner, now_year, &mut |_, func, pairs| sink(&func.name, pairs));
     }
+
+    fn mapping_reads(&self, attr: Symbol) -> bool {
+        self.domains.iter().any(|d| d.mappings.reads(attr)) || self.bridges.reads(attr)
+    }
 }
 
 #[cfg(test)]
@@ -361,6 +378,48 @@ mod tests {
         reg.apply_mappings(&e, &i, 2003, &mut |name, _| fired.push(name.to_owned()));
         fired.sort();
         assert_eq!(fired, vec!["experience".to_owned(), "salary_to_budget".to_owned()]);
+    }
+
+    #[test]
+    fn mapping_reads_covers_patterns_expressions_and_bridges() {
+        let mut i = Interner::new();
+        let (grad, offset, exp) =
+            (i.intern("graduation_year"), i.intern("offset"), i.intern("experience"));
+        let (salary, budget, currency) =
+            (i.intern("salary"), i.intern("budget"), i.intern("currency"));
+        let mut jobs = jobs_domain(&mut i);
+        jobs.mappings
+            .register(MappingFunction::new(
+                "experience",
+                vec![PatternItem { attr: grad, guard: None }],
+                vec![Production {
+                    attr: exp,
+                    expr: Expr::sub(Expr::Now, Expr::add(Expr::Attr(grad), Expr::Attr(offset))),
+                }],
+            ))
+            .unwrap();
+        assert!(jobs.mapping_reads(grad), "pattern attribute");
+        assert!(jobs.mapping_reads(offset), "attribute only an expression references");
+        assert!(!jobs.mapping_reads(exp), "a produced attribute nobody reads");
+        assert!(!jobs.mapping_reads(i.get("university").unwrap()));
+
+        let mut reg = DomainRegistry::new();
+        reg.add_domain(jobs).unwrap();
+        reg.add_domain(commerce_domain(&mut i)).unwrap();
+        assert!(reg.mapping_reads(grad) && reg.mapping_reads(offset), "domain functions");
+        assert!(!reg.mapping_reads(salary) && !reg.mapping_reads(currency));
+        reg.add_bridge(MappingFunction::new(
+            "salary_to_budget",
+            vec![PatternItem { attr: salary, guard: None }],
+            vec![Production {
+                attr: budget,
+                expr: Expr::mul(Expr::Attr(salary), Expr::Attr(currency)),
+            }],
+        ))
+        .unwrap();
+        assert!(reg.mapping_reads(salary), "bridge pattern attribute");
+        assert!(reg.mapping_reads(currency), "bridge expression attribute");
+        assert!(!reg.mapping_reads(budget));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! attributes so the candidates for an event are found with hash lookups,
 //! "the key aspect of this approach in terms of performance" (§3.2).
 
-use stopss_types::{Event, FxHashMap, Interner, Operator, Predicate, Symbol, Value};
+use stopss_types::{Event, FxHashMap, FxHashSet, Interner, Operator, Predicate, Symbol, Value};
 
 use crate::error::OntologyError;
 use crate::expr::{Env, Expr};
@@ -133,6 +133,9 @@ pub struct MappingRegistry {
     by_name: FxHashMap<String, FnId>,
     /// attribute → functions having it in their pattern.
     by_trigger: FxHashMap<Symbol, Vec<FnId>>,
+    /// Every attribute some function reads: its pattern attributes plus
+    /// the attributes its production expressions reference.
+    reads: FxHashSet<Symbol>,
 }
 
 impl MappingRegistry {
@@ -153,6 +156,10 @@ impl MappingRegistry {
                 triggers.push(id);
             }
         }
+        self.reads.extend(func.trigger_attrs());
+        for prod in &func.produce {
+            self.reads.extend(prod.expr.referenced_attrs());
+        }
         self.by_name.insert(func.name.clone(), id);
         self.fns.push(func);
         Ok(id)
@@ -166,6 +173,13 @@ impl MappingRegistry {
     /// True if no functions are registered.
     pub fn is_empty(&self) -> bool {
         self.fns.is_empty()
+    }
+
+    /// True if some registered function reads `attr`, as a pattern
+    /// attribute or from a production expression. Pairs of any other
+    /// attribute cannot change what [`MappingRegistry::apply_all`] does.
+    pub(crate) fn reads(&self, attr: Symbol) -> bool {
+        self.reads.contains(&attr)
     }
 
     /// Looks a function up by id.

@@ -13,20 +13,32 @@
 //! × stage masks × mixed per-subscription tolerances, on job-finder and
 //! synthetic workloads, including truncated-closure and distance-cap edge
 //! cases.
+//!
+//! Its second half pins the cache's entries one level down: each
+//! classifier tier and verification class, whether read off the main
+//! closure or recomputed, equals a fresh `semantic_closure` over every
+//! domain × stage mask × closure limit, with a named case per fallback.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use s_topss::core::{
-    classify_match, ClosureLimits, Config, Limits, SToPSS, ShardedSToPSS, StageMask, Strategy,
-    Tolerance, CLASSIFY_DISTANCE_CAP,
+    classify_match, prepare_event, semantic_closure, ClosedEvent, ClosureLimits, Config, Limits,
+    PreparedEvent, SToPSS, ShardedSToPSS, StageMask, Strategy, Tolerance, CLASSIFY_DISTANCE_CAP,
 };
 use s_topss::matching::EngineKind;
+use s_topss::ontology::domain::NamedMappingSink;
 use s_topss::ontology::Ontology;
 use s_topss::prelude::{
-    Event, EventBuilder, Interner, MatchOrigin, SharedInterner, SubId, Subscription,
-    SubscriptionBuilder,
+    Event, EventBuilder, Expr, Guard, Interner, MappingFunction, MatchOrigin, Operator,
+    PatternItem, Production, SemanticSource, SharedInterner, SubId, Subscription,
+    SubscriptionBuilder, Symbol, Value,
 };
-use s_topss::workload::{jobfinder_fixture, synthetic_fixture, Fixture, SyntheticWorkload};
+use s_topss::types::FxHashMap;
+use s_topss::workload::{
+    geo_fixture, iot_fixture, jobfinder_fixture, market_fixture, synthetic_fixture, Fixture,
+    SyntheticWorkload,
+};
 use stopss_workload::SyntheticConfig;
 
 /// Mixed per-subscription tolerances: several distinct verification
@@ -257,5 +269,452 @@ fn sharded_fast_path_equals_single_threaded_oracle() {
             fixture.publications.iter().map(|e| oracle.publish(e)).collect();
         assert_eq!(batched, want, "shards={shards}");
         assert_eq!(sharded.stats(), oracle.stats(), "shards={shards} stats");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Closure-level read-off differential.
+//
+// Where it provably equals a fresh fixpoint, the tier cache filters its
+// entries off the publication's main closure instead of re-running
+// `semantic_closure` (rules in the `frontend.rs` module docs). The tests
+// below hold every entry to a fresh `semantic_closure` directly: the same
+// pairs at the same minimal distances, and the same truncation flag. A
+// query-counting ontology tells an entry read off
+// the main closure (no ontology queries) from one the fixpoint recomputed.
+
+/// Forwards to an ontology and counts every query made through it.
+struct Counting {
+    inner: Arc<dyn SemanticSource>,
+    queries: AtomicUsize,
+}
+
+impl Counting {
+    fn new(inner: Arc<dyn SemanticSource>) -> Self {
+        Counting { inner, queries: AtomicUsize::new(0) }
+    }
+
+    /// Queries since the last call.
+    fn take(&self) -> usize {
+        self.queries.swap(0, Ordering::Relaxed)
+    }
+
+    fn tick(&self) {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl SemanticSource for Counting {
+    fn resolve_synonym(&self, term: Symbol) -> Symbol {
+        self.tick();
+        self.inner.resolve_synonym(term)
+    }
+
+    fn for_each_ancestor(&self, term: Symbol, f: &mut dyn FnMut(Symbol, u32)) {
+        self.tick();
+        self.inner.for_each_ancestor(term, f);
+    }
+
+    fn descendants(&self, term: Symbol) -> Vec<(Symbol, u32)> {
+        self.tick();
+        self.inner.descendants(term)
+    }
+
+    fn is_a(&self, special: Symbol, general: Symbol) -> bool {
+        self.tick();
+        self.inner.is_a(special, general)
+    }
+
+    fn distance(&self, special: Symbol, general: Symbol) -> Option<u32> {
+        self.tick();
+        self.inner.distance(special, general)
+    }
+
+    fn apply_mappings(
+        &self,
+        event: &Event,
+        interner: &Interner,
+        now_year: i64,
+        sink: &mut NamedMappingSink<'_>,
+    ) {
+        self.tick();
+        self.inner.apply_mappings(event, interner, now_year, sink);
+    }
+
+    fn mapping_reads(&self, attr: Symbol) -> bool {
+        self.tick();
+        self.inner.mapping_reads(attr)
+    }
+}
+
+/// One entry the matching back end asks a publication's tier cache for.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    SynonymTier,
+    HierarchyTier(StageMask),
+    Class(Tolerance),
+}
+
+impl Entry {
+    /// The stages and bound a fresh fixpoint closes the raw event under.
+    fn tolerance(self) -> Tolerance {
+        match self {
+            Entry::SynonymTier => Tolerance::stages(StageMask::SYNONYM),
+            Entry::HierarchyTier(stages) => Tolerance::stages(stages),
+            Entry::Class(tolerance) => tolerance.verify_class(),
+        }
+    }
+
+    /// Asks `prepared`'s tier cache for the entry.
+    fn get(
+        self,
+        prepared: &PreparedEvent,
+        source: &dyn SemanticSource,
+        config: &Config,
+        i: &Interner,
+    ) -> ClosedEvent {
+        let (side, tiers, lim) = (prepared.event_side(), &prepared.tiers, &config.limits.closure);
+        match self {
+            Entry::SynonymTier => tiers.synonym_tier(side, source, config.now_year, i, lim).clone(),
+            Entry::HierarchyTier(stages) => {
+                tiers.hierarchy_tier(side, source, stages, config.now_year, i, lim).clone()
+            }
+            Entry::Class(tolerance) => {
+                (*tiers.tolerance_class(&tolerance, side, source, config.now_year, i, lim)).clone()
+            }
+        }
+    }
+}
+
+/// Both classifier tiers for `system`, plus every distinct verification
+/// class over all stage masks and distance bounds up to 3 — including
+/// classes a subscriber clamped to `system` could never reach.
+fn every_entry(system: StageMask) -> Vec<Entry> {
+    let mut classes: Vec<Tolerance> = Vec::new();
+    for stages in StageMask::all_combinations() {
+        for max_distance in [None, Some(0), Some(1), Some(2), Some(3)] {
+            let class = Tolerance { stages, max_distance }.verify_class();
+            if !classes.contains(&class) {
+                classes.push(class);
+            }
+        }
+    }
+    let hier_stages = system.intersect(StageMask::SYNONYM.with(StageMask::HIERARCHY));
+    [Entry::SynonymTier, Entry::HierarchyTier(hier_stages)]
+        .into_iter()
+        .chain(classes.into_iter().map(Entry::Class))
+        .collect()
+}
+
+/// Pair → (multiplicity, distance). Which derivation reached a pair first
+/// (and so its `via_mapping` flag) may differ between runs; the pairs and
+/// their minimal distances, which verification and classification read,
+/// may not.
+fn distance_map(closed: &ClosedEvent) -> FxHashMap<(Symbol, Value), (usize, u32)> {
+    let mut out = FxHashMap::default();
+    for (pair, info) in closed.event.pairs().iter().zip(&closed.info) {
+        out.entry(*pair).or_insert((0, info.distance)).0 += 1;
+    }
+    out
+}
+
+/// Prepares `event` with provenance off (so no entry is warmed), asks the
+/// tier cache for `entry`, holds it to a fresh fixpoint, and returns true
+/// if it was read off the main closure.
+fn check_entry(
+    counting: &Counting,
+    prepared: &PreparedEvent,
+    config: &Config,
+    interner: &Interner,
+    entry: Entry,
+    label: &dyn Fn() -> String,
+) -> bool {
+    counting.take();
+    let got = entry.get(prepared, counting, config, interner);
+    let read_off = counting.take() == 0;
+    let Tolerance { stages, max_distance } = entry.tolerance();
+    let want = semantic_closure(
+        &prepared.raw,
+        counting.inner.as_ref(),
+        stages,
+        max_distance,
+        config.now_year,
+        interner,
+        &config.limits.closure,
+    );
+    assert_eq!(got.truncated, want.truncated, "{}: {entry:?} truncation", label());
+    assert_eq!(
+        distance_map(&got),
+        distance_map(&want),
+        "{}: {entry:?} pairs (read off: {read_off})",
+        label()
+    );
+    read_off
+}
+
+/// Checks `entries` for every publication of `fixture` under `config`;
+/// returns how many publications had all of them read off.
+fn check_entries(fixture: &Fixture, config: Config, entries: &[Entry], label: &str) -> usize {
+    let counting = Counting::new(fixture.source.clone());
+    let config = config.with_provenance(false);
+    fixture.interner.with(|i| {
+        let mut all_read_off = 0;
+        for (k, event) in fixture.publications.iter().enumerate() {
+            let prepared = prepare_event(event, &counting, &config, i);
+            let mut every = true;
+            for &entry in entries {
+                every &= check_entry(&counting, &prepared, &config, i, entry, &|| {
+                    format!("{label} event {k}")
+                });
+            }
+            all_read_off += usize::from(every);
+        }
+        all_read_off
+    })
+}
+
+/// The `match-closure` benchmark workload's shape: deep narrow value
+/// trees, an alias on every concept, a six-link mapping chain, eight pairs
+/// per event.
+fn closure_shape_fixture(publications: usize) -> Fixture {
+    let shape = SyntheticConfig {
+        attrs: 8,
+        depth: 8,
+        fanout: 2,
+        synonyms_per_concept: 1.0,
+        mapping_chain: 6,
+        seed: 2003,
+    };
+    let workload = SyntheticWorkload {
+        subscriptions: 1,
+        publications,
+        preds_per_sub: 2,
+        pairs_per_event: 8,
+        general_term_bias: 0.45,
+        seed: 2003,
+    };
+    synthetic_fixture(&shape, &workload)
+}
+
+#[test]
+fn read_off_entries_equal_fresh_closures_across_domains_masks_and_limits() {
+    const PUBLICATIONS: usize = 64;
+    let fixtures = [
+        ("jobfinder", jobfinder_fixture(1, PUBLICATIONS, 5)),
+        ("iot", iot_fixture(1, PUBLICATIONS, 5)),
+        ("market", market_fixture(1, PUBLICATIONS, 5)),
+        ("geo", geo_fixture(1, PUBLICATIONS, 5)),
+        ("match-closure", closure_shape_fixture(PUBLICATIONS)),
+    ];
+    let limits = [
+        ClosureLimits::default(),
+        ClosureLimits { max_pairs: 20, ..ClosureLimits::default() },
+        ClosureLimits { max_rounds: 2, ..ClosureLimits::default() },
+        ClosureLimits { max_rounds: 3, ..ClosureLimits::default() },
+    ];
+    let mut cases = 0;
+    for (name, fixture) in &fixtures {
+        for stages in StageMask::all_combinations() {
+            let entries = every_entry(stages);
+            for closure in limits {
+                let config = Config {
+                    limits: Limits { closure, ..Limits::default() },
+                    ..Config::default().with_stages(stages)
+                };
+                let label = format!("{name} stages={stages:?} limits={closure:?}");
+                check_entries(fixture, config, &entries, &label);
+                cases += fixture.publications.len() * entries.len();
+            }
+        }
+    }
+    assert!(cases > 200_000, "the matrix shrank to {cases} cases");
+}
+
+#[test]
+fn match_closure_shape_reads_off_nearly_every_publication() {
+    // The suite above is only as strong as the share of entries that take
+    // the read-off path: on the shape the read-off targets, the classes
+    // its subscribers verify under and both classifier tiers must be read
+    // off for at least 90 % of publications.
+    let fixture = closure_shape_fixture(200);
+    let entries = [
+        Entry::Class(Tolerance::bounded(1)),
+        Entry::Class(Tolerance::bounded(3)),
+        Entry::SynonymTier,
+        Entry::HierarchyTier(StageMask::SYNONYM.with(StageMask::HIERARCHY)),
+    ];
+    let read_off = check_entries(&fixture, Config::default(), &entries, "match-closure");
+    let total = fixture.publications.len();
+    assert!(read_off * 10 >= total * 9, "only {read_off} of {total} publications were read off");
+}
+
+/// A one-event world for the named fallback cases.
+struct World {
+    source: Arc<dyn SemanticSource>,
+    interner: Interner,
+    event: Event,
+}
+
+impl World {
+    /// Prepares the event under `config` and checks `entry`; returns true
+    /// if it was read off the main closure.
+    fn read_off(&self, config: Config, entry: Entry) -> bool {
+        let counting = Counting::new(self.source.clone());
+        let config = config.with_provenance(false);
+        let prepared = prepare_event(&self.event, &counting, &config, &self.interner);
+        check_entry(&counting, &prepared, &config, &self.interner, entry, &|| format!("{entry:?}"))
+    }
+
+    /// The main closure of the event under `config`.
+    fn main_closure(&self, config: Config) -> PreparedEvent {
+        prepare_event(&self.event, self.source.as_ref(), &config, &self.interner)
+    }
+
+    fn value_at(&self, closed: &Event, attr: &str, value: &str) -> bool {
+        let (attr, value) = (self.interner.get(attr).unwrap(), self.interner.get(value).unwrap());
+        closed.values_for(attr).any(|v| *v == Value::Sym(value))
+    }
+}
+
+/// `skill = java` with `java is-a jvm_language is-a language`, and a
+/// function whose guard needs the general term: `skill = language ⇒
+/// label = coder` (the closure unit tests' interleaving ontology, one
+/// level deeper so a distance bound decides whether the guard holds).
+fn guard_on_generalized_attribute() -> World {
+    let mut i = Interner::new();
+    let mut o = Ontology::new("guard");
+    let (java, jvm, lang) = (i.intern("java"), i.intern("jvm_language"), i.intern("language"));
+    o.taxonomy.add_isa(java, jvm, &i).unwrap();
+    o.taxonomy.add_isa(jvm, lang, &i).unwrap();
+    let (skill, label, coder) = (i.intern("skill"), i.intern("label"), i.intern("coder"));
+    o.mappings
+        .register(MappingFunction::new(
+            "coder_label",
+            vec![PatternItem {
+                attr: skill,
+                guard: Some(Guard { op: Operator::Eq, value: Value::Sym(lang) }),
+            }],
+            vec![Production { attr: label, expr: Expr::Const(Value::Sym(coder)) }],
+        ))
+        .unwrap();
+    let event = EventBuilder::new(&mut i).term("skill", "java").build();
+    World { source: Arc::new(o), interner: i, event }
+}
+
+/// `x = a` with `a is-a m is-a t`, plus `y = 1` and a function `y ⇒ x = n`
+/// whose output generalizes to `t` in one step (`n is-a t`): the shortcut
+/// lowers `(x, t)` from distance 2 to 1, and a bounded run reaches it one
+/// round later than the unbounded run does.
+fn mapping_output_with_ancestors() -> World {
+    let mut i = Interner::new();
+    let mut o = Ontology::new("shortcut");
+    let (a, m, t, n) = (i.intern("a"), i.intern("m"), i.intern("t"), i.intern("n"));
+    o.taxonomy.add_isa(a, m, &i).unwrap();
+    o.taxonomy.add_isa(m, t, &i).unwrap();
+    o.taxonomy.add_isa(n, t, &i).unwrap();
+    let (x, y) = (i.intern("x"), i.intern("y"));
+    o.mappings
+        .register(MappingFunction::new(
+            "n_if_y",
+            vec![PatternItem { attr: y, guard: None }],
+            vec![Production { attr: x, expr: Expr::Const(Value::Sym(n)) }],
+        ))
+        .unwrap();
+    let event = EventBuilder::new(&mut i).term("x", "a").pair("y", 1i64).build();
+    World { source: Arc::new(o), interner: i, event }
+}
+
+#[test]
+fn read_off_falls_back_on_a_mapping_guard_over_a_generalized_attribute() {
+    let world = guard_on_generalized_attribute();
+    let main = world.main_closure(Config::default());
+    assert!(world.value_at(&main.engine_events[0], "label", "coder"), "fires unbounded");
+    // Under bound 1 the guard never sees `language`, so `label` must be
+    // absent — a distance filter over the main closure would keep it.
+    assert!(!world.read_off(Config::default(), Entry::Class(Tolerance::bounded(1))));
+    // Entries without the mapping stage are still read off.
+    assert!(world.read_off(Config::default(), Entry::SynonymTier));
+    let hier = StageMask::SYNONYM.with(StageMask::HIERARCHY);
+    assert!(world.read_off(Config::default(), Entry::HierarchyTier(hier)));
+}
+
+#[test]
+fn read_off_falls_back_on_a_production_absorbed_by_a_hierarchy_pair() {
+    // `y ⇒ x = top`, which the unbounded run already derived from
+    // `x = low` at distance 2; under bound 1 the production is a mapping
+    // pair of its own, which a distance filter would drop.
+    let mut i = Interner::new();
+    let mut o = Ontology::new("absorbed");
+    let (low, mid, top) = (i.intern("low"), i.intern("mid"), i.intern("top"));
+    o.taxonomy.add_isa(low, mid, &i).unwrap();
+    o.taxonomy.add_isa(mid, top, &i).unwrap();
+    let (x, y) = (i.intern("x"), i.intern("y"));
+    o.mappings
+        .register(MappingFunction::new(
+            "top_if_y",
+            vec![PatternItem { attr: y, guard: None }],
+            vec![Production { attr: x, expr: Expr::Const(Value::Sym(top)) }],
+        ))
+        .unwrap();
+    let event = EventBuilder::new(&mut i).term("x", "low").pair("y", 1i64).build();
+    let world = World { source: Arc::new(o), interner: i, event };
+    assert!(!world.read_off(Config::default(), Entry::Class(Tolerance::bounded(1))));
+}
+
+#[test]
+fn read_off_falls_back_on_a_generalized_mapping_output() {
+    // The hierarchy tier runs no mappings: `(x, t)` is at distance 2
+    // there, while the main closure recorded the shortcut's 1.
+    let world = mapping_output_with_ancestors();
+    let hier = StageMask::SYNONYM.with(StageMask::HIERARCHY);
+    assert!(!world.read_off(Config::default(), Entry::HierarchyTier(hier)));
+    // With every stage and a bound the main closure's stages apply.
+    assert!(world.read_off(Config::default(), Entry::Class(Tolerance::bounded(1))));
+}
+
+#[test]
+fn read_off_falls_back_when_the_main_closure_used_every_round() {
+    // Unbounded, the shortcut lands in round 1 with no new pair, so two
+    // rounds suffice; bound 1 derives `(x, t)` in round 1 and needs a
+    // third round to see the fixpoint, so under `max_rounds = 2` it
+    // truncates where the main closure did not.
+    let world = mapping_output_with_ancestors();
+    let limits = Limits {
+        closure: ClosureLimits { max_rounds: 2, ..ClosureLimits::default() },
+        ..Limits::default()
+    };
+    let config = Config { limits, ..Config::default() };
+    let main = world.main_closure(config);
+    assert!(!main.truncated);
+    assert!(!world.read_off(config, Entry::Class(Tolerance::bounded(1))));
+}
+
+#[test]
+fn read_off_falls_back_on_a_truncated_main_closure() {
+    let world = guard_on_generalized_attribute();
+    let limits = Limits {
+        closure: ClosureLimits { max_pairs: 2, ..ClosureLimits::default() },
+        ..Limits::default()
+    };
+    let config = Config { limits, ..Config::default() };
+    assert!(world.main_closure(config).truncated);
+    for entry in [Entry::SynonymTier, Entry::Class(Tolerance::bounded(1))] {
+        assert!(!world.read_off(config, entry), "{entry:?}");
+    }
+}
+
+#[test]
+fn read_off_falls_back_under_a_system_bound_and_other_strategies() {
+    let world = guard_on_generalized_attribute();
+    let hier = StageMask::SYNONYM.with(StageMask::HIERARCHY);
+    let configs = [
+        Config { max_distance: Some(2), ..Config::default() },
+        Config::default().with_strategy(Strategy::SubscriptionRewrite),
+        Config::default().with_strategy(Strategy::MaterializeEvents),
+    ];
+    for config in configs {
+        for entry in [Entry::SynonymTier, Entry::HierarchyTier(hier)] {
+            assert!(!world.read_off(config, entry), "{config:?} {entry:?}");
+        }
     }
 }
