@@ -184,8 +184,7 @@ criterion_group!(benches, bench_overhead);
 
 fn main() {
     benches();
-    // Opt-in like sharding_scaling's trajectory: plain `cargo bench`
-    // stays a fast smoke run.
+    // Opt-in trajectory: plain `cargo bench` stays a fast smoke run.
     if std::env::var_os("BENCH_TRAJECTORY").is_none() {
         return;
     }

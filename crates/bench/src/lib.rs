@@ -10,7 +10,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use stopss_core::{shard_of, Config, Match, SToPSS, ShardedSToPSS};
+use stopss_core::{Config, SToPSS};
 use stopss_types::{Event, SubId, Subscription};
 use stopss_workload::Fixture;
 
@@ -84,199 +84,6 @@ pub fn timed_sweep(matcher: &SToPSS, events: &[Event], warmup: usize) -> SweepRe
         events_per_sec: if ns_per_event > 0.0 { 1e9 / ns_per_event } else { 0.0 },
         derived_events: stats_after.derived_events - stats_before.derived_events,
         truncations: stats_after.truncations - stats_before.truncations,
-    }
-}
-
-/// Builds a sharded matcher (shard count from `config.shards`) over a
-/// fixture's ontology and loads its subscriptions.
-pub fn sharded_matcher_for(fixture: &Fixture, config: Config) -> ShardedSToPSS {
-    fixture.sharded_matcher(config)
-}
-
-/// Publishes every event through `publish_batch` in batches of
-/// `batch_size` (after one untimed warm-up pass over the first `warmup`
-/// events) and reports matches and mean per-event latency — the sharded
-/// counterpart of [`timed_sweep`].
-pub fn timed_batch_sweep(
-    matcher: &ShardedSToPSS,
-    events: &[Event],
-    batch_size: usize,
-    warmup: usize,
-) -> SweepResult {
-    let warm = &events[..warmup.min(events.len())];
-    if !warm.is_empty() {
-        let _ = matcher.publish_batch(warm);
-    }
-    let stats_before = matcher.stats();
-    let start = Instant::now();
-    let mut matches = 0u64;
-    for batch in events.chunks(batch_size.max(1)) {
-        matches += matcher.publish_batch(batch).iter().map(|m| m.len() as u64).sum::<u64>();
-    }
-    let elapsed = start.elapsed();
-    let stats_after = matcher.stats();
-    let ns_per_event = elapsed.as_nanos() as f64 / events.len().max(1) as f64;
-    SweepResult {
-        matches,
-        ns_per_event,
-        events_per_sec: if ns_per_event > 0.0 { 1e9 / ns_per_event } else { 0.0 },
-        derived_events: stats_after.derived_events - stats_before.derived_events,
-        truncations: stats_after.truncations - stats_before.truncations,
-    }
-}
-
-/// Publishes every event through the explicit two-stage **barrier** —
-/// `frontend().prepare_batch()` then `publish_prepared_batch()`, no
-/// stage overlap — in batches of `batch_size`. The comparison
-/// counterpart of [`timed_batch_sweep`] (whose `publish_batch` pipelines
-/// stage 1 of chunk k+1 against stage 2 of chunk k): together they form
-/// the pipelined-vs-barrier axis of the `sharding_scaling` trajectory.
-pub fn timed_barrier_batch_sweep(
-    matcher: &ShardedSToPSS,
-    events: &[Event],
-    batch_size: usize,
-    warmup: usize,
-) -> SweepResult {
-    let frontend = matcher.frontend();
-    let warm = &events[..warmup.min(events.len())];
-    if !warm.is_empty() {
-        let prepared = frontend.prepare_batch(warm);
-        let _ = matcher.publish_prepared_batch(&prepared);
-    }
-    let stats_before = matcher.stats();
-    let start = Instant::now();
-    let mut matches = 0u64;
-    for batch in events.chunks(batch_size.max(1)) {
-        let prepared = frontend.prepare_batch(batch);
-        matches += matcher
-            .publish_prepared_batch(&prepared)
-            .iter()
-            .map(|r| r.matches.len() as u64)
-            .sum::<u64>();
-    }
-    let elapsed = start.elapsed();
-    let stats_after = matcher.stats();
-    let ns_per_event = elapsed.as_nanos() as f64 / events.len().max(1) as f64;
-    SweepResult {
-        matches,
-        ns_per_event,
-        events_per_sec: if ns_per_event > 0.0 { 1e9 / ns_per_event } else { 0.0 },
-        derived_events: stats_after.derived_events - stats_before.derived_events,
-        truncations: stats_after.truncations - stats_before.truncations,
-    }
-}
-
-/// The PR-2 replicated sharding design, kept as a reference baseline: N
-/// complete [`SToPSS`] instances partitioned by [`shard_of`], each
-/// recomputing the *full* semantic pass (closure / materialization) for
-/// every publication, fanned out on scoped worker threads.
-///
-/// The production [`ShardedSToPSS`] hoists the event-side pass into a
-/// shared front-end; this harness preserves the replicated architecture
-/// so the `sharding_scaling` bench can report the hoisted-vs-replicated
-/// comparison axis honestly, and so differential tests can pin that both
-/// designs produce identical match sets.
-pub struct ReplicatedSharded {
-    shards: Vec<SToPSS>,
-    workers: usize,
-}
-
-impl ReplicatedSharded {
-    /// Builds the replicated harness over a fixture: subscriptions are
-    /// partitioned across `config.effective_shards()` full matchers.
-    pub fn new(fixture: &Fixture, config: Config) -> Self {
-        let shards_n = config.effective_shards();
-        let shards: Vec<SToPSS> = (0..shards_n)
-            .map(|_| SToPSS::new(config, fixture.source.clone(), fixture.interner.clone()))
-            .collect();
-        for sub in &fixture.subscriptions {
-            shards[shard_of(sub.id(), shards_n)].subscribe(sub.clone());
-        }
-        ReplicatedSharded { shards, workers: config.effective_parallelism() }
-    }
-
-    /// Publishes a batch the PR-2 way: every shard runs the complete
-    /// publication pipeline (semantic pass *and* matching) for every
-    /// event; per-shard match sets merge sorted by `SubId`.
-    pub fn publish_batch(&mut self, events: &[Event]) -> Vec<Vec<Match>> {
-        if events.is_empty() {
-            return Vec::new();
-        }
-        let per_shard: Vec<Vec<Vec<Match>>> = if self.workers <= 1 || self.shards.len() <= 1 {
-            self.shards.iter_mut().map(|s| s.publish_batch(events)).collect()
-        } else {
-            let chunk = self.shards.len().div_ceil(self.workers);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .chunks_mut(chunk)
-                    .map(|chunk_shards| {
-                        scope.spawn(move |_| {
-                            chunk_shards
-                                .iter_mut()
-                                .map(|s| s.publish_batch(events))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().flat_map(|h| h.join().expect("shard worker panicked")).collect()
-            })
-            .expect("shard scope panicked")
-        };
-        let mut merged: Vec<Vec<Match>> = Vec::with_capacity(events.len());
-        for k in 0..events.len() {
-            let mut matches: Vec<Match> = Vec::new();
-            for shard_sets in &per_shard {
-                matches.extend_from_slice(&shard_sets[k]);
-            }
-            matches.sort_unstable_by_key(|m| m.sub);
-            merged.push(matches);
-        }
-        merged
-    }
-
-    /// Derived events fed to engines across all shards (each shard
-    /// replicates the event-side pass, so this is `shards ×` the hoisted
-    /// figure).
-    pub fn total_derived_events(&self) -> u64 {
-        self.shards.iter().map(|s| s.stats().derived_events).sum()
-    }
-
-    /// Publications whose semantic pass hit a resource bound, summed
-    /// across the replicated shards.
-    pub fn total_truncations(&self) -> u64 {
-        self.shards.iter().map(|s| s.stats().truncations).sum()
-    }
-}
-
-/// Publishes every event through the replicated baseline in batches of
-/// `batch_size` (after one untimed warm-up pass over the first `warmup`
-/// events) — the comparison counterpart of [`timed_batch_sweep`].
-pub fn timed_replicated_batch_sweep(
-    matcher: &mut ReplicatedSharded,
-    events: &[Event],
-    batch_size: usize,
-    warmup: usize,
-) -> SweepResult {
-    let warm = &events[..warmup.min(events.len())];
-    if !warm.is_empty() {
-        let _ = matcher.publish_batch(warm);
-    }
-    let derived_before = matcher.total_derived_events();
-    let truncations_before = matcher.total_truncations();
-    let start = Instant::now();
-    let mut matches = 0u64;
-    for batch in events.chunks(batch_size.max(1)) {
-        matches += matcher.publish_batch(batch).iter().map(|m| m.len() as u64).sum::<u64>();
-    }
-    let elapsed = start.elapsed();
-    let ns_per_event = elapsed.as_nanos() as f64 / events.len().max(1) as f64;
-    SweepResult {
-        matches,
-        ns_per_event,
-        events_per_sec: if ns_per_event > 0.0 { 1e9 / ns_per_event } else { 0.0 },
-        derived_events: matcher.total_derived_events() - derived_before,
-        truncations: matcher.total_truncations() - truncations_before,
     }
 }
 
@@ -458,68 +265,20 @@ mod tests {
     }
 
     #[test]
-    fn timed_batch_sweep_agrees_with_sequential_sweep() {
-        let fixture = jobfinder_fixture(50, 50, 3);
-        let config = Config::default().with_provenance(false).with_shards(4);
-        let single = matcher_for(&fixture, config);
-        let sequential = timed_sweep(&single, &fixture.publications, 5);
-        let sharded = sharded_matcher_for(&fixture, config);
-        let batched = timed_batch_sweep(&sharded, &fixture.publications, 8, 5);
-        assert_eq!(batched.matches, sequential.matches);
-        assert_eq!(batched.derived_events, sequential.derived_events);
-        assert_eq!(batched.truncations, sequential.truncations);
-        assert!(batched.ns_per_event > 0.0);
-    }
-
-    #[test]
-    fn barrier_sweep_agrees_with_pipelined_sweep() {
-        let fixture = jobfinder_fixture(50, 80, 3);
-        let config = Config::default().with_provenance(false).with_shards(4);
-        let single = matcher_for(&fixture, config);
-        let sequential = timed_sweep(&single, &fixture.publications, 5);
-        // Batch size above the pipeline chunk so publish_batch overlaps.
-        let pipelined = sharded_matcher_for(&fixture, config);
-        let p = timed_batch_sweep(&pipelined, &fixture.publications, 40, 5);
-        let barrier = sharded_matcher_for(&fixture, config);
-        let b = timed_barrier_batch_sweep(&barrier, &fixture.publications, 40, 5);
-        assert_eq!(p.matches, sequential.matches);
-        assert_eq!(b.matches, sequential.matches);
-        assert_eq!(p.derived_events, b.derived_events);
-        assert_eq!(p.truncations, b.truncations);
-        assert!(b.ns_per_event > 0.0);
-    }
-
-    #[test]
-    fn replicated_baseline_agrees_with_hoisted_sharded() {
-        let fixture = jobfinder_fixture(60, 30, 3);
-        let config = Config::default().with_provenance(false).with_shards(4);
-        let hoisted = sharded_matcher_for(&fixture, config);
-        let mut replicated = ReplicatedSharded::new(&fixture, config);
-        let want = hoisted.publish_batch(&fixture.publications);
-        let got = replicated.publish_batch(&fixture.publications);
-        assert_eq!(got, want, "both sharding designs must produce identical match sets");
-        // The replicated design pays the event-side pass once per shard.
-        assert_eq!(replicated.total_derived_events(), 4 * hoisted.stats().derived_events);
-        let sweep = timed_replicated_batch_sweep(&mut replicated, &fixture.publications, 8, 5);
-        assert!(sweep.ns_per_event > 0.0);
-        assert_eq!(sweep.derived_events, 4 * hoisted.stats().derived_events);
-    }
-
-    #[test]
     fn bench_json_renders_rows_and_escapes() {
         let rows = vec![
             vec![
                 ("engine", JsonValue::Str("counting".into())),
-                ("shards", JsonValue::UInt(2)),
+                ("subscriptions", JsonValue::UInt(2)),
                 ("ns_per_event", JsonValue::Float(1234.56)),
             ],
             vec![("engine", JsonValue::Str("a\"b".into()))],
         ];
         let json =
-            render_bench_json("sharding", &[("workload", JsonValue::Str("job".into()))], &rows);
-        assert!(json.contains("\"bench\": \"sharding\""));
+            render_bench_json("semantic", &[("workload", JsonValue::Str("job".into()))], &rows);
+        assert!(json.contains("\"bench\": \"semantic\""));
         assert!(json.contains("\"workload\": \"job\""));
-        assert!(json.contains("\"shards\": 2"));
+        assert!(json.contains("\"subscriptions\": 2"));
         assert!(json.contains("\"ns_per_event\": 1234.6"));
         assert!(json.contains("\\\"b"), "quotes must be escaped: {json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -7,47 +7,38 @@
 //!
 //! # Epoch-snapshot control plane
 //!
-//! The matcher is a **plain field** — no broker-side lock at all. Both
-//! backends ([`SToPSS`] and [`ShardedSToPSS`]) keep their ontology,
-//! configuration and subscription index behind epoch-swapped immutable
-//! snapshots: every control-plane operation (`subscribe`, `unsubscribe`,
-//! `set_stages`, `reconfigure`, ontology replacement) forks the current
-//! snapshot aside, mutates the fork, and publishes it with one atomic
-//! pointer swap. Publishers resolve a snapshot, match against it, and are
-//! **never blocked** by control traffic; an in-flight publication simply
-//! finishes against the snapshot it started under. The former
-//! `RwLock<MatcherBackend>` + `matcher_epoch: AtomicU64` pair is gone —
-//! the epoch now lives *inside* the snapshot, so it is bumped by every
-//! front-end-invalidating mutation (not just `set_semantic_mode`, the
-//! old bug) and cannot drift from the state it guards.
+//! The matcher is a **plain [`SToPSS`] field** — no broker-side lock at
+//! all. It keeps its ontology, configuration and subscription index
+//! behind epoch-swapped immutable snapshots: every control-plane
+//! operation (`subscribe`, `unsubscribe`, `set_stages`, `reconfigure`,
+//! ontology replacement) forks the current snapshot aside, mutates the
+//! fork, and publishes it with one atomic pointer swap. Publishers
+//! resolve a snapshot, match against it, and are **never blocked** by
+//! control traffic; an in-flight publication simply finishes against the
+//! snapshot it started under. The front-end epoch lives *inside* the
+//! snapshot, so it is bumped by every front-end-invalidating mutation
+//! (not just `set_semantic_mode`) and cannot drift from the state it
+//! guards.
 //!
-//! [`Broker::publish_batch`] runs the two stages as a **pipeline**:
-//! stage 1 — the event-side semantic pass — needs only the immutable
+//! [`Broker::publish_batch`] runs the two stages back to back: stage 1 —
+//! the event-side semantic pass — needs only the immutable
 //! configuration/ontology/interner, so the broker detaches a
 //! [`stopss_core::SemanticFrontEnd`] handle (tagged with the snapshot's
-//! front-end epoch) and prepares the batch in chunks on a dedicated
-//! scoped worker that stays one chunk ahead; stage 2 — engine match +
-//! verify on the precomputed artifacts — runs against whatever snapshot
-//! is current, chunk by chunk. **"Stale"** now means: the front-end
-//! epoch tagged on the artifacts no longer equals the epoch of the
-//! snapshot the match stage resolved. The check and the match are atomic
+//! front-end epoch) and prepares the whole batch; stage 2 — engine
+//! matching and verification on the precomputed artifacts — runs against
+//! whatever snapshot is current. **"Stale"** means: the front-end epoch
+//! tagged on the artifacts no longer equals the epoch of the snapshot the
+//! match stage resolved. The check and the match are atomic
 //! (`try_publish_prepared_batch` resolves *one* snapshot for both), so a
-//! concurrent reconfiguration either lands entirely before a chunk
-//! (stale artifacts are discarded and the chunk is republished from the
-//! raw events) or entirely after it — never mid-chunk.
-//!
-//! When [`BrokerConfig::matcher`] asks for more than one shard, the broker
-//! runs over [`stopss_core::ShardedSToPSS`] instead of the single-threaded
-//! matcher, with byte-identical match sets and notifications. The backend
-//! kind is fixed at construction; [`Broker::reconfigure_matcher`] can
-//! reshard a sharded backend live but does not cross the enum boundary.
+//! concurrent reconfiguration either lands entirely before the match
+//! stage (stale artifacts are discarded and the batch is republished from
+//! the raw events) or entirely after it — never mid-batch.
 
 use stopss_types::sync::atomic::{AtomicU64, Ordering};
-use stopss_types::sync::{mpsc, Arc, Mutex, RwLock};
+use stopss_types::sync::{Arc, Mutex, RwLock};
 
 use stopss_core::{
-    Config, Match, MatcherStats, PreparedEvent, SToPSS, SemanticFrontEnd, ShardedSToPSS, StageMask,
-    Tolerance, PIPELINE_CHUNK,
+    Config, Match, MatcherStats, PreparedEvent, SToPSS, SemanticFrontEnd, StageMask, Tolerance,
 };
 use stopss_ontology::SemanticSource;
 use stopss_types::{Event, FxHashMap, Predicate, SharedInterner, SubId, Subscription};
@@ -111,177 +102,12 @@ impl std::error::Error for BrokerError {}
 /// `with_inbox` constructors) so receivers survive restarts.
 pub type TransportFactory = Box<dyn Fn(u64) -> Vec<Box<dyn Transport>> + Send + Sync>;
 
-/// The matcher the broker runs over: single-threaded or sharded,
-/// selected by [`Config::shards`]. Both produce identical match sets and
-/// both run their own epoch-snapshot control plane, so every method —
-/// control ops included — takes `&self` and the broker needs no lock
-/// around the enum.
-enum MatcherBackend {
-    /// One monolithic engine (the seed architecture).
-    Single(SToPSS),
-    /// Hash-sharded engines with a scoped-thread worker pool.
-    Sharded(ShardedSToPSS),
-}
-
-impl MatcherBackend {
-    fn build(config: Config, source: Arc<dyn SemanticSource>, interner: SharedInterner) -> Self {
-        if config.effective_shards() > 1 {
-            MatcherBackend::Sharded(ShardedSToPSS::new(config, source, interner))
-        } else {
-            MatcherBackend::Single(SToPSS::new(config, source, interner))
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            MatcherBackend::Single(m) => m.len(),
-            MatcherBackend::Sharded(m) => m.len(),
-        }
-    }
-
-    fn stats(&self) -> MatcherStats {
-        match self {
-            MatcherBackend::Single(m) => m.stats(),
-            MatcherBackend::Sharded(m) => m.stats(),
-        }
-    }
-
-    fn subscribe_with(&self, sub: Subscription, tolerance: Option<Tolerance>) {
-        match (self, tolerance) {
-            (MatcherBackend::Single(m), Some(t)) => {
-                m.subscribe_with_tolerance(sub, t);
-            }
-            (MatcherBackend::Single(m), None) => {
-                m.subscribe(sub);
-            }
-            (MatcherBackend::Sharded(m), Some(t)) => {
-                m.subscribe_with_tolerance(sub, t);
-            }
-            (MatcherBackend::Sharded(m), None) => {
-                m.subscribe(sub);
-            }
-        }
-    }
-
-    fn control_epoch(&self) -> u64 {
-        match self {
-            MatcherBackend::Single(m) => m.control_epoch(),
-            MatcherBackend::Sharded(m) => m.control_epoch(),
-        }
-    }
-
-    fn subscribe_batch(&self, subs: Vec<(Subscription, Option<Tolerance>)>) {
-        match self {
-            MatcherBackend::Single(m) => {
-                m.subscribe_batch(subs);
-            }
-            MatcherBackend::Sharded(m) => {
-                m.subscribe_batch(subs);
-            }
-        }
-    }
-
-    fn unsubscribe(&self, id: SubId) -> bool {
-        match self {
-            MatcherBackend::Single(m) => m.unsubscribe(id).is_some(),
-            MatcherBackend::Sharded(m) => m.unsubscribe(id).is_some(),
-        }
-    }
-
-    fn publish(&self, event: &Event) -> Vec<Match> {
-        match self {
-            MatcherBackend::Single(m) => m.publish(event),
-            MatcherBackend::Sharded(m) => m.publish(event),
-        }
-    }
-
-    fn publish_batch(&self, events: &[Event]) -> Vec<Vec<Match>> {
-        match self {
-            MatcherBackend::Single(m) => m.publish_batch(events),
-            MatcherBackend::Sharded(m) => m.publish_batch(events),
-        }
-    }
-
-    /// The event-side semantic front-end handle (config snapshot + shared
-    /// ontology/interner + verification classes to warm), detachable so
-    /// batches can be prepared outside the matcher. Tagged with the
-    /// snapshot's front-end epoch — the staleness token checked by
-    /// [`MatcherBackend::try_publish_prepared_batch`].
-    fn frontend(&self) -> SemanticFrontEnd {
-        match self {
-            MatcherBackend::Single(m) => m.frontend(),
-            MatcherBackend::Sharded(m) => m.frontend(),
-        }
-    }
-
-    /// Publishes precomputed front-end artifacts if — and only if — the
-    /// front-end epoch they were prepared under still matches the current
-    /// snapshot's. The check and the match resolve the *same* snapshot,
-    /// so a racing control op can never slip between them. `None` means
-    /// the artifacts went stale and the caller must republish from the
-    /// raw events.
-    fn try_publish_prepared_batch(
-        &self,
-        prepared: &[PreparedEvent],
-        frontend_epoch: u64,
-    ) -> Option<Vec<Vec<Match>>> {
-        match self {
-            MatcherBackend::Single(m) => m
-                .try_publish_prepared_batch(prepared, frontend_epoch)
-                .map(|rs| rs.into_iter().map(|r| r.matches).collect()),
-            MatcherBackend::Sharded(m) => m
-                .try_publish_prepared_batch(prepared, frontend_epoch)
-                .map(|rs| rs.into_iter().map(|r| r.matches).collect()),
-        }
-    }
-
-    fn set_stages(&self, stages: StageMask) {
-        match self {
-            MatcherBackend::Single(m) => {
-                m.set_stages(stages);
-            }
-            MatcherBackend::Sharded(m) => {
-                m.set_stages(stages);
-            }
-        }
-    }
-
-    fn reconfigure(&self, config: Config) {
-        match self {
-            MatcherBackend::Single(m) => {
-                m.reconfigure(config);
-            }
-            MatcherBackend::Sharded(m) => {
-                m.reconfigure(config);
-            }
-        }
-    }
-
-    fn set_source(&self, source: Arc<dyn SemanticSource>) {
-        match self {
-            MatcherBackend::Single(m) => {
-                m.set_source(source);
-            }
-            MatcherBackend::Sharded(m) => {
-                m.set_source(source);
-            }
-        }
-    }
-
-    fn source(&self) -> Arc<dyn SemanticSource> {
-        match self {
-            MatcherBackend::Single(m) => m.source(),
-            MatcherBackend::Sharded(m) => m.source(),
-        }
-    }
-}
-
 /// The publish/subscribe broker of the demonstration setup.
 pub struct Broker {
-    /// No lock: both backends swap immutable snapshots internally, so the
+    /// No lock: the matcher swaps immutable snapshots internally, so the
     /// publish path and every control op are `&self` and publishers never
     /// wait on subscription or configuration mutations.
-    matcher: MatcherBackend,
+    matcher: SToPSS,
     clients: RwLock<FxHashMap<ClientId, ClientInfo>>,
     sub_owner: RwLock<FxHashMap<SubId, ClientId>>,
     /// Read lock to enqueue; write lock only for the brief engine swap in
@@ -359,7 +185,7 @@ impl Broker {
         factory: TransportFactory,
     ) -> Broker {
         Broker {
-            matcher: MatcherBackend::build(config.matcher, source, interner.clone()),
+            matcher: SToPSS::new(config.matcher, source, interner.clone()),
             clients: RwLock::new(FxHashMap::default()),
             sub_owner: RwLock::new(FxHashMap::default()),
             notifier: RwLock::new(NotificationEngine::start(factory(0))),
@@ -447,16 +273,18 @@ impl Broker {
         // Owner first, matcher second: from the instant a publish can
         // match the subscription, its notifications are routable.
         self.sub_owner.write().insert(id, client);
-        self.matcher.subscribe_with(sub, tolerance);
+        match tolerance {
+            Some(t) => self.matcher.subscribe_with_tolerance(sub, t),
+            None => self.matcher.subscribe(sub),
+        };
         Ok(id)
     }
 
     /// Registers a batch of subscriptions as **one** matcher control
     /// mutation: ownership is recorded per request, then every accepted
     /// subscription lands in the matcher through a single fork-and-swap
-    /// ([`SToPSS::subscribe_batch`] /
-    /// [`stopss_core::ShardedSToPSS::subscribe_batch`]) instead of one
-    /// copy-on-write fork per subscription. Results are positional: the
+    /// ([`SToPSS::subscribe_batch`]) instead of one copy-on-write fork per
+    /// subscription. Results are positional: the
     /// `k`-th entry answers the `k`-th request, and rejected requests
     /// (unknown client) consume neither a [`SubId`] nor matcher work. The
     /// networked event loop coalesces Subscribe frames per poll turn into
@@ -512,7 +340,7 @@ impl Broker {
         // to concurrent unsubscription and is *counted* by
         // `notify_matches` instead of skipped silently (see
         // [`Broker::orphaned_matches`]).
-        let existed = self.matcher.unsubscribe(sub);
+        let existed = self.matcher.unsubscribe(sub).is_some();
         self.sub_owner.write().remove(&sub);
         Ok(existed)
     }
@@ -553,60 +381,28 @@ impl Broker {
         matches.len()
     }
 
-    /// Publishes a batch of events through the two-stage pipeline,
-    /// enqueuing notifications exactly as [`Broker::publish`] would per
-    /// event. Returns the total number of matches across the batch.
+    /// Publishes a batch of events in two stages, enqueuing notifications
+    /// exactly as [`Broker::publish`] would per event. Returns the total
+    /// number of matches across the batch.
     ///
     /// Stage 1 (the event-side semantic pass) runs on a detached
-    /// [`SemanticFrontEnd`] handle, one pipeline chunk ahead of stage 2
-    /// (engine match + verify on the precomputed artifacts) — so the
-    /// front-end prepares chunk *k+1* while the shards match chunk *k*,
-    /// and notifications for chunk *k* are enqueued before chunk *k+1*
-    /// matches. The artifacts carry the per-publication tier cache: with
-    /// provenance on, the classifier's tier closures are warmed in
-    /// stage 1, and so are the verification-class closures of every
-    /// registered non-system tolerance, so the match stage pays neither
-    /// the semantic closure nor any first-use class closure. If a control
-    /// op invalidated the front end while a chunk was in flight (the
-    /// handle's epoch tag no longer matches the live snapshot's), the
-    /// stale artifacts are discarded and that chunk is republished from
-    /// the raw events against the fresh snapshot.
+    /// [`SemanticFrontEnd`] handle over the whole batch; stage 2 (engine
+    /// match + verify on the precomputed artifacts) follows. The artifacts
+    /// carry the per-publication tier cache: with provenance on, the
+    /// classifier's tier closures are warmed in stage 1, and so are the
+    /// verification-class closures of every registered non-system
+    /// tolerance, so the match stage pays neither the semantic closure nor
+    /// any first-use class closure. If a control op invalidated the front
+    /// end in between (the handle's epoch tag no longer matches the live
+    /// snapshot's), the stale artifacts are discarded and the batch is
+    /// republished from the raw events against the fresh snapshot.
     pub fn publish_batch(&self, events: &[Event]) -> usize {
         if events.is_empty() {
             return 0;
         }
         let (frontend, epoch) = self.frontend_snapshot();
-        // Mirror the sharded matcher's own gate: overlapping the stages
-        // costs a preparer thread, so single-chunk batches — and
-        // configurations without the budget or hardware for overlap —
-        // take the plain barrier instead.
-        if events.len() <= PIPELINE_CHUNK || !frontend.config().pipeline_overlap() {
-            let prepared = frontend.prepare_batch(events);
-            return self.match_and_notify(events, &prepared, epoch);
-        }
-        // Capacity 1: stage 1 stays exactly one chunk ahead of stage 2.
-        let (tx, rx) = mpsc::sync_channel::<Vec<PreparedEvent>>(1);
-        let frontend = &frontend;
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(move |_| {
-                for chunk in events.chunks(PIPELINE_CHUNK) {
-                    // The receiver only drops mid-batch if the match
-                    // stage panicked; stop preparing in that case.
-                    if tx.send(frontend.prepare_batch(chunk)).is_err() {
-                        break;
-                    }
-                }
-            });
-            let mut total = 0;
-            let mut offset = 0;
-            for prepared in rx {
-                let chunk = &events[offset..offset + prepared.len()];
-                offset += prepared.len();
-                total += self.match_and_notify(chunk, &prepared, epoch);
-            }
-            total
-        })
-        .expect("invariant: publish pipeline threads do not panic")
+        let prepared = frontend.prepare_batch(events);
+        self.match_and_notify(events, &prepared, epoch)
     }
 
     /// Snapshots the detached front-end handle and the front-end epoch it
@@ -620,17 +416,16 @@ impl Broker {
         (frontend, epoch)
     }
 
-    /// Stage 2 for one pipeline chunk: matches the precomputed artifacts
-    /// and enqueues notifications. The backend resolves one snapshot for
-    /// both the staleness check and the match: if the snapshot's
-    /// front-end epoch still equals `epoch`, the artifacts are valid for
-    /// it by construction; otherwise a control op (mode switch,
-    /// reconfiguration, ontology edit) invalidated them, and the chunk is
-    /// republished from the raw events against the fresh snapshot
-    /// instead.
+    /// Stage 2: matches the precomputed artifacts and enqueues
+    /// notifications. The matcher resolves one snapshot for both the
+    /// staleness check and the match: if the snapshot's front-end epoch
+    /// still equals `epoch`, the artifacts are valid for it by
+    /// construction; otherwise a control op (mode switch, reconfiguration,
+    /// ontology edit) invalidated them, and the batch is republished from
+    /// the raw events against the fresh snapshot instead.
     fn match_and_notify(&self, events: &[Event], prepared: &[PreparedEvent], epoch: u64) -> usize {
         let match_sets = match self.matcher.try_publish_prepared_batch(prepared, epoch) {
-            Some(sets) => sets,
+            Some(results) => results.into_iter().map(|r| r.matches).collect(),
             None => self.matcher.publish_batch(events),
         };
         let mut total = 0;
@@ -679,16 +474,11 @@ impl Broker {
         self.orphaned_matches.load(Ordering::Relaxed)
     }
 
-    /// True if the broker runs over the sharded matcher backend.
-    pub fn is_sharded(&self) -> bool {
-        matches!(&self.matcher, MatcherBackend::Sharded(_))
-    }
-
     /// Switches between semantic and syntactic mode ("the application can
     /// run in two different modes", §4). The stage switch is a snapshot
     /// swap inside the matcher, which bumps the front-end epoch — any
-    /// batch chunk prepared under the old mode is refused at match time
-    /// and republished fresh.
+    /// batch prepared under the old mode is refused at match time and
+    /// republished fresh.
     pub fn set_semantic_mode(&self, semantic: bool) {
         let mut flag = self.semantic.write();
         if *flag == semantic {
@@ -704,14 +494,11 @@ impl Broker {
         *self.semantic.read()
     }
 
-    /// Reconfigures the live matcher (engine, strategy, stages, shard
-    /// count, …) between publications — subscriptions survive and are
-    /// re-indexed (and re-routed across shards on the sharded backend)
-    /// inside one snapshot swap. The broker's semantic flag and restore
-    /// mask track the new configuration, and the front-end epoch bump
-    /// makes every in-flight prepared chunk fall back to a fresh publish.
-    /// The backend kind (single vs. sharded) stays as constructed;
-    /// `config.shards` is honored live only by the sharded backend.
+    /// Reconfigures the live matcher (engine, strategy, stages, …) between
+    /// publications — subscriptions survive and are re-indexed inside one
+    /// snapshot swap. The broker's semantic flag and restore mask track
+    /// the new configuration, and the front-end epoch bump makes every
+    /// in-flight prepared batch fall back to a fresh publish.
     pub fn reconfigure_matcher(&self, config: Config) {
         let mut flag = self.semantic.write();
         let semantic = !config.stages.is_syntactic();
@@ -740,7 +527,7 @@ impl Broker {
         self.matcher.source()
     }
 
-    /// Matcher counters (aggregated across shards for the sharded backend).
+    /// Matcher counters.
     pub fn matcher_stats(&self) -> MatcherStats {
         self.matcher.stats()
     }
@@ -921,54 +708,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_broker_matches_and_delivers_like_single() {
-        let sharded_config =
-            BrokerConfig { matcher: Config::default().with_shards(4), ..BrokerConfig::default() };
-        let (broker, interner) = jobs_broker(sharded_config);
-        assert!(broker.is_sharded());
+    fn publish_batch_notifies_per_event() {
+        let (broker, interner) = jobs_broker(BrokerConfig::default());
         let company = broker.register_client("acme", TransportKind::Tcp);
         broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
-        assert_eq!(broker.publish(&candidate_event(&interner)), 1);
-        assert_eq!(broker.matcher_stats().published, 1);
+        let events = vec![candidate_event(&interner); 3];
+        assert_eq!(broker.publish_batch(&events), 3);
+        assert_eq!(broker.matcher_stats().published, 3);
         let stats = broker.shutdown();
-        assert_eq!(stats.get(TransportKind::Tcp).delivered, 1);
-
-        let (single, _) = jobs_broker(BrokerConfig::default());
-        assert!(!single.is_sharded());
-        let _ = single.shutdown();
-    }
-
-    #[test]
-    fn publish_batch_notifies_per_event() {
-        for shards in [1usize, 4] {
-            let config = BrokerConfig {
-                matcher: Config::default().with_shards(shards),
-                ..BrokerConfig::default()
-            };
-            let (broker, interner) = jobs_broker(config);
-            let company = broker.register_client("acme", TransportKind::Tcp);
-            broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
-            let events = vec![candidate_event(&interner); 3];
-            assert_eq!(broker.publish_batch(&events), 3, "shards={shards}");
-            assert_eq!(broker.matcher_stats().published, 3, "shards={shards}");
-            let stats = broker.shutdown();
-            assert_eq!(stats.get(TransportKind::Tcp).delivered, 3, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_broker_honors_mode_switch_and_ownership() {
-        let config =
-            BrokerConfig { matcher: Config::default().with_shards(8), ..BrokerConfig::default() };
-        let (broker, interner) = jobs_broker(config);
-        let alice = broker.register_client("alice", TransportKind::Tcp);
-        let sub = broker.subscribe(alice, recruiter_predicates(&interner)).unwrap();
-        broker.set_semantic_mode(false);
-        assert_eq!(broker.publish(&candidate_event(&interner)), 0);
-        broker.set_semantic_mode(true);
-        assert_eq!(broker.publish(&candidate_event(&interner)), 1);
-        assert_eq!(broker.unsubscribe(alice, sub), Ok(true));
-        assert_eq!(broker.subscription_count(), 0);
+        assert_eq!(stats.get(TransportKind::Tcp).delivered, 3);
     }
 
     /// The stale path, forced deterministically: snapshot the front-end,
@@ -980,40 +728,33 @@ mod tests {
     /// match stale closures.
     #[test]
     fn stale_epoch_falls_back_to_fresh_publish() {
-        for shards in [1usize, 4] {
-            let config = BrokerConfig {
-                matcher: Config::default().with_shards(shards),
-                ..BrokerConfig::default()
-            };
-            let (broker, interner) = jobs_broker(config);
-            let company = broker.register_client("acme", TransportKind::Tcp);
-            broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
-            let events = vec![candidate_event(&interner); 3];
+        let (broker, interner) = jobs_broker(BrokerConfig::default());
+        let company = broker.register_client("acme", TransportKind::Tcp);
+        broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
+        let events = vec![candidate_event(&interner); 3];
 
-            let (frontend, epoch) = broker.frontend_snapshot();
-            let prepared = frontend.prepare_batch(&events);
-            // The artifacts would match semantically (the closure carries
-            // the synonym-resolved pairs and the mapping-produced
-            // experience); a broken guard would report 3 matches.
-            broker.set_semantic_mode(false);
-            let stale = broker.match_and_notify(&events, &prepared, epoch);
-            assert_eq!(
-                stale, 0,
-                "shards={shards}: stale semantic artifacts must be republished \
-                 under the syntactic configuration"
-            );
-            assert_eq!(stale, broker.publish_batch(&events), "fallback equals a fresh publish");
+        let (frontend, epoch) = broker.frontend_snapshot();
+        let prepared = frontend.prepare_batch(&events);
+        // The artifacts would match semantically (the closure carries the
+        // synonym-resolved pairs and the mapping-produced experience); a
+        // broken guard would report 3 matches.
+        broker.set_semantic_mode(false);
+        let stale = broker.match_and_notify(&events, &prepared, epoch);
+        assert_eq!(
+            stale, 0,
+            "stale semantic artifacts must be republished under the syntactic configuration"
+        );
+        assert_eq!(stale, broker.publish_batch(&events), "fallback equals a fresh publish");
 
-            // Restore semantic mode: a fresh snapshot + matching epoch
-            // takes the prepared-artifact path and finds the matches.
-            broker.set_semantic_mode(true);
-            let (frontend, epoch) = broker.frontend_snapshot();
-            let prepared = frontend.prepare_batch(&events);
-            let fresh = broker.match_and_notify(&events, &prepared, epoch);
-            assert_eq!(fresh, 3, "shards={shards}");
-            assert_eq!(fresh, broker.publish_batch(&events), "prepared path equals fresh publish");
-            let _ = broker.shutdown();
-        }
+        // Restore semantic mode: a fresh snapshot + matching epoch takes
+        // the prepared-artifact path and finds the matches.
+        broker.set_semantic_mode(true);
+        let (frontend, epoch) = broker.frontend_snapshot();
+        let prepared = frontend.prepare_batch(&events);
+        let fresh = broker.match_and_notify(&events, &prepared, epoch);
+        assert_eq!(fresh, 3);
+        assert_eq!(fresh, broker.publish_batch(&events), "prepared path equals fresh publish");
+        let _ = broker.shutdown();
     }
 
     /// The reconfigure-path regression for the old `matcher_epoch` bug:
@@ -1022,44 +763,36 @@ mod tests {
     /// detached front ends stale without tripping the guard — prepared
     /// semantic artifacts would match against the new configuration. With
     /// the epoch inside the matcher snapshot, *every* invalidating
-    /// mutation bumps it; the stale chunk must fall back to a fresh
+    /// mutation bumps it; the stale batch must fall back to a fresh
     /// publish (0 matches under the syntactic config), not report 3.
     #[test]
     fn stale_reconfigure_falls_back_to_fresh_publish() {
-        for shards in [1usize, 4] {
-            let config = BrokerConfig {
-                matcher: Config::default().with_shards(shards),
-                ..BrokerConfig::default()
-            };
-            let (broker, interner) = jobs_broker(config);
-            let company = broker.register_client("acme", TransportKind::Tcp);
-            broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
-            let events = vec![candidate_event(&interner); 3];
+        let (broker, interner) = jobs_broker(BrokerConfig::default());
+        let company = broker.register_client("acme", TransportKind::Tcp);
+        broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
+        let events = vec![candidate_event(&interner); 3];
 
-            let (frontend, epoch) = broker.frontend_snapshot();
-            let prepared = frontend.prepare_batch(&events);
-            // Reconfigure — not set_semantic_mode — to the syntactic
-            // stage mask. Pre-fix, this path never bumped the epoch.
-            broker.reconfigure_matcher(
-                Config::default().with_shards(shards).with_stages(StageMask::syntactic()),
-            );
-            assert!(!broker.is_semantic(), "shards={shards}: flag tracks the new config");
-            let stale = broker.match_and_notify(&events, &prepared, epoch);
-            assert_eq!(
-                stale, 0,
-                "shards={shards}: artifacts prepared before the reconfiguration \
-                 must be refused and republished under the new configuration"
-            );
+        let (frontend, epoch) = broker.frontend_snapshot();
+        let prepared = frontend.prepare_batch(&events);
+        // Reconfigure — not set_semantic_mode — to the syntactic stage
+        // mask. Pre-fix, this path never bumped the epoch.
+        broker.reconfigure_matcher(Config::default().with_stages(StageMask::syntactic()));
+        assert!(!broker.is_semantic(), "flag tracks the new config");
+        let stale = broker.match_and_notify(&events, &prepared, epoch);
+        assert_eq!(
+            stale, 0,
+            "artifacts prepared before the reconfiguration must be refused and republished \
+             under the new configuration"
+        );
 
-            // Reconfigure back to semantic: the restore mask follows, and
-            // a fresh handle takes the prepared path again.
-            broker.reconfigure_matcher(Config::default().with_shards(shards));
-            assert!(broker.is_semantic(), "shards={shards}");
-            let (frontend, epoch) = broker.frontend_snapshot();
-            let prepared = frontend.prepare_batch(&events);
-            assert_eq!(broker.match_and_notify(&events, &prepared, epoch), 3, "shards={shards}");
-            let _ = broker.shutdown();
-        }
+        // Reconfigure back to semantic: the restore mask follows, and a
+        // fresh handle takes the prepared path again.
+        broker.reconfigure_matcher(Config::default());
+        assert!(broker.is_semantic());
+        let (frontend, epoch) = broker.frontend_snapshot();
+        let prepared = frontend.prepare_batch(&events);
+        assert_eq!(broker.match_and_notify(&events, &prepared, epoch), 3);
+        let _ = broker.shutdown();
     }
 
     /// A live ontology edit between publications — the evolution scenario
@@ -1107,19 +840,18 @@ mod tests {
         let _ = broker.shutdown();
     }
 
-    /// Sharded backend: a live reshard through the broker preserves the
+    /// A live strategy switch through the broker preserves the
     /// subscription set and keeps matching.
     #[test]
-    fn reconfigure_matcher_reshards_and_preserves_subscriptions() {
-        let config =
-            BrokerConfig { matcher: Config::default().with_shards(4), ..BrokerConfig::default() };
-        let (broker, interner) = jobs_broker(config);
+    fn reconfigure_matcher_preserves_subscriptions() {
+        let (broker, interner) = jobs_broker(BrokerConfig::default());
         let company = broker.register_client("acme", TransportKind::Tcp);
         broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
         assert_eq!(broker.publish(&candidate_event(&interner)), 1);
-        broker.reconfigure_matcher(Config::default().with_shards(2));
-        assert!(broker.is_sharded(), "backend kind is fixed at construction");
-        assert_eq!(broker.subscription_count(), 1, "subscriptions survive the reshard");
+        let rewrite = Config::default().with_strategy(stopss_core::Strategy::SubscriptionRewrite);
+        broker.reconfigure_matcher(rewrite);
+        assert_eq!(broker.matcher.config().strategy, rewrite.strategy);
+        assert_eq!(broker.subscription_count(), 1, "subscriptions survive the re-index");
         assert_eq!(broker.publish(&candidate_event(&interner)), 1, "and still match");
         let stats = broker.shutdown();
         assert_eq!(stats.get(TransportKind::Tcp).delivered, 2);
@@ -1158,30 +890,6 @@ mod tests {
         assert_eq!(broker.publish(&candidate_event(&interner)), 0);
         assert_eq!(broker.orphaned_matches(), 0);
         let _ = broker.shutdown();
-    }
-
-    /// A batch spanning several pipeline chunks notifies per event exactly
-    /// like per-event publishing.
-    #[test]
-    fn pipelined_batch_notifies_every_chunk() {
-        for shards in [1usize, 4] {
-            // `with_parallelism(shards)` forces the stage overlap on the
-            // sharded config even on single-core hosts; shards = 1 keeps
-            // covering the barrier fallback.
-            let config = BrokerConfig {
-                matcher: Config::default().with_shards(shards).with_parallelism(shards),
-                ..BrokerConfig::default()
-            };
-            let (broker, interner) = jobs_broker(config);
-            let company = broker.register_client("acme", TransportKind::Tcp);
-            broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
-            let n = 2 * PIPELINE_CHUNK + 7;
-            let events = vec![candidate_event(&interner); n];
-            assert_eq!(broker.publish_batch(&events), n, "shards={shards}");
-            assert_eq!(broker.matcher_stats().published, n as u64, "shards={shards}");
-            let stats = broker.shutdown();
-            assert_eq!(stats.get(TransportKind::Tcp).delivered, n as u64, "shards={shards}");
-        }
     }
 
     /// Counters survive a notification-engine restart: deliveries before
@@ -1316,50 +1024,41 @@ mod tests {
     /// either delivered or orphaned — never silently lost.
     #[test]
     fn control_ops_run_concurrently_with_publishers() {
-        for shards in [1usize, 4] {
-            let config = BrokerConfig {
-                matcher: Config::default().with_shards(shards),
-                udp_loss: 0.0,
-                ..BrokerConfig::default()
-            };
-            let (broker, interner) = jobs_broker(config);
-            let anchor_client = broker.register_client("anchor", TransportKind::Tcp);
-            broker.subscribe(anchor_client, recruiter_predicates(&interner)).unwrap();
-            let broker = Arc::new(broker);
-            let event = candidate_event(&interner);
+        let (broker, interner) = jobs_broker(BrokerConfig { udp_loss: 0.0, ..Default::default() });
+        let anchor_client = broker.register_client("anchor", TransportKind::Tcp);
+        broker.subscribe(anchor_client, recruiter_predicates(&interner)).unwrap();
+        let broker = Arc::new(broker);
+        let event = candidate_event(&interner);
 
-            let publishers: Vec<_> = (0..2)
-                .map(|_| {
-                    let broker = broker.clone();
-                    let event = event.clone();
-                    std::thread::spawn(move || {
-                        (0..40).map(|_| broker.publish(&event)).sum::<usize>()
-                    })
-                })
-                .collect();
-            let churner = {
+        let publishers: Vec<_> = (0..2)
+            .map(|_| {
                 let broker = broker.clone();
-                let preds = recruiter_predicates(&interner);
-                std::thread::spawn(move || {
-                    let client = broker.register_client("churn", TransportKind::Tcp);
-                    for _ in 0..20 {
-                        let sub = broker.subscribe(client, preds.clone()).unwrap();
-                        assert_eq!(broker.unsubscribe(client, sub), Ok(true));
-                    }
-                })
-            };
+                let event = event.clone();
+                std::thread::spawn(move || (0..40).map(|_| broker.publish(&event)).sum::<usize>())
+            })
+            .collect();
+        let churner = {
+            let broker = broker.clone();
+            let preds = recruiter_predicates(&interner);
+            std::thread::spawn(move || {
+                let client = broker.register_client("churn", TransportKind::Tcp);
+                for _ in 0..20 {
+                    let sub = broker.subscribe(client, preds.clone()).unwrap();
+                    assert_eq!(broker.unsubscribe(client, sub), Ok(true));
+                }
+            })
+        };
 
-            let matches: usize = publishers.into_iter().map(|h| h.join().unwrap()).sum();
-            churner.join().unwrap();
-            assert!(matches >= 80, "shards={shards}: the anchor matches every publish");
-            let orphaned = broker.orphaned_matches();
-            let broker = Arc::try_unwrap(broker).ok().expect("sole owner");
-            let stats = broker.shutdown();
-            assert_eq!(
-                stats.total_delivered() + stats.total_failures() + orphaned,
-                matches as u64,
-                "shards={shards}: zero orphaned-match undercount"
-            );
-        }
+        let matches: usize = publishers.into_iter().map(|h| h.join().unwrap()).sum();
+        churner.join().unwrap();
+        assert!(matches >= 80, "the anchor matches every publish");
+        let orphaned = broker.orphaned_matches();
+        let broker = Arc::try_unwrap(broker).ok().expect("sole owner");
+        let stats = broker.shutdown();
+        assert_eq!(
+            stats.total_delivered() + stats.total_failures() + orphaned,
+            matches as u64,
+            "zero orphaned-match undercount"
+        );
     }
 }

@@ -93,26 +93,6 @@ pub struct Config {
     /// oracle path selectable for differential tests and the
     /// cached-vs-oracle axis of the `semantic_overhead` bench.
     pub tier_cache: bool,
-    /// Number of subscription shards for [`crate::ShardedSToPSS`]
-    /// (subscriptions are partitioned by a hash of their [`stopss_types::SubId`];
-    /// each shard owns an independent engine). Ignored by the
-    /// single-threaded [`crate::SToPSS`]. Values below 1 mean 1.
-    pub shards: usize,
-    /// Worker threads the sharded matcher's two pipeline stages run on:
-    /// the shared semantic front-end chunks large batches across up to
-    /// this many workers (further capped by the host's available
-    /// parallelism), and shard matching fans out on the same budget.
-    /// `0` means auto: one worker per shard for batched publishes, while
-    /// single-event publishes stay sequential (a thread spawn costs more
-    /// than typical per-event matching). Setting it explicitly forces the
-    /// pool even for single events; values above `shards` are clamped.
-    ///
-    /// The budget is **per stage**: when `publish_batch` pipelines a
-    /// multi-chunk batch (budget ≥ 2), stage 1 of chunk k+1 and stage 2
-    /// of chunk k overlap, so up to twice this many workers (plus one
-    /// preparer thread) can be live at once. A budget of 1 disables the
-    /// overlap entirely (barrier behaviour).
-    pub parallelism: usize,
 }
 
 impl Default for Config {
@@ -126,8 +106,6 @@ impl Default for Config {
             limits: Limits::default(),
             track_provenance: true,
             tier_cache: true,
-            shards: 1,
-            parallelism: 0,
         }
     }
 }
@@ -185,50 +163,13 @@ impl Config {
         self
     }
 
-    /// Returns a copy with a different shard count (see [`Config::shards`]).
+    /// A no-op kept so the benchmark package (`benchmark/`) keeps
+    /// compiling; it goes with the next benchmark-package change. There is
+    /// one matcher and no shard count.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    pub fn with_shards(self, _: usize) -> Self {
         self
-    }
-
-    /// Returns a copy with a different worker count (see
-    /// [`Config::parallelism`]).
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The shard count [`crate::ShardedSToPSS`] will actually use.
-    pub fn effective_shards(&self) -> usize {
-        self.shards.max(1)
-    }
-
-    /// The worker count the sharded matcher will actually use: one per
-    /// shard when `parallelism` is 0, otherwise clamped to the shard count.
-    pub fn effective_parallelism(&self) -> usize {
-        let shards = self.effective_shards();
-        if self.parallelism == 0 {
-            shards
-        } else {
-            self.parallelism.min(shards)
-        }
-    }
-
-    /// True if `publish_batch` may overlap its two pipeline stages
-    /// (stage 1 of chunk k+1 concurrent with stage 2 of chunk k). Needs
-    /// a worker budget of at least 2, and — in auto mode — a host that
-    /// can actually run two stages at once: on a single hardware thread
-    /// the overlap is pure handoff overhead, so auto falls back to the
-    /// barrier there. An explicit `parallelism >= 2` forces the overlap
-    /// regardless of the probed hardware (the caller opted in; the
-    /// differential suites use this to exercise the pipeline machinery
-    /// deterministically on any host).
-    pub fn pipeline_overlap(&self) -> bool {
-        self.effective_parallelism() >= 2
-            && (self.parallelism >= 2
-                || std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2)
     }
 }
 
@@ -272,20 +213,5 @@ mod tests {
         for s in Strategy::ALL {
             assert!(!s.name().is_empty());
         }
-    }
-
-    #[test]
-    fn sharding_knobs_resolve() {
-        let c = Config::default();
-        assert_eq!(c.effective_shards(), 1);
-        assert_eq!(c.effective_parallelism(), 1);
-        let c = Config::default().with_shards(8);
-        assert_eq!(c.effective_shards(), 8);
-        assert_eq!(c.effective_parallelism(), 8, "0 workers means one per shard");
-        let c = c.with_parallelism(3);
-        assert_eq!(c.effective_parallelism(), 3);
-        let c = c.with_parallelism(100);
-        assert_eq!(c.effective_parallelism(), 8, "workers clamp to shards");
-        assert_eq!(Config::default().with_shards(0).effective_shards(), 1);
     }
 }

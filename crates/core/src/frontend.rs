@@ -1,4 +1,4 @@
-//! The shared event-side semantic front-end.
+//! The detachable event-side semantic front-end.
 //!
 //! Everything Figure 1 does to a *publication* — synonym canonicalization,
 //! the bounded hierarchy/mapping closure, event materialization — depends
@@ -7,9 +7,8 @@
 //! mean" frames exactly this split: semantic enrichment is a
 //! per-publication transform, matching is the per-subscription fan-out.
 //! This module computes that transform once, into a [`PreparedEvent`]
-//! artifact, so concurrent backends ([`crate::ShardedSToPSS`], the
-//! broker's batched publish path) hand shards only the engine-match +
-//! verify work instead of recomputing the closure per shard.
+//! artifact, so a detached caller (the broker's batched publish path)
+//! hands the matcher only the engine-match + verify work.
 //!
 //! [`SemanticFrontEnd`] is the detachable handle: a snapshot of the
 //! configuration plus shared ontology/interner references, cheap to clone
@@ -43,12 +42,12 @@
 //! detached stage-1 pass for the classifier tiers (provenance on) *and*
 //! for the verification classes registered at subscribe time (the
 //! matcher snapshots them into the [`SemanticFrontEnd`] handle) — and
-//! shared read-only by every shard through `OnceLock`/`RwLock`
-//! interior mutability. The minimal hierarchy distance is read straight
-//! off the cached closure's [`PairInfo`] ([`classify_with_tiers`])
-//! instead of searched by repeated re-closing. The oracle functions in
-//! [`crate::oracle`] are untouched ground truth; byte-identical behaviour
-//! is pinned by `tests/tier_cache_differential.rs`.
+//! shared read-only through `OnceLock`/`RwLock` interior mutability. The
+//! minimal hierarchy distance is read straight off the cached closure's
+//! [`PairInfo`] ([`classify_with_tiers`]) instead of searched by repeated
+//! re-closing. The oracle functions in [`crate::oracle`] are untouched
+//! ground truth; byte-identical behaviour is pinned by
+//! `tests/tier_cache_differential.rs`.
 //!
 //! # Reading entries off the main closure
 //!
@@ -94,11 +93,12 @@ use crate::strategy::materialize_closure;
 use crate::tolerance::{StageMask, Tolerance};
 
 /// The precomputed event-side semantic pass of one publication: the
-/// artifact shards match against, plus the counters the pass produced.
+/// artifact the matcher matches against, plus the counters the pass
+/// produced.
 ///
 /// Equivalent to what [`crate::SToPSS::publish_detailed`] derives
-/// internally — computing it once and matching it on N shards is
-/// byte-identical to letting every shard recompute it (pinned by
+/// internally — matching the artifact is byte-identical to publishing the
+/// raw event, whichever subscriptions the matcher holds (pinned by
 /// `crates/core/tests/frontend_differential.rs`).
 #[derive(Clone, Debug)]
 pub struct PreparedEvent {
@@ -123,8 +123,7 @@ pub struct PreparedEvent {
     /// True if a resource bound clipped the semantic pass.
     pub truncated: bool,
     /// Per-publication closures for tolerance verification and provenance
-    /// classification, filled at most once each and shared read-only by
-    /// all shards (see the module docs).
+    /// classification, filled at most once each (see the module docs).
     pub tiers: TierCache,
 }
 
@@ -227,11 +226,11 @@ pub(crate) fn prepare_parts(
 /// The per-publication tier cache: every closure the matching back end
 /// needs beyond the engine events — the provenance classifier's tier
 /// closures and one closed event per distinct verification class — each
-/// computed at most once per publication and shared read-only by all
-/// shards (interior mutability; all methods take `&self` and are safe to
-/// call concurrently). See the module docs for why this is event-side
-/// work, how it replaces the per-candidate oracle closures, and when an
-/// entry is read off the main closure instead of computed.
+/// computed at most once per publication (interior mutability; all
+/// methods take `&self` and are safe to call concurrently). See the
+/// module docs for why this is event-side work, how it replaces the
+/// per-candidate oracle closures, and when an entry is read off the main
+/// closure instead of computed.
 ///
 /// One cache serves exactly one `(publication, configuration)` pair: the
 /// tier slots memoize the first computation, so callers must not reuse a
@@ -332,7 +331,7 @@ impl TierCache {
         if let Some(hit) = self.classes.read().get(&class) {
             return Arc::clone(hit);
         }
-        // Computed outside the write lock; a concurrent shard racing on
+        // Computed outside the write lock; a concurrent caller racing on
         // the same class wastes one idempotent closure at worst.
         let computed = Arc::new(self.close(side, class, source, now_year, interner, limits));
         let mut classes = self.classes.write();
@@ -360,9 +359,8 @@ impl TierCache {
     }
 
     /// Eagerly fills the classifier tiers the configuration will need, so
-    /// the detached front-end pays them in stage 1 (outside any matcher
-    /// lock, chunked across the batch workers) rather than the first
-    /// matching shard paying them in stage 2.
+    /// the detached front-end pays them in stage 1 rather than the match
+    /// stage paying them on first use.
     pub fn warm_classifier_tiers(
         &self,
         side: EventSide<'_>,
@@ -585,10 +583,10 @@ fn min_hierarchy_distance(
 ///
 /// This is the single source of truth for publication-side semantics:
 /// [`crate::SToPSS::publish_detailed`] runs it per publication, and
-/// [`crate::ShardedSToPSS`] runs it once per publication *before* fanning
-/// the matching out to shards. When the configuration tracks provenance
-/// through the tier cache, the classifier tiers are warmed here — in the
-/// detached stage-1 pass — so shards never pay them.
+/// [`SemanticFrontEnd`] runs it detached from the matcher. When the
+/// configuration tracks provenance through the tier cache, the classifier
+/// tiers are warmed here — in the detached stage-1 pass — so the match
+/// stage never pays them.
 pub fn prepare_event(
     event: &Event,
     source: &dyn SemanticSource,
@@ -615,14 +613,12 @@ pub fn prepare_event(
 /// configuration snapshot plus the shared ontology and interner, and the
 /// verification classes registered at snapshot time.
 ///
-/// Cloned out of a matcher (see [`crate::SToPSS::frontend`] /
-/// [`crate::ShardedSToPSS::frontend`]) so the publication-side pass can
-/// run detached from the matcher — the broker uses this to prepare whole
-/// batches ahead of dispatch, and the sharded matcher's pipelined
-/// `publish_batch` prepares chunk *k+1* on it while the shards match
-/// chunk *k*. It is a point-in-time snapshot: a control op that changes
-/// stages/config/ontology bumps `frontend_epoch`, and artifacts prepared
-/// on a stale handle are rejected at publish time and re-prepared.
+/// Cloned out of a matcher (see [`crate::SToPSS::frontend`]) so the
+/// publication-side pass can run detached from the matcher — the broker
+/// uses this to prepare whole batches ahead of dispatch. It is a
+/// point-in-time snapshot: a control op that changes stages/config/
+/// ontology bumps `frontend_epoch`, and artifacts prepared on a stale
+/// handle are rejected at publish time and re-prepared.
 #[derive(Clone)]
 pub struct SemanticFrontEnd {
     config: Config,
@@ -631,8 +627,8 @@ pub struct SemanticFrontEnd {
     /// Distinct [`Tolerance::verify_class`] values among the matcher's
     /// registered subscriptions at snapshot time (see
     /// [`crate::SToPSS::verify_classes`]). Warmed into every artifact's
-    /// tier cache during stage 1, alongside the classifier tiers, so no
-    /// matching shard pays a class closure on first use. Empty by default
+    /// tier cache during stage 1, alongside the classifier tiers, so the
+    /// match stage pays no class closure on first use. Empty by default
     /// (the cache then fills lazily, exactly as before).
     verify_classes: Arc<[Tolerance]>,
     /// The `frontend_epoch` of the matcher snapshot this front-end was
@@ -642,10 +638,6 @@ pub struct SemanticFrontEnd {
     /// built directly rather than detached from a matcher.
     epoch: u64,
 }
-
-/// Minimum publications per front-end worker before another thread is
-/// worth spawning (a scoped spawn costs more than a handful of closures).
-const MIN_EVENTS_PER_WORKER: usize = 16;
 
 impl SemanticFrontEnd {
     /// Creates a front-end over `source` with `config`'s semantics and no
@@ -664,8 +656,7 @@ impl SemanticFrontEnd {
 
     /// The front-end epoch of the matcher snapshot this handle was
     /// detached from — the staleness tag to pass back to
-    /// [`crate::SToPSS::try_publish_prepared_batch`] (or its sharded
-    /// counterpart).
+    /// [`crate::SToPSS::try_publish_prepared_batch`].
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -678,11 +669,6 @@ impl SemanticFrontEnd {
     pub fn with_verify_classes(mut self, classes: Vec<Tolerance>) -> Self {
         self.verify_classes = classes.into();
         self
-    }
-
-    /// The configuration snapshot this front-end prepares under.
-    pub fn config(&self) -> &Config {
-        &self.config
     }
 
     /// Prepares one publication.
@@ -711,45 +697,8 @@ impl SemanticFrontEnd {
     }
 
     /// Prepares a batch of publications, in order.
-    ///
-    /// The per-event passes are independent pure functions, so the batch
-    /// is chunked across up to [`Config::effective_parallelism`] scoped
-    /// workers (capped by the host's available parallelism and by
-    /// `MIN_EVENTS_PER_WORKER`); results are position-stable, so the
-    /// output is identical to the sequential pass regardless of worker
-    /// count.
     pub fn prepare_batch(&self, events: &[Event]) -> Vec<PreparedEvent> {
-        let workers = self.batch_workers(events.len());
-        if workers <= 1 {
-            return self.interner.with(|i| events.iter().map(|e| self.prepare_one(e, i)).collect());
-        }
-        let chunk = events.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = events
-                .chunks(chunk)
-                .map(|chunk_events| {
-                    scope.spawn(move |_| {
-                        self.interner.with(|i| {
-                            chunk_events.iter().map(|e| self.prepare_one(e, i)).collect::<Vec<_>>()
-                        })
-                    })
-                })
-                .collect();
-            // Joined in spawn order, so event order is preserved.
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("invariant: front-end workers do not panic"))
-                .collect()
-        })
-        .expect("invariant: front-end scope threads do not panic")
-    }
-
-    /// Worker count for a batch of `events` publications: bounded by the
-    /// configured parallelism, the hardware, and the batch size.
-    fn batch_workers(&self, events: usize) -> usize {
-        let configured = self.config.effective_parallelism();
-        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-        configured.min(hardware).min(events.div_ceil(MIN_EVENTS_PER_WORKER)).max(1)
+        self.interner.with(|i| events.iter().map(|e| self.prepare_one(e, i)).collect())
     }
 }
 
@@ -911,23 +860,19 @@ mod tests {
     }
 
     #[test]
-    fn prepare_batch_equals_per_event_prepare_for_any_worker_count() {
+    fn prepare_batch_equals_per_event_prepare() {
         let (interner, source, events) = world();
-        // Repeat the events so the batch is big enough to chunk.
         let batch: Vec<Event> = events.iter().cycle().take(40).cloned().collect();
-        for parallelism in [1usize, 3] {
-            let config = Config::default().with_shards(4).with_parallelism(parallelism);
-            let frontend = SemanticFrontEnd::new(config, source.clone(), interner.clone());
-            let batched = frontend.prepare_batch(&batch);
-            assert_eq!(batched.len(), batch.len());
-            for (got, event) in batched.iter().zip(&batch) {
-                let want = frontend.prepare(event);
-                assert_eq!(got.raw, want.raw);
-                assert_eq!(got.engine_events, want.engine_events);
-                assert_eq!(got.derived_events, want.derived_events);
-                assert_eq!(got.closure_pairs, want.closure_pairs);
-                assert_eq!(got.truncated, want.truncated);
-            }
+        let frontend = SemanticFrontEnd::new(Config::default(), source, interner);
+        let batched = frontend.prepare_batch(&batch);
+        assert_eq!(batched.len(), batch.len());
+        for (got, event) in batched.iter().zip(&batch) {
+            let want = frontend.prepare(event);
+            assert_eq!(got.raw, want.raw);
+            assert_eq!(got.engine_events, want.engine_events);
+            assert_eq!(got.derived_events, want.derived_events);
+            assert_eq!(got.closure_pairs, want.closure_pairs);
+            assert_eq!(got.truncated, want.truncated);
         }
     }
 }

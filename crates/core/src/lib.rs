@@ -25,11 +25,6 @@
 //!   classification) once per publication, and [`SemanticFrontEnd`] is
 //!   the detachable, epoch-stamped handle that runs it against one
 //!   consistent snapshot, fully decoupled from the matcher;
-//! * [`ShardedSToPSS`] — the same matcher partitioned across N
-//!   hash-sharded engines behind a two-stage pipeline (shared front-end,
-//!   then scoped-thread shard matching) with a batched
-//!   [`ShardedSToPSS::publish_batch`] API; results are byte-identical to
-//!   [`SToPSS`] (see `sharded` module docs for the argument);
 //! * [`oracle`] — the executable definition of semantic matching, used as
 //!   ground truth by the property tests.
 
@@ -41,7 +36,6 @@ pub mod frontend;
 pub mod matcher;
 pub mod oracle;
 pub mod provenance;
-pub mod sharded;
 pub mod strategy;
 pub mod tolerance;
 
@@ -56,9 +50,14 @@ pub use frontend::{
 pub use matcher::{MatcherStats, PublishResult, SToPSS};
 pub use oracle::{classify_match, semantic_match, CLASSIFY_DISTANCE_CAP};
 pub use provenance::{Match, MatchOrigin, OriginCounts};
-pub use sharded::{shard_of, ShardedSToPSS, PIPELINE_CHUNK};
 pub use strategy::{
     expand_subscription, materialize_closure, materialize_match, MaterializeOutcome,
     MaterializedEvents, RewriteExpansion,
 };
 pub use tolerance::{StageMask, Tolerance};
+
+/// The former sharded matcher's name, kept so the benchmark package
+/// (`benchmark/`) keeps compiling; it goes with the next benchmark-package
+/// change. There is one matcher type, [`SToPSS`].
+#[doc(hidden)]
+pub type ShardedSToPSS = SToPSS;

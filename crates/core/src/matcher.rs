@@ -69,26 +69,8 @@ pub struct MatcherStats {
     pub rewrite_truncations: u64,
 }
 
-impl MatcherStats {
-    /// Adds every counter of `other` into `self`. The sharded matcher
-    /// aggregates with this: the shared front-end contributes the
-    /// event-side counters exactly once, shards contribute only
-    /// subscription-side counters, so a plain sum reproduces the
-    /// single-threaded numbers.
-    pub fn merge(&mut self, other: &MatcherStats) {
-        self.published += other.published;
-        self.derived_events += other.derived_events;
-        self.closure_pairs += other.closure_pairs;
-        self.truncations += other.truncations;
-        self.verifications += other.verifications;
-        self.verify_rejections += other.verify_rejections;
-        self.rewrite_truncations += other.rewrite_truncations;
-    }
-}
-
 /// The lifetime counters behind relaxed atomics, so the match path can
-/// accumulate under `&self` — concurrent publishers on one matcher (or
-/// shard workers on the sharded matcher's shared front-end counters) add
+/// accumulate under `&self` — concurrent publishers on one matcher add
 /// without any lock. Relaxed ordering suffices: counters are monotone
 /// sums with no cross-counter invariant read concurrently; snapshots
 /// taken between publications reproduce the single-threaded numbers
@@ -96,7 +78,7 @@ impl MatcherStats {
 ///
 /// The counters live *outside* the swapped snapshots, shared by every
 /// [`MatcherCore`] incarnation via `Arc`, so statistics survive
-/// control-plane swaps (and reshards) without a carry step.
+/// control-plane swaps without a carry step.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicStats {
     pub(crate) published: AtomicU64,
@@ -195,10 +177,9 @@ struct MatchScratch {
 /// engine (its trait allows interior scratch, so `match_event` takes
 /// `&mut self`) and the candidate scratch vectors. Bundled behind one
 /// `Mutex` so [`MatcherCore::match_prepared_inner`] can run under `&self`
-/// — the matching stage locks once per artifact, and since shards
-/// partition subscriptions the lock is uncontended in the sharded
-/// fan-out. This is the *data-plane* mutex; control-plane mutations never
-/// touch it except to fork the engine.
+/// — the matching stage locks once per artifact. This is the *data-plane*
+/// mutex; control-plane mutations never touch it except to fork the
+/// engine.
 struct MatchState {
     engine: Box<dyn MatchingEngine>,
     scratch: MatchScratch,
@@ -298,27 +279,8 @@ impl MatcherCore {
         self.subs.get(&id).map(|e| e.requested)
     }
 
-    pub(crate) fn subscriptions_with_tolerances(&self) -> Vec<(Subscription, Tolerance)> {
-        let mut out: Vec<(Subscription, Tolerance)> =
-            self.subs.values().map(|e| (e.original.clone(), e.requested)).collect();
-        out.sort_unstable_by_key(|(sub, _)| sub.id());
-        out
-    }
-
     pub(crate) fn verify_classes(&self) -> Vec<Tolerance> {
         self.verify_classes.keys().copied().collect()
-    }
-
-    /// Appends this core's verification classes to `out`, skipping ones
-    /// already present — lets the sharded matcher build the cross-shard
-    /// union with a single allocation per snapshot (class sets are tiny,
-    /// so the linear dedup beats hashing).
-    pub(crate) fn verify_classes_into(&self, out: &mut Vec<Tolerance>) {
-        for class in self.verify_classes.keys() {
-            if !out.contains(class) {
-                out.push(*class);
-            }
-        }
     }
 
     pub(crate) fn subscribe(&mut self, sub: Subscription) {
@@ -534,9 +496,9 @@ impl MatcherCore {
     /// event-side counters passed through into the result.
     ///
     /// Per-candidate semantic work is served from `tiers` — the
-    /// per-publication closure cache shared by every shard matching this
-    /// artifact — unless [`Config::tier_cache`] selects the per-candidate
-    /// oracle path (byte-identical results either way).
+    /// per-publication closure cache — unless [`Config::tier_cache`]
+    /// selects the per-candidate oracle path (byte-identical results
+    /// either way).
     fn match_inner(
         &self,
         side: EventSide<'_>,
@@ -725,8 +687,8 @@ impl SToPSS {
     /// among registered subscriptions whose effective tolerance differs
     /// from the system-wide one. Snapshot at subscribe time; the detached
     /// front-end warms exactly these classes in stage 1 so the first
-    /// publication after a subscribe does not pay the class closure under
-    /// the shard fan-out (or the broker's matcher lock).
+    /// publication after a subscribe does not pay the class closure in the
+    /// match stage.
     pub fn verify_classes(&self) -> Vec<Tolerance> {
         self.resolve().verify_classes()
     }
@@ -755,13 +717,6 @@ impl SToPSS {
     /// clamping to the system configuration).
     pub fn requested_tolerance(&self, id: SubId) -> Option<Tolerance> {
         self.resolve().requested_tolerance(id)
-    }
-
-    /// Clones out every registered subscription with its *requested*
-    /// tolerance, sorted by id. Used by the sharded matcher to
-    /// redistribute subscriptions when the shard count changes.
-    pub fn subscriptions_with_tolerances(&self) -> Vec<(Subscription, Tolerance)> {
-        self.resolve().subscriptions_with_tolerances()
     }
 
     /// Registers a subscription with the system-wide tolerance. Returns
@@ -855,9 +810,8 @@ impl SToPSS {
     }
 
     /// Publishes a batch of events sequentially, returning the match set
-    /// of each. Mirrors [`crate::ShardedSToPSS::publish_batch`] so callers
-    /// can swap matchers without changing call sites. Each event resolves
-    /// its own snapshot, so control ops interleave at event granularity.
+    /// of each. Each event resolves its own snapshot, so control ops
+    /// interleave at event granularity.
     pub fn publish_batch(&self, events: &[Event]) -> Vec<Vec<Match>> {
         events.iter().map(|e| self.publish(e)).collect()
     }
@@ -885,12 +839,11 @@ impl SToPSS {
     /// per-subscription tolerances, and classifies provenance.
     ///
     /// Takes `&self`: the engine + scratch state is locked per artifact
-    /// and the counters are atomics, so concurrent shard workers (or the
-    /// broker's match stage) can call this without an exclusive borrow.
-    /// Only the subscription-side counters (`verifications`,
-    /// `verify_rejections`) accumulate here; the event-side counters
-    /// belong to whoever ran the front-end pass (see
-    /// [`SToPSS::publish_prepared`] and the sharded matcher). The
+    /// and the counters are atomics, so concurrent callers need no
+    /// exclusive borrow. Only the subscription-side counters
+    /// (`verifications`, `verify_rejections`) accumulate here; the
+    /// event-side counters belong to whoever ran the front-end pass (see
+    /// [`SToPSS::publish_prepared`]). The
     /// artifact must have been prepared under this matcher's current
     /// configuration.
     pub fn match_prepared(&self, prepared: &PreparedEvent) -> PublishResult {
@@ -1172,6 +1125,40 @@ mod tests {
 
     /// A stale frontend artifact is refused atomically; a fresh one is
     /// matched.
+    /// The detached front end warms exactly the registered non-system
+    /// verification classes in stage 1; a class retires with its last
+    /// member, and warming never changes results.
+    #[test]
+    fn frontend_warms_registered_verify_classes_in_stage_1() {
+        let w = world();
+        let matcher = SToPSS::new(Config::default(), w.source.clone(), w.interner.clone());
+        let tolerances =
+            [Tolerance::full(), Tolerance::bounded(1), Tolerance::stages(StageMask::SYNONYM)];
+        let subs: Vec<Subscription> =
+            (0..12u64).map(|k| w.degree_sub.with_id(SubId(10 + k))).collect();
+        for (k, sub) in subs.iter().enumerate() {
+            matcher.subscribe_with_tolerance(sub.clone(), tolerances[k % 3]);
+        }
+        // The system tolerance registers no class; the other two do.
+        let prepared = matcher.frontend().prepare(&w.phd_event);
+        assert_eq!(prepared.tiers.class_count(), 2, "both classes are warmed at prepare time");
+        for (k, sub) in subs.iter().enumerate() {
+            if k % 3 == 1 {
+                matcher.unsubscribe(sub.id());
+            }
+        }
+        let prepared = matcher.frontend().prepare(&w.phd_event);
+        assert_eq!(prepared.tiers.class_count(), 1, "unsubscribe retires the class");
+        let cold = SemanticFrontEnd::new(Config::default(), w.source, w.interner)
+            .prepare_batch(std::slice::from_ref(&w.phd_event));
+        let frontend = matcher.frontend();
+        let warm = frontend.prepare_batch(std::slice::from_ref(&w.phd_event));
+        let from_warm = matcher.try_publish_prepared_batch(&warm, frontend.epoch()).unwrap();
+        let from_cold = matcher.try_publish_prepared_batch(&cold, frontend.epoch()).unwrap();
+        assert!(!from_warm[0].matches.is_empty());
+        assert_eq!(from_warm[0].matches, from_cold[0].matches, "warming is invisible");
+    }
+
     #[test]
     fn try_publish_prepared_batch_checks_staleness() {
         let w = world();

@@ -42,9 +42,9 @@ pub struct MaterializedEvents {
 /// one generalized pair ("new event from concept hierarchy"); each
 /// mapping derivation appends the produced pairs ("new event from mapping
 /// function"). The exploration depends only on the event, the ontology,
-/// and the bounds — never on the engine — which is what lets the shared
-/// front-end compute it once and hand the resulting lattice to every
-/// shard ([`crate::frontend::prepare_event`]).
+/// and the bounds — never on the engine — which is what lets the
+/// detached front-end compute it ahead of matching
+/// ([`crate::frontend::prepare_event`]).
 ///
 /// Because derivations append (never replace), the set of derived events
 /// forms a lattice whose maximum is exactly the flattened closure of
@@ -182,9 +182,8 @@ pub fn materialize_closure(
 /// The full paper-faithful strategy: materialize the derivation lattice
 /// ([`materialize_closure`]) and feed every derived event to the
 /// unmodified engine; `candidates` accumulates the union of the match
-/// sets. Kept as the one-call entry point for single-matcher callers —
-/// the sharded path splits the two halves so the lattice is derived once
-/// and only the engine feeding is replicated per shard.
+/// sets. The one-call entry point; the matcher itself splits the two
+/// halves so the lattice can be derived in the detached front-end.
 #[allow(clippy::too_many_arguments)] // strategy entry point, mirrors semantic_closure
 pub fn materialize_match(
     event_raw: &Event,

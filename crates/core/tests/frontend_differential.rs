@@ -1,20 +1,17 @@
-//! Differential suite for the shared semantic front-end.
+//! Differential suite for the detached semantic front-end.
 //!
-//! The hoisted design rests on one claim: the event-side semantic pass
-//! ([`stopss_core::prepare_event`]) depends only on the event, the
-//! ontology and the configuration — never on which subscriptions a shard
-//! holds — so computing it once and matching the artifact on N shards is
-//! byte-identical to letting every shard recompute it (the PR-2
-//! replicated design). This suite pins that claim directly in
-//! `stopss-core`, across strategies × stage masks, plus the pipelined
-//! `publish_batch` interleaving regressions under constrained and
-//! unconstrained parallelism.
+//! The two-stage publish path rests on one claim: the event-side semantic
+//! pass ([`stopss_core::prepare_event`]) depends only on the event, the
+//! ontology and the configuration — never on which subscriptions a
+//! matcher holds — so preparing an artifact once and matching it is
+//! byte-identical to letting the matcher recompute it per publication.
+//! This suite pins that claim directly in `stopss-core`, across
+//! strategies × stage masks, plus batch ≡ per-event on the inline and
+//! detached paths.
 
 use std::sync::Arc;
 
-use stopss_core::{
-    shard_of, Config, Match, PublishResult, SToPSS, ShardedSToPSS, StageMask, Strategy,
-};
+use stopss_core::{Config, Match, PublishResult, SToPSS, StageMask, Strategy};
 use stopss_ontology::{Expr, MappingFunction, Ontology, PatternItem, Production};
 use stopss_types::{
     Event, EventBuilder, Interner, Operator, SharedInterner, SubId, Subscription,
@@ -29,8 +26,7 @@ struct World {
 }
 
 /// A taxonomy + mapping world exercising all three semantic stages, with
-/// enough subscriptions that every shard count gets a non-empty
-/// partition.
+/// enough subscriptions that every partition below is non-empty.
 fn world() -> World {
     let mut i = Interner::new();
     let mut o = Ontology::new("jobs");
@@ -104,13 +100,14 @@ fn single_matcher(w: &World, config: Config) -> SToPSS {
     m
 }
 
-/// The PR-2 replicated reference: N full matchers partitioned by
-/// `shard_of`, each recomputing the complete semantic pass per event.
+/// `shards` full matchers, each holding the subscriptions whose id falls
+/// in its residue class, and each recomputing the complete semantic pass
+/// per event.
 fn replicated_shards(w: &World, config: Config, shards: usize) -> Vec<SToPSS> {
     let out: Vec<SToPSS> =
         (0..shards).map(|_| SToPSS::new(config, w.source.clone(), w.interner.clone())).collect();
     for sub in &w.subs {
-        out[shard_of(sub.id(), shards)].subscribe(sub.clone());
+        out[sub.id().0 as usize % shards].subscribe(sub.clone());
     }
     out
 }
@@ -137,7 +134,7 @@ fn hoisted_artifact_equals_per_shard_recomputation_across_stage_masks() {
                     format!("strategy={} stages={stages:?} shards={shards}", strategy.name());
                 for event in &w.events {
                     let prepared = frontend.prepare(event);
-                    // Per-shard full recomputation (the replicated design).
+                    // Per-shard full recomputation.
                     let per_shard: Vec<PublishResult> =
                         replicated.iter_mut().map(|s| s.publish_detailed(event)).collect();
                     for r in &per_shard {
@@ -184,50 +181,32 @@ fn publish_prepared_equals_publish_detailed() {
     }
 }
 
-/// The pipelined `publish_batch` interleaving regression: batch feeding
-/// (front-end stage + shard stage) equals per-event publishing, with the
-/// worker pool constrained to one thread and fanned wide.
+/// Batch feeding equals per-event publishing on both batch paths: the
+/// inline `publish_batch`, and the broker's detached one
+/// (`frontend().prepare_batch` + `try_publish_prepared_batch`) — matches
+/// and lifetime stats alike.
 #[test]
-fn pipelined_batch_equals_per_event_under_any_parallelism() {
+fn batch_equals_per_event_on_inline_and_detached_paths() {
     let w = world();
-    for parallelism in [1usize, 3] {
-        let config = Config::default().with_shards(4).with_parallelism(parallelism);
-        let single = single_matcher(&w, config);
-        let per_event: Vec<Vec<Match>> = w.events.iter().map(|e| single.publish(e)).collect();
+    let batch: Vec<Event> = w.events.iter().cycle().take(40).cloned().collect();
+    for strategy in Strategy::ALL {
+        let config = Config::default().with_strategy(strategy);
+        let label = strategy.name();
+        let per_event = single_matcher(&w, config);
+        let want: Vec<Vec<Match>> = batch.iter().map(|e| per_event.publish(e)).collect();
 
-        let sharded = ShardedSToPSS::new(config, w.source.clone(), w.interner.clone());
-        for sub in &w.subs {
-            sharded.subscribe(sub.clone());
-        }
-        let batched = sharded.publish_batch(&w.events);
-        assert_eq!(batched, per_event, "parallelism={parallelism}");
-        assert_eq!(sharded.stats(), single.stats(), "parallelism={parallelism} stats");
+        let inline = single_matcher(&w, config);
+        assert_eq!(inline.publish_batch(&batch), want, "{label}: inline batch");
+        assert_eq!(inline.stats(), per_event.stats(), "{label}: inline stats");
 
-        // A second pass through the prepared-artifact entry point (the
-        // broker's pipeline) must keep agreeing and keep stats in sync.
-        let prepared = sharded.frontend().prepare_batch(&w.events);
-        let results = sharded.publish_prepared_batch(&prepared);
-        let again: Vec<Vec<Match>> = results.into_iter().map(|r| r.matches).collect();
-        let per_event_again: Vec<Vec<Match>> = w.events.iter().map(|e| single.publish(e)).collect();
-        assert_eq!(again, per_event_again, "parallelism={parallelism} prepared path");
-        assert_eq!(sharded.stats(), single.stats(), "parallelism={parallelism} prepared stats");
+        let detached = single_matcher(&w, config);
+        let frontend = detached.frontend();
+        let prepared = frontend.prepare_batch(&batch);
+        let results = detached
+            .try_publish_prepared_batch(&prepared, frontend.epoch())
+            .expect("no control op ran since the front end was detached");
+        let got: Vec<Vec<Match>> = results.into_iter().map(|r| r.matches).collect();
+        assert_eq!(got, want, "{label}: detached batch");
+        assert_eq!(detached.stats(), per_event.stats(), "{label}: detached stats");
     }
-}
-
-/// Large enough batch to make the front-end stage itself chunk across
-/// workers: still position-stable and identical to sequential.
-#[test]
-fn parallel_frontend_stage_is_position_stable() {
-    let w = world();
-    let batch: Vec<Event> = w.events.iter().cycle().take(96).cloned().collect();
-    let sequential_config = Config::default().with_shards(4).with_parallelism(1);
-    let wide_config = Config::default().with_shards(4).with_parallelism(4);
-    let sequential = ShardedSToPSS::new(sequential_config, w.source.clone(), w.interner.clone());
-    let wide = ShardedSToPSS::new(wide_config, w.source.clone(), w.interner.clone());
-    for sub in &w.subs {
-        sequential.subscribe(sub.clone());
-        wide.subscribe(sub.clone());
-    }
-    assert_eq!(wide.publish_batch(&batch), sequential.publish_batch(&batch));
-    assert_eq!(wide.stats(), sequential.stats());
 }

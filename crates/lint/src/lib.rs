@@ -67,7 +67,6 @@ const HOT_PATHS: &[&str] = &[
     "crates/broker/src/notify.rs",
     "crates/broker/src/transport.rs",
     "crates/core/src/matcher.rs",
-    "crates/core/src/sharded.rs",
     "crates/core/src/frontend.rs",
 ];
 
@@ -79,6 +78,15 @@ const DETERMINISTIC_PATHS: &[&str] =
 /// The facade itself is the one place allowed to name the real
 /// primitives.
 const FACADE_PATH: &str = "crates/types/src/sync.rs";
+
+/// Every path a rule is scoped by, paired with that rule. The rules match
+/// these against the files they scan, so an entry naming nothing under
+/// the root would silently scope nothing; [`check_workspace`] reports it.
+fn configured_paths() -> Vec<(&'static str, &'static str)> {
+    let hot = HOT_PATHS.iter().map(|p| (RULE_NO_PANIC, *p));
+    let deterministic = DETERMINISTIC_PATHS.iter().map(|p| (RULE_WALL_CLOCK, *p));
+    hot.chain(deterministic).chain([(RULE_SYNC_FACADE, FACADE_PATH)]).collect()
+}
 
 /// Append-only baseline for the wire tag tables: the frozen prefix
 /// that deployed peers already speak. `wire-tags-sync` fails if any of
@@ -399,10 +407,29 @@ pub fn check_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     for (rel, content) in &files {
         violations.extend(check_file(rel, content));
     }
+    violations.extend(check_configured_paths(root, &configured_paths()));
     violations.extend(check_wire_tags_in_tree(root, &files));
     violations.extend(check_conservation(&files));
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(violations)
+}
+
+/// One violation per `(rule, path)` entry whose path does not exist
+/// under `root`.
+fn check_configured_paths(root: &Path, paths: &[(&'static str, &str)]) -> Vec<Violation> {
+    paths
+        .iter()
+        .filter(|(_, rel)| !root.join(rel).exists())
+        .map(|&(rule, rel)| Violation {
+            rule,
+            file: rel.to_string(),
+            line: 0,
+            message: format!(
+                "`{rule}` is configured for `{rel}`, which does not exist under the root, \
+                 so the entry scopes nothing; fix or drop it in crates/lint/src/lib.rs"
+            ),
+        })
+        .collect()
 }
 
 /// Collects workspace-relative `.rs` sources the file rules run over:
@@ -1097,6 +1124,24 @@ pub const VALUE_TAG_TABLE: &[(u8, &str)] = &[
         assert!(!codes[0].contains("std::sync"));
         assert!(comments[0].contains("std::sync::Mutex"));
         assert!(comments[0].contains("tail"));
+    }
+
+    #[test]
+    fn configured_path_missing_under_the_root_is_a_violation() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert!(check_configured_paths(&root, &configured_paths()).is_empty());
+        let mut paths = configured_paths();
+        paths.push((RULE_NO_PANIC, "crates/core/src/removed.rs"));
+        let v = check_configured_paths(&root, &paths);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].file.as_str()), (RULE_NO_PANIC, "crates/core/src/removed.rs"));
+        // Through the whole `--check`: this crate's directory is a root
+        // (it has a Cargo.toml) holding none of the configured paths.
+        let lint_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let v = check_workspace(lint_root).expect("the lint crate should be scannable");
+        for (rule, rel) in configured_paths() {
+            assert!(v.iter().any(|v| v.rule == rule && v.file == rel), "{rel} unreported: {v:?}");
+        }
     }
 
     #[test]

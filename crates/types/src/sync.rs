@@ -12,16 +12,14 @@
 //!
 //! Items deliberately **not** behind the facade: `std::thread` (worker
 //! threads are spawned by harnesses and long-running services, never by
-//! the state machines the models exercise) and `std::sync::mpsc`
-//! channels re-exported verbatim (un-instrumented in both modes; model
-//! scenarios avoid racing on them).
+//! the state machines the models exercise).
 
 #[cfg(feature = "loom")]
 pub use loom_lite::sync::{
-    atomic, mpsc, Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak,
+    atomic, Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak,
 };
 
 #[cfg(not(feature = "loom"))]
 pub use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 #[cfg(not(feature = "loom"))]
-pub use std::sync::{atomic, mpsc, Arc, OnceLock, Weak};
+pub use std::sync::{atomic, Arc, OnceLock, Weak};

@@ -9,17 +9,17 @@
 //! unsubscribe / ontology-swap / publish) generated from any [`Fixture`];
 //! the replay functions score it differentially:
 //!
-//! * [`replay_interleaved`] / [`replay_interleaved_sharded`] run the
-//!   stream against one live matcher, single-threaded — the residue
-//!   check. [`replay_sequential`] is their oracle: a fresh matcher built
-//!   from the then-live subscription set (and then-current ontology)
-//!   before each publish. Equal match sets prove churn leaves no trace.
-//! * [`replay_concurrent`] / [`replay_concurrent_sharded`] run the
-//!   control ops on one thread *racing* publisher threads against the
-//!   same live matcher — the snapshot-control-plane check. Every control
-//!   op returns the control epoch of the snapshot it published, every
-//!   publication carries the epoch it matched against, and epochs from a
-//!   single control thread are consecutive — so the racy execution
+//! * [`replay_interleaved`] runs the stream against one live matcher,
+//!   single-threaded — the residue check. [`replay_sequential`] is its
+//!   oracle: a fresh matcher built from the then-live subscription set
+//!   (and then-current ontology) before each publish. Equal match sets
+//!   prove churn leaves no trace.
+//! * [`replay_concurrent`] runs the control ops on one thread *racing*
+//!   publisher threads against the same live matcher — the
+//!   snapshot-control-plane check. Every control op returns the control
+//!   epoch of the snapshot it published, every publication carries the
+//!   epoch it matched against, and epochs from a single control thread
+//!   are consecutive — so the racy execution
 //!   linearizes: a publication stamped with epoch *e* must produce
 //!   byte-identical matches (provenance included) to a fresh oracle
 //!   holding exactly the state after the first `e` control ops, and a
@@ -30,7 +30,7 @@
 
 use stopss_types::sync::Arc;
 
-use stopss_core::{Config, Match, MatcherStats, PublishResult, SToPSS, ShardedSToPSS};
+use stopss_core::{Config, Match, PublishResult, SToPSS};
 use stopss_ontology::Ontology;
 use stopss_types::{Event, SubId, Subscription, Symbol};
 
@@ -219,42 +219,14 @@ fn canonical(mut matches: Vec<Match>) -> Vec<Match> {
     matches
 }
 
-/// Replays the stream against one live single-threaded matcher, returning
-/// each publish op's (sub-sorted) match set in stream order.
+/// Replays the stream against one live matcher, returning each publish
+/// op's (sub-sorted) match set in stream order.
 pub fn replay_interleaved(
     fixture: &Fixture,
     scenario: &ChurnScenario,
     config: Config,
 ) -> Vec<Vec<Match>> {
     let matcher = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-    let mut out = Vec::with_capacity(scenario.publishes);
-    for op in &scenario.ops {
-        match op {
-            ChurnOp::Subscribe(sub) => {
-                matcher.subscribe(sub.clone());
-            }
-            ChurnOp::Unsubscribe(id) => {
-                assert!(matcher.unsubscribe(*id).is_some(), "churn streams only drop live ids");
-            }
-            ChurnOp::SetOntology(idx) => {
-                matcher.set_source(scenario.ontologies[*idx].clone());
-            }
-            ChurnOp::Publish(idx) => {
-                out.push(canonical(matcher.publish(&fixture.publications[*idx])));
-            }
-        }
-    }
-    out
-}
-
-/// Replays the stream against one live sharded matcher (shard count from
-/// `config.shards`).
-pub fn replay_interleaved_sharded(
-    fixture: &Fixture,
-    scenario: &ChurnScenario,
-    config: Config,
-) -> Vec<Vec<Match>> {
-    let matcher = ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
     let mut out = Vec::with_capacity(scenario.publishes);
     for op in &scenario.ops {
         match op {
@@ -308,62 +280,6 @@ pub fn replay_sequential(
     out
 }
 
-/// The live-matcher surface the concurrent harness drives: both backends
-/// expose `&self` control ops returning the published snapshot's control
-/// epoch, and epoch-stamped publish results.
-trait LiveMatcher: Sync {
-    fn subscribe(&self, sub: Subscription) -> u64;
-    fn unsubscribe(&self, id: SubId) -> Option<u64>;
-    fn set_source(&self, source: Arc<Ontology>) -> u64;
-    fn control_epoch(&self) -> u64;
-    fn publish_all(&self, events: &[Event]) -> Vec<PublishResult>;
-    fn stats(&self) -> MatcherStats;
-}
-
-impl LiveMatcher for SToPSS {
-    fn subscribe(&self, sub: Subscription) -> u64 {
-        SToPSS::subscribe(self, sub)
-    }
-    fn unsubscribe(&self, id: SubId) -> Option<u64> {
-        SToPSS::unsubscribe(self, id)
-    }
-    fn set_source(&self, source: Arc<Ontology>) -> u64 {
-        SToPSS::set_source(self, source)
-    }
-    fn control_epoch(&self) -> u64 {
-        SToPSS::control_epoch(self)
-    }
-    fn publish_all(&self, events: &[Event]) -> Vec<PublishResult> {
-        events.iter().map(|e| self.publish_detailed(e)).collect()
-    }
-    fn stats(&self) -> MatcherStats {
-        SToPSS::stats(self)
-    }
-}
-
-impl LiveMatcher for ShardedSToPSS {
-    fn subscribe(&self, sub: Subscription) -> u64 {
-        ShardedSToPSS::subscribe(self, sub)
-    }
-    fn unsubscribe(&self, id: SubId) -> Option<u64> {
-        ShardedSToPSS::unsubscribe(self, id)
-    }
-    fn set_source(&self, source: Arc<Ontology>) -> u64 {
-        ShardedSToPSS::set_source(self, source)
-    }
-    fn control_epoch(&self) -> u64 {
-        ShardedSToPSS::control_epoch(self)
-    }
-    fn publish_all(&self, events: &[Event]) -> Vec<PublishResult> {
-        // The broker-shaped path: batches flow through the (possibly
-        // pipelined) two-stage publish, chunk-resolving snapshots.
-        self.publish_batch_detailed(events)
-    }
-    fn stats(&self) -> MatcherStats {
-        ShardedSToPSS::stats(self)
-    }
-}
-
 /// What a concurrent replay proved, for the caller's sanity asserts.
 #[derive(Clone, Copy, Debug)]
 pub struct ConcurrentChurnSummary {
@@ -378,18 +294,18 @@ pub struct ConcurrentChurnSummary {
     pub mid_stream_publishes: usize,
 }
 
-/// Publisher batch size for the concurrent harness: larger than the
-/// matcher's pipeline chunk so sharded configs with overlap enabled
-/// exercise the chunk-granular snapshot resolution mid-batch.
-const CONCURRENT_BATCH: usize = 48;
-
-fn run_concurrent<M: LiveMatcher>(
-    live: &M,
-    make: impl Fn() -> M,
+/// Runs the scenario's control ops on one thread racing `publishers`
+/// publisher threads against one live matcher, then proves the execution
+/// linearizable (see the module docs). Panics on any divergence; returns
+/// a summary for sanity asserts.
+pub fn replay_concurrent(
     fixture: &Fixture,
     scenario: &ChurnScenario,
+    config: Config,
     publishers: usize,
 ) -> ConcurrentChurnSummary {
+    let make = || SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
+    let live = make();
     let control_ops: Vec<ChurnOp> =
         scenario.ops.iter().filter(|op| !matches!(op, ChurnOp::Publish(_))).cloned().collect();
     let publish_events: Vec<Event> = scenario
@@ -407,6 +323,7 @@ fn run_concurrent<M: LiveMatcher>(
     // Race: one control thread linearizes the mutations while publisher
     // threads hammer the same live matcher.
     let (control_epochs, records) = std::thread::scope(|scope| {
+        let live = &live;
         let control = scope.spawn(|| {
             let mut epochs = Vec::with_capacity(control_ops.len());
             for op in &control_ops {
@@ -428,11 +345,7 @@ fn run_concurrent<M: LiveMatcher>(
             .chunks(share)
             .map(|events| {
                 scope.spawn(move || {
-                    let mut out = Vec::with_capacity(events.len());
-                    for batch in events.chunks(CONCURRENT_BATCH) {
-                        out.extend(live.publish_all(batch));
-                    }
-                    out
+                    events.iter().map(|e| live.publish_detailed(e)).collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -496,10 +409,7 @@ fn run_concurrent<M: LiveMatcher>(
         for sub in &state.live {
             oracle.subscribe(sub.clone());
         }
-        let expected = oracle
-            .publish_all(std::slice::from_ref(&publish_events[*pos]))
-            .pop()
-            .expect("one result");
+        let expected = oracle.publish_detailed(&publish_events[*pos]);
         assert_eq!(
             canonical(result.matches.clone()),
             canonical(expected.matches),
@@ -515,10 +425,7 @@ fn run_concurrent<M: LiveMatcher>(
     let replay = make();
     let replay_publish = |prefix: usize| {
         for (pos, recorded) in &by_prefix[prefix] {
-            let got = replay
-                .publish_all(std::slice::from_ref(&publish_events[*pos]))
-                .pop()
-                .expect("one result");
+            let got = replay.publish_detailed(&publish_events[*pos]);
             assert_eq!(
                 canonical(got.matches),
                 canonical(recorded.matches.clone()),
@@ -548,44 +455,6 @@ fn run_concurrent<M: LiveMatcher>(
         control_ops: control_ops.len(),
         mid_stream_publishes: mid_stream,
     }
-}
-
-/// Runs the scenario's control ops on one thread racing `publishers`
-/// publisher threads against a live single-threaded matcher, then proves
-/// the execution linearizable (see the module docs). Panics on any
-/// divergence; returns a summary for sanity asserts.
-pub fn replay_concurrent(
-    fixture: &Fixture,
-    scenario: &ChurnScenario,
-    config: Config,
-    publishers: usize,
-) -> ConcurrentChurnSummary {
-    let live = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-    run_concurrent(
-        &live,
-        || SToPSS::new(config, fixture.source.clone(), fixture.interner.clone()),
-        fixture,
-        scenario,
-        publishers,
-    )
-}
-
-/// [`replay_concurrent`] over the sharded backend (shard count — and the
-/// pipelined/barrier batch path, via `parallelism` — from `config`).
-pub fn replay_concurrent_sharded(
-    fixture: &Fixture,
-    scenario: &ChurnScenario,
-    config: Config,
-    publishers: usize,
-) -> ConcurrentChurnSummary {
-    let live = ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-    run_concurrent(
-        &live,
-        || ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone()),
-        fixture,
-        scenario,
-        publishers,
-    )
 }
 
 #[cfg(test)]
@@ -640,8 +509,6 @@ mod tests {
         let interleaved = replay_interleaved(&f, &s, config);
         let sequential = replay_sequential(&f, &s, config);
         assert_eq!(interleaved, sequential);
-        let sharded = replay_interleaved_sharded(&f, &s, config.with_shards(4));
-        assert_eq!(sharded, sequential);
     }
 
     #[test]

@@ -37,9 +37,8 @@ pub mod taxonomy_gen;
 pub mod zipf;
 
 pub use churn::{
-    churn_scenario, replay_concurrent, replay_concurrent_sharded, replay_interleaved,
-    replay_interleaved_sharded, replay_sequential, ChurnMode, ChurnOp, ChurnScenario,
-    ConcurrentChurnSummary,
+    churn_scenario, replay_concurrent, replay_interleaved, replay_sequential, ChurnMode, ChurnOp,
+    ChurnScenario, ConcurrentChurnSummary,
 };
 pub use generator::{generate_jobfinder, Workload, WorkloadConfig};
 pub use geo::{generate_geo, GeoDomain, GeoWorkloadConfig, GEO_STO};

@@ -7,7 +7,7 @@
 
 use stopss_types::sync::Arc;
 
-use stopss_core::{Config, Match, SToPSS, ShardedSToPSS};
+use stopss_core::{Config, SToPSS};
 use stopss_ontology::Ontology;
 use stopss_types::{
     Event, Interner, Operator, Predicate, SharedInterner, SubId, Subscription, Value,
@@ -34,43 +34,14 @@ pub struct Fixture {
 }
 
 impl Fixture {
-    /// The fixture's publications in contiguous batches of `batch_size`
-    /// (the last batch may be shorter; a size of 0 means 1). The unit the
-    /// sharded matcher's `publish_batch` fans out per worker round.
-    pub fn publication_batches(&self, batch_size: usize) -> std::slice::Chunks<'_, Event> {
-        self.publications.chunks(batch_size.max(1))
-    }
-
-    /// Builds a single-threaded matcher over this fixture's ontology with
-    /// every subscription registered.
+    /// Builds a matcher over this fixture's ontology with every
+    /// subscription registered.
     pub fn matcher(&self, config: Config) -> SToPSS {
         let matcher = SToPSS::new(config, self.source.clone(), self.interner.clone());
         for sub in &self.subscriptions {
             matcher.subscribe(sub.clone());
         }
         matcher
-    }
-
-    /// Builds a sharded matcher (shard count from `config.shards`) over
-    /// this fixture's ontology with every subscription registered.
-    pub fn sharded_matcher(&self, config: Config) -> ShardedSToPSS {
-        let matcher = ShardedSToPSS::new(config, self.source.clone(), self.interner.clone());
-        for sub in &self.subscriptions {
-            matcher.subscribe(sub.clone());
-        }
-        matcher
-    }
-
-    /// Feeds every publication through `matcher.publish_batch` in batches
-    /// of `batch_size`, returning the match set of each publication in
-    /// publication order — the batch-feed entry point for benches and the
-    /// differential suites.
-    pub fn feed_batches(&self, matcher: &ShardedSToPSS, batch_size: usize) -> Vec<Vec<Match>> {
-        let mut out = Vec::with_capacity(self.publications.len());
-        for batch in self.publication_batches(batch_size) {
-            out.extend(matcher.publish_batch(batch));
-        }
-        out
     }
 }
 
@@ -257,15 +228,17 @@ mod tests {
 
     #[test]
     fn batch_feed_equals_per_event_publish() {
+        use stopss_core::Match;
         let f = jobfinder_fixture(80, 40, 13);
-        let config = Config::default().with_shards(4);
-        let single = f.matcher(config);
-        let sharded = f.sharded_matcher(config);
-        let want: Vec<Vec<Match>> = f.publications.iter().map(|e| single.publish(e)).collect();
-        let got = f.feed_batches(&sharded, 7);
-        assert_eq!(got, want);
-        assert_eq!(f.publication_batches(7).count(), 40usize.div_ceil(7));
-        assert_eq!(f.publication_batches(0).count(), 40, "batch size 0 clamps to 1");
+        let per_event = f.matcher(Config::default());
+        let want: Vec<Vec<Match>> = f.publications.iter().map(|e| per_event.publish(e)).collect();
+        for batch_size in [1usize, 7, 40] {
+            let batched = f.matcher(Config::default());
+            let got: Vec<Vec<Match>> =
+                f.publications.chunks(batch_size).flat_map(|b| batched.publish_batch(b)).collect();
+            assert_eq!(got, want, "batch_size={batch_size}");
+            assert_eq!(batched.stats(), per_event.stats(), "batch_size={batch_size} stats");
+        }
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Property test: every generated scenario — all four domains, optionally
 //! pre-churned — round-trips through [`Fixture`] with identical match
-//! sets and matcher stats across shard counts {1, 4} and both batch
-//! paths (the pipelined `publish_batch` and the explicit
-//! prepare-then-match barrier). The sharding/pipelining machinery must be
-//! invisible to every workload shape, not just the jobfinder the existing
-//! differential covers.
+//! sets and matcher stats on both publish paths: the inline one
+//! (`publish_detailed`, the semantic pass recomputed per event) and the
+//! detached one the broker's batch path runs (`frontend().prepare_batch`
+//! then `try_publish_prepared_batch`). The two-stage split must be
+//! invisible to every workload shape, not just the jobfinder the
+//! existing differential covers.
 
 use proptest::prelude::*;
 
 use stopss_core::{Config, Match, MatcherStats};
 use stopss_workload::{
     churn_scenario, geo_fixture, iot_fixture, jobfinder_fixture, market_fixture,
-    replay_interleaved, replay_interleaved_sharded, replay_sequential, ChurnMode, Fixture,
+    replay_interleaved, replay_sequential, ChurnMode, Fixture,
 };
 
 fn fixture_for(domain: usize, seed: u64) -> (&'static str, Fixture) {
@@ -23,17 +24,20 @@ fn fixture_for(domain: usize, seed: u64) -> (&'static str, Fixture) {
     }
 }
 
-/// Match sets + final stats for one (shards, batch path) combination.
-fn run(fixture: &Fixture, shards: usize, barrier: bool) -> (Vec<Vec<Match>>, MatcherStats) {
-    // `with_parallelism(shards)` keeps the pipelined path's stage overlap
-    // on even when the host reports few cores.
-    let config = Config::default().with_shards(shards).with_parallelism(shards);
-    let matcher = fixture.sharded_matcher(config);
-    let matches = if barrier {
-        let prepared = matcher.frontend().prepare_batch(&fixture.publications);
-        matcher.publish_prepared_batch(&prepared).into_iter().map(|r| r.matches).collect()
+/// Match sets + final stats on one publish path.
+fn run(fixture: &Fixture, detached: bool) -> (Vec<Vec<Match>>, MatcherStats) {
+    let matcher = fixture.matcher(Config::default());
+    let matches = if detached {
+        let frontend = matcher.frontend();
+        let prepared = frontend.prepare_batch(&fixture.publications);
+        matcher
+            .try_publish_prepared_batch(&prepared, frontend.epoch())
+            .expect("no control op ran since the front end was detached")
+            .into_iter()
+            .map(|r| r.matches)
+            .collect()
     } else {
-        matcher.publish_batch(&fixture.publications)
+        fixture.publications.iter().map(|e| matcher.publish_detailed(e).matches).collect()
     };
     (matches, matcher.stats())
 }
@@ -41,32 +45,22 @@ fn run(fixture: &Fixture, shards: usize, barrier: bool) -> (Vec<Vec<Match>>, Mat
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// All domains: sharded {1,4} × pipelined/barrier agree on matches
-    /// and stats.
+    /// All domains: the detached path agrees with the inline one on
+    /// matches and stats.
     #[test]
-    fn every_domain_is_shard_and_path_invariant(
+    fn every_domain_is_path_invariant(
         domain in 0usize..4,
         seed in 0u64..500,
     ) {
         let (name, fixture) = fixture_for(domain, seed);
-        let (want_matches, want_stats) = run(&fixture, 1, false);
-        for shards in [1usize, 4] {
-            for barrier in [false, true] {
-                let (matches, stats) = run(&fixture, shards, barrier);
-                prop_assert_eq!(
-                    &matches, &want_matches,
-                    "{}: match sets diverged (shards {}, barrier {})", name, shards, barrier
-                );
-                prop_assert_eq!(
-                    stats, want_stats,
-                    "{}: stats diverged (shards {}, barrier {})", name, shards, barrier
-                );
-            }
-        }
+        let (want_matches, want_stats) = run(&fixture, false);
+        let (matches, stats) = run(&fixture, true);
+        prop_assert_eq!(&matches, &want_matches, "{}: match sets diverged", name);
+        prop_assert_eq!(stats, want_stats, "{}: stats diverged", name);
     }
 
     /// All domains × churn modes: the interleaved replay matches the
-    /// fresh-matcher oracle on both backends.
+    /// fresh-matcher oracle.
     #[test]
     fn every_domain_survives_churn(
         domain in 0usize..4,
@@ -79,8 +73,6 @@ proptest! {
         let config = Config::default();
         let sequential = replay_sequential(&fixture, &scenario, config);
         let interleaved = replay_interleaved(&fixture, &scenario, config);
-        prop_assert_eq!(&interleaved, &sequential, "{}/{:?}: single backend diverged", name, mode);
-        let sharded = replay_interleaved_sharded(&fixture, &scenario, config.with_shards(4));
-        prop_assert_eq!(&sharded, &sequential, "{}/{:?}: sharded backend diverged", name, mode);
+        prop_assert_eq!(&interleaved, &sequential, "{}/{:?}: live matcher diverged", name, mode);
     }
 }

@@ -15,12 +15,10 @@
 //! * [`ontology`] — synonyms, concept hierarchies, mapping functions,
 //!   multi-domain registry, the `.sto` text format;
 //! * [`core`] — the semantic stages, strategies, tolerances and the
-//!   [`core::SToPSS`] matcher, plus the hash-sharded concurrent
-//!   [`core::ShardedSToPSS`] (set [`core::Config::shards`] and use
-//!   `publish_batch` to fan publications across per-shard engines) and
-//!   the shared event-side [`core::SemanticFrontEnd`] (the semantic pass
-//!   runs once per publication into a [`core::PreparedEvent`] artifact;
-//!   shards receive only engine-match + verify work);
+//!   [`core::SToPSS`] matcher, plus the detachable event-side
+//!   [`core::SemanticFrontEnd`] (the semantic pass runs once per
+//!   publication into a [`core::PreparedEvent`] artifact, so a batch can
+//!   be prepared ahead of the engine-match + verify stage);
 //! * [`broker`] — the Figure 2 runtime: dispatcher, notification engine,
 //!   simulated transports, wire protocol, and the networked
 //!   [`broker::NetBroker`] event loop (connection multiplexing with
@@ -76,7 +74,7 @@ pub mod prelude {
     pub use stopss_broker::{Broker, BrokerConfig, DemoServer, TransportKind};
     pub use stopss_core::{
         semantic_match, Config, Match, MatchOrigin, MatcherStats, PreparedEvent, SToPSS,
-        SemanticFrontEnd, ShardedSToPSS, StageMask, Strategy, Tolerance,
+        SemanticFrontEnd, StageMask, Strategy, Tolerance,
     };
     pub use stopss_matching::{EngineKind, MatchingEngine};
     pub use stopss_ontology::{

@@ -5,9 +5,8 @@
 //! subscribe/unsubscribe/ontology-swap/publish stream must produce, at
 //! every publish, exactly the match set of a fresh matcher built from the
 //! then-live subscription set under the then-current ontology — across
-//! all four domains, both churn modes, and the single-threaded and
-//! sharded backends. Divergence means unsubscribe residue, lost
-//! subscriptions, or stale-ontology leakage.
+//! all four domains and both churn modes. Divergence means unsubscribe
+//! residue, lost subscriptions, or stale-ontology leakage.
 //!
 //! Concurrent half (the epoch-snapshot control-plane pin): the same
 //! control streams run on a thread *racing* publisher threads against
@@ -16,16 +15,16 @@
 //! the harness (see `stopss_workload::churn`) asserts each publication
 //! byte-identical to a fresh oracle at its epoch, and that a sequential
 //! replay of the linearized stream reproduces the live matcher's final
-//! statistics exactly. At the broker layer, the same race must conserve
-//! match accounting: every match is delivered, failed, or orphaned.
+//! statistics exactly. At the broker layer, the same race — against
+//! detached two-stage batches — must conserve match accounting: every
+//! match is delivered, failed, or orphaned.
 
 use std::sync::Arc;
 
 use s_topss::prelude::*;
 use s_topss::workload::{
     churn_scenario, geo_fixture, iot_fixture, jobfinder_fixture, market_fixture, replay_concurrent,
-    replay_concurrent_sharded, replay_interleaved, replay_interleaved_sharded, replay_sequential,
-    ChurnMode, ChurnOp, Fixture,
+    replay_interleaved, replay_sequential, ChurnMode, ChurnOp, Fixture,
 };
 
 fn domains() -> Vec<(&'static str, Fixture)> {
@@ -38,8 +37,7 @@ fn domains() -> Vec<(&'static str, Fixture)> {
 }
 
 /// The single-threaded differential: interleaved ≡ sequential, every
-/// domain × every churn mode (now including live ontology swaps),
-/// single-threaded backend.
+/// domain × every churn mode (including live ontology swaps).
 #[test]
 fn interleaved_replay_equals_sequential_everywhere() {
     for (name, fixture) in domains() {
@@ -57,24 +55,9 @@ fn interleaved_replay_equals_sequential_everywhere() {
     }
 }
 
-/// The same differential over the sharded backend (4 shards): churn must
-/// not interact with shard-local subscription tables.
-#[test]
-fn sharded_interleaved_replay_equals_sequential() {
-    for (name, fixture) in domains() {
-        for mode in [ChurnMode::UnsubscribeHeavy, ChurnMode::FlashCrowd] {
-            let scenario = churn_scenario(&fixture, mode, 150, 42);
-            let sequential = replay_sequential(&fixture, &scenario, Config::default());
-            let sharded =
-                replay_interleaved_sharded(&fixture, &scenario, Config::default().with_shards(4));
-            assert_eq!(sharded, sequential, "{name}/{mode:?}: sharded backend diverged");
-        }
-    }
-}
-
 /// The tentpole differential: publisher threads racing the control
 /// stream (subscribe/unsubscribe/ontology-edit) against one live
-/// single-threaded matcher linearize — every concurrent publication is
+/// matcher linearize — every concurrent publication is
 /// byte-identical to the sequential oracle at its stamped epoch, and the
 /// linearized replay reproduces the live stats exactly. Every domain ×
 /// every churn mode.
@@ -92,101 +75,71 @@ fn concurrent_interleavings_linearize_everywhere() {
     }
 }
 
-/// The concurrent differential over the sharded backend, shards {1, 4} ×
-/// barrier (`parallelism = 1`) / pipelined (`parallelism = 4`, which
-/// forces stage overlap and chunk-granular snapshot resolution on 4
-/// shards). Covers the broker-shaped batch path: publisher threads feed
-/// multi-chunk batches through `publish_batch_detailed` while control
-/// ops swap snapshots underneath.
-#[test]
-fn concurrent_sharded_interleavings_linearize() {
-    let fixture = jobfinder_fixture(30, 20, 11);
-    for mode in [ChurnMode::UnsubscribeHeavy, ChurnMode::FlashCrowd] {
-        let scenario = churn_scenario(&fixture, mode, 150, 42);
-        for shards in [1usize, 4] {
-            for parallelism in [1usize, 4] {
-                let config = Config::default().with_shards(shards).with_parallelism(parallelism);
-                let summary = replay_concurrent_sharded(&fixture, &scenario, config, 3);
-                assert!(
-                    summary.publishes > 0,
-                    "{mode:?}/shards={shards}/par={parallelism}: ran ({summary:?})"
-                );
-            }
-        }
-    }
-}
-
 /// Broker-level conservation under concurrent churn: publishers race
 /// subscription churn and an ontology edit; with a lossless transport,
 /// every reported match must end up delivered or orphaned — an
 /// undercount means the control plane lost a notification.
 #[test]
 fn broker_concurrent_churn_conserves_accounting() {
-    for shards in [1usize, 4] {
-        let fixture = jobfinder_fixture(12, 8, 11);
-        let config = BrokerConfig {
-            matcher: Config::default().with_shards(shards),
-            udp_loss: 0.0,
-            ..BrokerConfig::default()
-        };
-        let broker = Broker::new(config, fixture.source.clone(), fixture.interner.clone());
-        let anchor = broker.register_client("anchor", TransportKind::Tcp);
-        for sub in &fixture.subscriptions {
-            broker.subscribe(anchor, sub.predicates().to_vec()).unwrap();
-        }
-        let scenario = churn_scenario(&fixture, ChurnMode::UnsubscribeHeavy, 100, 7);
-        let broker = Arc::new(broker);
-
-        let publishers: Vec<_> = (0..2)
-            .map(|_| {
-                let broker = broker.clone();
-                let events = fixture.publications.clone();
-                std::thread::spawn(move || {
-                    let mut matches = 0usize;
-                    for _ in 0..5 {
-                        matches += broker.publish_batch(&events);
-                    }
-                    matches
-                })
-            })
-            .collect();
-        let churner = {
-            let broker = broker.clone();
-            let scenario = scenario.clone();
-            std::thread::spawn(move || {
-                let client = broker.register_client("churn", TransportKind::Tcp);
-                let mut live: Vec<(SubId, SubId)> = Vec::new(); // (scenario id, broker id)
-                for op in &scenario.ops {
-                    match op {
-                        ChurnOp::Subscribe(sub) => {
-                            let id = broker.subscribe(client, sub.predicates().to_vec()).unwrap();
-                            live.push((sub.id(), id));
-                        }
-                        ChurnOp::Unsubscribe(id) => {
-                            let idx = live.iter().position(|(s, _)| s == id).expect("live id");
-                            let (_, broker_id) = live.swap_remove(idx);
-                            assert_eq!(broker.unsubscribe(client, broker_id), Ok(true));
-                        }
-                        ChurnOp::SetOntology(idx) => {
-                            broker.set_ontology(scenario.ontologies[*idx].clone());
-                        }
-                        ChurnOp::Publish(_) => {}
-                    }
-                }
-            })
-        };
-
-        let matches: usize = publishers.into_iter().map(|h| h.join().unwrap()).sum();
-        churner.join().unwrap();
-        let orphaned = broker.orphaned_matches();
-        let broker = Arc::try_unwrap(broker).ok().expect("sole owner");
-        let stats = broker.shutdown();
-        assert_eq!(
-            stats.total_delivered() + stats.total_failures() + orphaned,
-            matches as u64,
-            "shards={shards}: every match is delivered, failed, or orphaned"
-        );
+    let fixture = jobfinder_fixture(12, 8, 11);
+    let config = BrokerConfig { udp_loss: 0.0, ..BrokerConfig::default() };
+    let broker = Broker::new(config, fixture.source.clone(), fixture.interner.clone());
+    let anchor = broker.register_client("anchor", TransportKind::Tcp);
+    for sub in &fixture.subscriptions {
+        broker.subscribe(anchor, sub.predicates().to_vec()).unwrap();
     }
+    let scenario = churn_scenario(&fixture, ChurnMode::UnsubscribeHeavy, 100, 7);
+    let broker = Arc::new(broker);
+
+    let publishers: Vec<_> = (0..2)
+        .map(|_| {
+            let broker = broker.clone();
+            let events = fixture.publications.clone();
+            std::thread::spawn(move || {
+                let mut matches = 0usize;
+                for _ in 0..5 {
+                    matches += broker.publish_batch(&events);
+                }
+                matches
+            })
+        })
+        .collect();
+    let churner = {
+        let broker = broker.clone();
+        let scenario = scenario.clone();
+        std::thread::spawn(move || {
+            let client = broker.register_client("churn", TransportKind::Tcp);
+            let mut live: Vec<(SubId, SubId)> = Vec::new(); // (scenario id, broker id)
+            for op in &scenario.ops {
+                match op {
+                    ChurnOp::Subscribe(sub) => {
+                        let id = broker.subscribe(client, sub.predicates().to_vec()).unwrap();
+                        live.push((sub.id(), id));
+                    }
+                    ChurnOp::Unsubscribe(id) => {
+                        let idx = live.iter().position(|(s, _)| s == id).expect("live id");
+                        let (_, broker_id) = live.swap_remove(idx);
+                        assert_eq!(broker.unsubscribe(client, broker_id), Ok(true));
+                    }
+                    ChurnOp::SetOntology(idx) => {
+                        broker.set_ontology(scenario.ontologies[*idx].clone());
+                    }
+                    ChurnOp::Publish(_) => {}
+                }
+            }
+        })
+    };
+
+    let matches: usize = publishers.into_iter().map(|h| h.join().unwrap()).sum();
+    churner.join().unwrap();
+    let orphaned = broker.orphaned_matches();
+    let broker = Arc::try_unwrap(broker).ok().expect("sole owner");
+    let stats = broker.shutdown();
+    assert_eq!(
+        stats.total_delivered() + stats.total_failures() + orphaned,
+        matches as u64,
+        "every match is delivered, failed, or orphaned"
+    );
 }
 
 /// Flash-crowd streams really do spike: the live subscription count

@@ -1,40 +1,19 @@
-//! Differential suite: the sharded matcher is observably identical to the
-//! single-threaded matcher.
+//! Batch-feeding regression: `SToPSS::publish_batch` over a job-finder
+//! fixture is observably identical to publishing the same events one at a
+//! time — match sets, provenance, ordering and `MatcherStats` — at batch
+//! sizes from one event to the whole fixture, with per-subscription
+//! tolerances in the mix.
 //!
-//! `ShardedSToPSS` promises byte-identical results — match sets,
-//! provenance, ordering, and aggregated `MatcherStats` — for every shard
-//! count, because shards partition subscriptions while the
-//! engine-independent event-side work runs once in the shared semantic
-//! front-end (see `stopss_core::sharded` and `stopss_core::frontend`
-//! module docs; `crates/core/tests/frontend_differential.rs` pins the
-//! hoisted artifact against per-shard recomputation directly). This suite
-//! pins the end-to-end promise on generated workloads (the realistic
-//! job-finder domain and a synthetic taxonomy domain), swept across every
-//! syntactic engine × every strategy × representative stage masks × shard
-//! counts {1, 2, 8}, with per-subscription tolerances in the mix, plus
-//! determinism regressions (repeat publication, batch vs per-event
-//! feeding, and one golden match-set).
+//! The file keeps the name of the suite that once compared a sharded
+//! matcher against `SToPSS`. That matcher is gone; this determinism check
+//! is what remains of it. Repeat publication and the pinned golden match
+//! set live in `tests/workload_oracle.rs`.
 
-use s_topss::core::{Config, Match, SToPSS, ShardedSToPSS, StageMask, Strategy, Tolerance};
-use s_topss::matching::EngineKind;
-use s_topss::workload::{
-    jobfinder_fixture, synthetic_fixture, Fixture, SyntheticConfig, SyntheticWorkload,
-};
+use s_topss::core::{Config, Match, SToPSS, Tolerance};
+use s_topss::workload::{jobfinder_fixture, Fixture};
 
-/// Stage masks exercising every stage alone and in combination with the
-/// stage-interleaving cases (hierarchy ⇄ mapping) that stress the closure.
-fn representative_masks() -> [StageMask; 5] {
-    [
-        StageMask::syntactic(),
-        StageMask::SYNONYM,
-        StageMask::SYNONYM.with(StageMask::HIERARCHY),
-        StageMask::HIERARCHY.with(StageMask::MAPPING),
-        StageMask::all(),
-    ]
-}
-
-/// Tolerances assigned round-robin so shards hold a mix of verify-needing
-/// and default-tolerance subscriptions.
+/// Tolerances assigned round-robin so the matcher holds a mix of
+/// verify-needing and default-tolerance subscriptions.
 fn tolerance_for(k: usize) -> Option<Tolerance> {
     match k % 5 {
         3 => Some(Tolerance::bounded(1)),
@@ -43,252 +22,33 @@ fn tolerance_for(k: usize) -> Option<Tolerance> {
     }
 }
 
-fn subscribe_single(fixture: &Fixture, matcher: &SToPSS) {
+fn subscribed_matcher(fixture: &Fixture, config: Config) -> SToPSS {
+    let matcher = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
     for (k, sub) in fixture.subscriptions.iter().enumerate() {
         match tolerance_for(k) {
             Some(t) => matcher.subscribe_with_tolerance(sub.clone(), t),
             None => matcher.subscribe(sub.clone()),
         };
     }
-}
-
-fn subscribe_sharded(fixture: &Fixture, matcher: &ShardedSToPSS) {
-    for (k, sub) in fixture.subscriptions.iter().enumerate() {
-        match tolerance_for(k) {
-            Some(t) => matcher.subscribe_with_tolerance(sub.clone(), t),
-            None => matcher.subscribe(sub.clone()),
-        };
-    }
-}
-
-/// Publishes the whole fixture through both matchers and asserts exact
-/// agreement on matches + provenance per event and on aggregated stats.
-fn assert_differential(fixture: &Fixture, config: Config, label: &str) {
-    let single = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-    let sharded = ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-    subscribe_single(fixture, &single);
-    subscribe_sharded(fixture, &sharded);
-    assert_eq!(single.len(), sharded.len(), "{label}: subscription counts");
-    for (k, event) in fixture.publications.iter().enumerate() {
-        let want = single.publish(event);
-        let got = sharded.publish(event);
-        assert_eq!(got, want, "{label}: event #{k} diverged");
-    }
-    assert_eq!(sharded.stats(), single.stats(), "{label}: aggregated stats diverged");
-}
-
-/// Sweeps engines × strategies × masks × shard counts. The
-/// single-threaded reference is computed once per configuration and
-/// reused against every shard count.
-fn sweep(fixture: &Fixture, masks: &[StageMask], shard_counts: &[usize]) {
-    for engine in EngineKind::ALL {
-        for strategy in Strategy::ALL {
-            for &stages in masks {
-                let config = Config::default()
-                    .with_engine(engine)
-                    .with_strategy(strategy)
-                    .with_stages(stages);
-                let single = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-                subscribe_single(fixture, &single);
-                let want: Vec<Vec<Match>> =
-                    fixture.publications.iter().map(|e| single.publish(e)).collect();
-                for &shards in shard_counts {
-                    let label = format!(
-                        "engine={} strategy={} stages={:?} shards={}",
-                        engine.name(),
-                        strategy.name(),
-                        stages,
-                        shards
-                    );
-                    let sharded = ShardedSToPSS::new(
-                        config.with_shards(shards),
-                        fixture.source.clone(),
-                        fixture.interner.clone(),
-                    );
-                    subscribe_sharded(fixture, &sharded);
-                    let got = sharded.publish_batch(&fixture.publications);
-                    assert_eq!(got, want, "{label}: match sets diverged");
-                    assert_eq!(
-                        sharded.stats(),
-                        single.stats(),
-                        "{label}: aggregated stats diverged"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn jobfinder_sharded_equals_single_across_engines_strategies_masks() {
-    let fixture = jobfinder_fixture(100, 24, 42);
-    sweep(&fixture, &representative_masks(), &[1, 2, 8]);
-}
-
-#[test]
-fn synthetic_sharded_equals_single_across_engines_strategies_masks() {
-    let shape = SyntheticConfig { attrs: 3, depth: 3, fanout: 2, ..Default::default() };
-    let workload = SyntheticWorkload {
-        subscriptions: 80,
-        publications: 16,
-        general_term_bias: 0.7,
-        seed: 7,
-        ..Default::default()
-    };
-    let fixture = synthetic_fixture(&shape, &workload);
-    sweep(&fixture, &representative_masks(), &[1, 2, 8]);
-}
-
-#[test]
-fn constrained_parallelism_is_equivalent_too() {
-    let fixture = jobfinder_fixture(80, 20, 11);
-    for parallelism in [1usize, 2, 5] {
-        let config = Config::default().with_shards(8).with_parallelism(parallelism);
-        assert_differential(&fixture, config, &format!("parallelism={parallelism}"));
-    }
-}
-
-/// Pipelined-vs-barrier equivalence across engines × strategies × stage
-/// masks: `publish_batch` now overlaps stage 1 of chunk k+1 with stage 2
-/// of chunk k, and must stay byte-identical — matches, provenance,
-/// ordering, aggregated stats — to both the explicit two-stage barrier
-/// (`frontend().prepare_batch()` + `publish_prepared_batch()`) and the
-/// single-threaded matcher. The batch spans several pipeline chunks so
-/// the overlap actually engages.
-#[test]
-fn pipelined_equals_barrier_across_engines_strategies_masks() {
-    let fixture = jobfinder_fixture(100, 72, 42);
-    for engine in EngineKind::ALL {
-        for strategy in Strategy::ALL {
-            for stages in representative_masks() {
-                // Explicit parallelism forces the stage overlap even on
-                // single-core hosts (`Config::pipeline_overlap`).
-                let config = Config::default()
-                    .with_engine(engine)
-                    .with_strategy(strategy)
-                    .with_stages(stages)
-                    .with_shards(4)
-                    .with_parallelism(2);
-                let label = format!(
-                    "engine={} strategy={} stages={stages:?}",
-                    engine.name(),
-                    strategy.name()
-                );
-                let single = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-                subscribe_single(&fixture, &single);
-                let want: Vec<Vec<Match>> =
-                    fixture.publications.iter().map(|e| single.publish(e)).collect();
-
-                let barrier =
-                    ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-                subscribe_sharded(&fixture, &barrier);
-                let prepared = barrier.frontend().prepare_batch(&fixture.publications);
-                let from_barrier: Vec<Vec<Match>> = barrier
-                    .publish_prepared_batch(&prepared)
-                    .into_iter()
-                    .map(|r| r.matches)
-                    .collect();
-
-                let pipelined =
-                    ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-                subscribe_sharded(&fixture, &pipelined);
-                let from_pipeline = pipelined.publish_batch(&fixture.publications);
-
-                assert_eq!(from_barrier, want, "{label}: barrier vs single");
-                assert_eq!(from_pipeline, want, "{label}: pipelined vs single");
-                assert_eq!(barrier.stats(), single.stats(), "{label}: barrier stats");
-                assert_eq!(pipelined.stats(), single.stats(), "{label}: pipelined stats");
-            }
-        }
-    }
-}
-
-/// The pipeline under a constrained worker budget (including the
-/// budget-1 case, where `publish_batch` must fall back to the barrier)
-/// stays equivalent too.
-#[test]
-fn pipelined_constrained_parallelism_is_equivalent() {
-    let fixture = jobfinder_fixture(80, 70, 11);
-    let single = SToPSS::new(Config::default(), fixture.source.clone(), fixture.interner.clone());
-    subscribe_single(&fixture, &single);
-    let want: Vec<Vec<Match>> = fixture.publications.iter().map(|e| single.publish(e)).collect();
-    for parallelism in [1usize, 2, 5] {
-        let config = Config::default().with_shards(8).with_parallelism(parallelism);
-        let sharded = ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-        subscribe_sharded(&fixture, &sharded);
-        let got = sharded.publish_batch(&fixture.publications);
-        assert_eq!(got, want, "parallelism={parallelism}");
-        assert_eq!(sharded.stats(), single.stats(), "parallelism={parallelism} stats");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Determinism regressions.
-
-#[test]
-fn same_fixture_published_twice_yields_identical_ordered_results() {
-    let fixture = jobfinder_fixture(120, 30, 9);
-    let config = Config::default().with_shards(8);
-    let run = || {
-        let matcher = fixture.sharded_matcher(config);
-        let sets: Vec<Vec<Match>> =
-            fixture.publications.iter().map(|e| matcher.publish(e)).collect();
-        (sets, matcher.stats())
-    };
-    let (first, first_stats) = run();
-    let (second, second_stats) = run();
-    assert_eq!(first, second, "thread scheduling must not leak into results");
-    assert_eq!(first_stats, second_stats);
+    matcher
 }
 
 #[test]
 fn publish_batch_equals_per_event_publish() {
     let fixture = jobfinder_fixture(120, 30, 9);
-    let config = Config::default().with_shards(8);
-    let per_event = fixture.sharded_matcher(config);
+    let config = Config::default();
+    let per_event = subscribed_matcher(&fixture, config);
     let sequential: Vec<Vec<Match>> =
         fixture.publications.iter().map(|e| per_event.publish(e)).collect();
+    assert!(sequential.iter().any(|m| !m.is_empty()), "fixture must produce matches");
     for batch_size in [1usize, 7, 30] {
-        let batched = fixture.sharded_matcher(config);
-        let got = fixture.feed_batches(&batched, batch_size);
+        let batched = subscribed_matcher(&fixture, config);
+        let got: Vec<Vec<Match>> = fixture
+            .publications
+            .chunks(batch_size)
+            .flat_map(|batch| batched.publish_batch(batch))
+            .collect();
         assert_eq!(got, sequential, "batch_size={batch_size}");
         assert_eq!(batched.stats(), per_event.stats(), "batch_size={batch_size} stats");
     }
-}
-
-/// One pinned golden match-set: catches accidental nondeterminism (or a
-/// silent semantics change) that the self-comparing tests above could
-/// miss if both runs drifted together.
-#[test]
-fn golden_match_set_is_pinned() {
-    let fixture = jobfinder_fixture(40, 10, 2003);
-    let matcher = fixture.sharded_matcher(Config::default().with_shards(8));
-    let got: Vec<Vec<u64>> = fixture
-        .publications
-        .iter()
-        .map(|e| matcher.publish(e).iter().map(|m| m.sub.0).collect())
-        .collect();
-    let want: Vec<Vec<u64>> = vec![
-        // Golden, recorded from the verified single-threaded behaviour of
-        // the seed (jobfinder fixture: 40 subs, 10 pubs, seed 2003).
-        vec![24, 35],
-        vec![14, 24, 35],
-        vec![16, 24, 29, 35, 37],
-        vec![24, 26],
-        vec![24, 33],
-        vec![1, 18, 22, 24, 25, 33, 35, 39],
-        vec![24, 26],
-        vec![24, 34],
-        vec![1, 6, 18, 24, 26, 33],
-        vec![1, 6, 18, 22, 24, 25, 33, 39],
-    ];
-    assert_eq!(got, want, "golden match-set drifted");
-    // The golden set must also be what the single-threaded matcher says.
-    let single = fixture.matcher(Config::default());
-    let single_ids: Vec<Vec<u64>> = fixture
-        .publications
-        .iter()
-        .map(|e| single.publish(e).iter().map(|m| m.sub.0).collect())
-        .collect();
-    assert_eq!(got, single_ids);
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use s_topss::core::{
     classify_match, prepare_event, semantic_closure, ClosedEvent, ClosureLimits, Config, Limits,
-    PreparedEvent, SToPSS, ShardedSToPSS, StageMask, Strategy, Tolerance, CLASSIFY_DISTANCE_CAP,
+    PreparedEvent, SToPSS, StageMask, Strategy, Tolerance, CLASSIFY_DISTANCE_CAP,
 };
 use s_topss::matching::EngineKind;
 use s_topss::ontology::domain::NamedMappingSink;
@@ -251,24 +251,35 @@ fn multi_path_derivations_report_the_minimal_distance() {
 }
 
 #[test]
-fn sharded_fast_path_equals_single_threaded_oracle() {
-    // End to end across the concurrency axis: the sharded matcher (tier
-    // cache shared by concurrent shards) against the single-threaded
-    // oracle path, with mixed tolerances and batched publishing.
+fn detached_fast_path_equals_oracle() {
+    // The broker's batch path: a detached front end prepares the batch —
+    // warming the classifier tiers and every registered verification
+    // class in stage 1 — and the matcher consumes the warmed caches. With
+    // mixed tolerances, against the per-candidate oracle path.
     let fixture = jobfinder_fixture(160, 40, 23);
-    let cycle = tolerance_cycle();
-    for shards in [2usize, 8] {
-        let config = Config::default().with_shards(shards).with_parallelism(shards.min(4));
-        let sharded = ShardedSToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-        for (k, sub) in fixture.subscriptions.iter().enumerate() {
-            sharded.subscribe_with_tolerance(sub.clone(), cycle[k % cycle.len()]);
-        }
+    for strategy in Strategy::ALL {
+        let config = Config::default().with_strategy(strategy);
+        let label = strategy.name();
+        let fast = matcher_with_mixed_tolerances(&fixture, config);
         let oracle = matcher_with_mixed_tolerances(&fixture, config.with_tier_cache(false));
-        let batched = sharded.publish_batch(&fixture.publications);
-        let want: Vec<Vec<s_topss::core::Match>> =
-            fixture.publications.iter().map(|e| oracle.publish(e)).collect();
-        assert_eq!(batched, want, "shards={shards}");
-        assert_eq!(sharded.stats(), oracle.stats(), "shards={shards} stats");
+        let frontend = fast.frontend();
+        let prepared = frontend.prepare_batch(&fixture.publications);
+        let classes = fast.verify_classes().len();
+        assert!(classes > 1, "{label}: the cycle registers several verify classes");
+        for p in &prepared {
+            assert_eq!(p.tiers.class_count(), classes, "{label}: classes warmed in stage 1");
+            assert!(p.tiers.classifier_tiers_ready(), "{label}: tiers warmed in stage 1");
+        }
+        let got = fast
+            .try_publish_prepared_batch(&prepared, frontend.epoch())
+            .expect("no control op ran since the front end was detached");
+        for (k, (got, event)) in got.iter().zip(&fixture.publications).enumerate() {
+            let want = oracle.publish_detailed(event);
+            assert_eq!(got.matches, want.matches, "{label}: event {k} diverged");
+            assert_eq!(got.closure_pairs, want.closure_pairs, "{label}: event {k}");
+            assert_eq!(got.truncated, want.truncated, "{label}: event {k}");
+        }
+        assert_eq!(fast.stats(), oracle.stats(), "{label}: stats diverged");
     }
 }
 
