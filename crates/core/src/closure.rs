@@ -20,7 +20,7 @@
 use std::borrow::Cow;
 
 use stopss_ontology::SemanticSource;
-use stopss_types::{Event, Interner, Operator, Subscription, Symbol, Value};
+use stopss_types::{Event, Interner, Operator, Predicate, Subscription, Symbol, Value};
 
 use crate::tolerance::StageMask;
 
@@ -139,31 +139,26 @@ pub fn synonym_resolve_subscription<'a>(
     sub: &'a Subscription,
     source: &dyn SemanticSource,
 ) -> Cow<'a, Subscription> {
-    let unchanged = sub.predicates().iter().all(|p| {
-        source.resolve_synonym(p.attr) == p.attr
-            && match (p.op, p.value) {
-                (Operator::Eq | Operator::Ne, Value::Sym(s)) => source.resolve_synonym(s) == s,
-                _ => true,
-            }
-    });
+    let unchanged = sub.predicates().iter().all(|p| synonym_resolve_predicate(p, source) == *p);
     if unchanged {
         return Cow::Borrowed(sub);
     }
-    let predicates = sub
-        .predicates()
-        .iter()
-        .map(|p| {
-            let attr = source.resolve_synonym(p.attr);
-            let value = match (p.op, p.value) {
-                (Operator::Eq | Operator::Ne, Value::Sym(s)) => {
-                    Value::Sym(source.resolve_synonym(s))
-                }
-                (_, v) => v,
-            };
-            stopss_types::Predicate::new(attr, p.op, value)
-        })
-        .collect();
+    let predicates =
+        sub.predicates().iter().map(|p| synonym_resolve_predicate(p, source)).collect();
     Cow::Owned(Subscription::new(sub.id(), predicates))
+}
+
+/// Rewrites one predicate into canonical root terms, by the rules of
+/// [`synonym_resolve_subscription`]: the attribute always, a symbol value
+/// only under `Eq`/`Ne`. The provenance classifier resolves each distinct
+/// predicate of a publication's matches through it once.
+pub(crate) fn synonym_resolve_predicate(p: &Predicate, source: &dyn SemanticSource) -> Predicate {
+    let attr = source.resolve_synonym(p.attr);
+    let value = match (p.op, p.value) {
+        (Operator::Eq | Operator::Ne, Value::Sym(s)) => Value::Sym(source.resolve_synonym(s)),
+        (_, v) => v,
+    };
+    Predicate::new(attr, p.op, value)
 }
 
 /// Computes the bounded semantic closure of `event`.

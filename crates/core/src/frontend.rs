@@ -33,7 +33,7 @@
 //! * **Provenance classification**: [`crate::classify_match`] re-derives
 //!   the synonym-only and synonym+hierarchy closures per candidate, then
 //!   linearly re-closes the event once per candidate hierarchy distance
-//!   (up to [`CLASSIFY_DISTANCE_CAP`] times).
+//!   (up to [`crate::CLASSIFY_DISTANCE_CAP`] times).
 //!
 //! [`TierCache`] hoists all of it into the per-publication artifact:
 //! the classifier's tier closures and one closed event per distinct
@@ -43,11 +43,12 @@
 //! for the verification classes registered at subscribe time (the
 //! matcher snapshots them into the [`SemanticFrontEnd`] handle) — and
 //! shared read-only through `OnceLock`/`RwLock` interior mutability. The
-//! minimal hierarchy distance is read straight off the cached closure's
-//! [`PairInfo`] ([`classify_with_tiers`]) instead of searched by repeated
-//! re-closing. The oracle functions in [`crate::oracle`] are untouched
-//! ground truth; byte-identical behaviour is pinned by
-//! `tests/tier_cache_differential.rs`.
+//! matcher's classifier evaluates each distinct predicate of a
+//! publication's matches once against these tiers, reading the minimal
+//! hierarchy distance straight off the cached closure's [`PairInfo`]
+//! instead of searching for it by repeated re-closing (see `matcher.rs`).
+//! The oracle functions in [`crate::oracle`] are untouched ground truth;
+//! byte-identical behaviour is pinned by `tests/tier_cache_differential.rs`.
 //!
 //! # Reading entries off the main closure
 //!
@@ -83,12 +84,10 @@
 use stopss_types::sync::{Arc, OnceLock, RwLock};
 
 use stopss_ontology::SemanticSource;
-use stopss_types::{Event, FxHashMap, Interner, SharedInterner, Subscription};
+use stopss_types::{Event, FxHashMap, Interner, SharedInterner};
 
 use crate::closure::{semantic_closure, ClosedEvent, ClosureLimits, PairInfo};
 use crate::config::{Config, Strategy};
-use crate::oracle::{classify_match, CLASSIFY_DISTANCE_CAP};
-use crate::provenance::MatchOrigin;
 use crate::strategy::materialize_closure;
 use crate::tolerance::{StageMask, Tolerance};
 
@@ -493,92 +492,6 @@ impl ReadOff {
     }
 }
 
-/// Classifies why `sub` matches the raw event of `side` (which it must,
-/// under `stages` with unbounded distance) from the publication's tier
-/// cache: behaviourally identical to [`crate::classify_match`] — the
-/// pinned oracle — but every event-side closure is computed at most once
-/// per *publication* instead of per candidate, and the minimal hierarchy
-/// distance is read off the cached closure's per-pair [`PairInfo`] instead
-/// of searched by re-closing the event once per candidate distance.
-///
-/// `canonical` must be `sub` rewritten by
-/// [`crate::synonym_resolve_subscription`] whenever `stages` enables the
-/// synonym stage (and may alias `sub` otherwise); the matcher caches it
-/// at subscribe time.
-#[allow(clippy::too_many_arguments)] // mirrors the oracle's classify_match
-pub fn classify_with_tiers(
-    sub: &Subscription,
-    canonical: &Subscription,
-    side: EventSide<'_>,
-    tiers: &TierCache,
-    source: &dyn SemanticSource,
-    stages: StageMask,
-    now_year: i64,
-    interner: &Interner,
-    limits: &ClosureLimits,
-) -> MatchOrigin {
-    let raw = side.raw;
-    // 1. Syntactic: raw against raw.
-    if sub.matches(raw, interner) {
-        return MatchOrigin::Syntactic;
-    }
-    // 2. Synonyms only: the canonical subscription against the cached
-    // synonym tier.
-    if stages.synonym() {
-        let tier = tiers.synonym_tier(side, source, now_year, interner, limits);
-        if canonical.matches(&tier.event, interner) {
-            return MatchOrigin::Synonym;
-        }
-    }
-    // 3. Hierarchy (plus synonyms): the smallest sufficient distance,
-    // read off the cached unbounded closure.
-    if stages.hierarchy() {
-        let hier_stages = stages.intersect(StageMask::SYNONYM.with(StageMask::HIERARCHY));
-        let tier = tiers.hierarchy_tier(side, source, hier_stages, now_year, interner, limits);
-        if tier.truncated {
-            // A truncated closure no longer equals "unbounded pairs
-            // filtered by distance": bounded re-closures can reach pairs
-            // the truncated run dropped. Defer to the oracle.
-            return classify_match(sub, raw, source, stages, now_year, interner, limits);
-        }
-        let hier_sub = if hier_stages.synonym() { canonical } else { sub };
-        if let Some(distance) = min_hierarchy_distance(hier_sub, tier, interner) {
-            // Tiers 1–2 not matching guarantees distance ≥ 1; the oracle's
-            // linear search also never reports past the cap.
-            return MatchOrigin::Hierarchy { distance: distance.clamp(1, CLASSIFY_DISTANCE_CAP) };
-        }
-    }
-    // 4. Anything else needed the mapping stage.
-    MatchOrigin::Mapping
-}
-
-/// The smallest per-step generalization bound under which `sub` matches
-/// the closed event, or `None` if it does not match even unbounded. Each
-/// predicate needs only its *closest* satisfying pair (min over pairs);
-/// the conjunction needs its *furthest* predicate (max over predicates).
-/// Exact because a non-truncated bounded-`k` closure contains precisely
-/// the unbounded closure's pairs with minimal derivation distance ≤ `k`.
-fn min_hierarchy_distance(
-    sub: &Subscription,
-    tier: &ClosedEvent,
-    interner: &Interner,
-) -> Option<u32> {
-    let mut overall = 0u32;
-    for pred in sub.predicates() {
-        let mut best: Option<u32> = None;
-        for (idx, (attr, value)) in tier.event.pairs().iter().enumerate() {
-            if *attr == pred.attr && pred.eval(value, interner) {
-                let distance = tier.info[idx].distance;
-                if best.is_none_or(|b| distance < b) {
-                    best = Some(distance);
-                }
-            }
-        }
-        overall = overall.max(best?);
-    }
-    Some(overall)
-}
-
 /// Computes the event-side semantic pass for `event` under `config`.
 ///
 /// This is the single source of truth for publication-side semantics:
@@ -827,36 +740,6 @@ mod tests {
         let cloned = prepared.clone();
         assert_eq!(cloned.tiers.class_count(), 2);
         assert!(cloned.tiers.classifier_tiers_ready());
-    }
-
-    #[test]
-    fn classify_with_tiers_matches_oracle_on_the_taxonomy_world() {
-        use crate::oracle::classify_match;
-        use stopss_types::{SubId, SubscriptionBuilder};
-        let mut i = Interner::new();
-        let mut o = Ontology::new("t");
-        let degree = i.intern("degree");
-        let grad = i.intern("graduate_degree");
-        let phd = i.intern("phd");
-        o.taxonomy.add_isa(grad, degree, &i).unwrap();
-        o.taxonomy.add_isa(phd, grad, &i).unwrap();
-        let subs = [
-            SubscriptionBuilder::new(&mut i).term_eq("credential", "degree").build(SubId(1)),
-            SubscriptionBuilder::new(&mut i)
-                .term_eq("credential", "graduate_degree")
-                .build(SubId(2)),
-            SubscriptionBuilder::new(&mut i).term_eq("credential", "phd").build(SubId(3)),
-        ];
-        let event = EventBuilder::new(&mut i).term("credential", "phd").build();
-        let lim = ClosureLimits::default();
-        let tiers = TierCache::new();
-        let side = EventSide { raw: &event, engine_events: &[], info: &[] };
-        for sub in &subs {
-            let want = classify_match(sub, &event, &o, StageMask::all(), 2003, &i, &lim);
-            let got =
-                classify_with_tiers(sub, sub, side, &tiers, &o, StageMask::all(), 2003, &i, &lim);
-            assert_eq!(got, want, "sub {:?}", sub.id());
-        }
     }
 
     #[test]

@@ -44,9 +44,7 @@ pub use closure::{
     ClosureLimits, PairInfo,
 };
 pub use config::{Config, Limits, Strategy};
-pub use frontend::{
-    classify_with_tiers, prepare_event, EventSide, PreparedEvent, SemanticFrontEnd, TierCache,
-};
+pub use frontend::{prepare_event, EventSide, PreparedEvent, SemanticFrontEnd, TierCache};
 pub use matcher::{MatcherStats, PublishResult, SToPSS};
 pub use oracle::{classify_match, semantic_match, CLASSIFY_DISTANCE_CAP};
 pub use provenance::{Match, MatchOrigin, OriginCounts};

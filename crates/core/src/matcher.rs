@@ -33,20 +33,19 @@ use stopss_matching::MatchingEngine;
 use stopss_ontology::SemanticSource;
 use stopss_types::sync::atomic::{AtomicU64, Ordering};
 use stopss_types::sync::{Arc, Mutex, RwLock};
-use stopss_types::{Event, FxHashMap, Interner, SharedInterner, SubId, Subscription};
+use stopss_types::{Event, FxHashMap, Interner, Predicate, SharedInterner, SubId, Subscription};
 
 use std::borrow::Cow;
 
-use crate::closure::synonym_resolve_subscription;
+use crate::closure::{synonym_resolve_predicate, synonym_resolve_subscription, ClosedEvent};
 use crate::config::{Config, Strategy};
 use crate::frontend::{
-    classify_with_tiers, prepare_event, prepare_parts, EventSide, PreparedEvent, SemanticFrontEnd,
-    TierCache,
+    prepare_event, prepare_parts, EventSide, PreparedEvent, SemanticFrontEnd, TierCache,
 };
-use crate::oracle::{classify_match, semantic_match};
+use crate::oracle::{classify_match, semantic_match, CLASSIFY_DISTANCE_CAP};
 use crate::provenance::{Match, MatchOrigin};
 use crate::strategy::expand_subscription;
-use crate::tolerance::Tolerance;
+use crate::tolerance::{StageMask, Tolerance};
 
 /// Counters accumulated across the matcher's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -129,9 +128,10 @@ struct SubEntry {
     /// The subscription exactly as the subscriber registered it.
     original: Subscription,
     /// The synonym-resolved (canonical root-term) form, cached at
-    /// subscribe time for the verify and provenance fast paths — `None`
-    /// when it would equal `original` (synonym stage off, or no term of
-    /// the subscription has a synonym mapping).
+    /// subscribe time for the verify fast path — `None` when it would
+    /// equal `original` (synonym stage off, or no term of the subscription
+    /// has a synonym mapping). Provenance resolves predicates itself, once
+    /// per distinct predicate per publication (see [`Classifier`]).
     canonical: Option<Subscription>,
     /// The tolerance the subscriber asked for (re-clamped on rebuild).
     requested: Tolerance,
@@ -144,19 +144,14 @@ struct SubEntry {
 }
 
 impl SubEntry {
-    /// The synonym-resolved form (aliases `original` when resolution is
-    /// the identity).
-    fn canonical(&self) -> &Subscription {
-        self.canonical.as_ref().unwrap_or(&self.original)
-    }
-
     /// The subscription form the verify oracle would match with under
-    /// this entry's effective tolerance.
+    /// this entry's effective tolerance: the synonym-resolved form
+    /// (aliasing `original` when resolution is the identity) if that
+    /// tolerance runs the synonym stage.
     fn verify_sub(&self) -> &Subscription {
-        if self.effective.stages.synonym() {
-            self.canonical()
-        } else {
-            &self.original
+        match &self.canonical {
+            Some(canonical) if self.effective.stages.synonym() => canonical,
+            _ => &self.original,
         }
     }
 }
@@ -171,6 +166,136 @@ struct MatchScratch {
     candidates: Vec<SubId>,
     /// Deduplicated user subscription ids.
     users: Vec<SubId>,
+    /// The provenance levels of every distinct predicate classified so far
+    /// in this publication (see [`Classifier`]); cleared per publication.
+    provenance: FxHashMap<Predicate, PredLevel>,
+}
+
+/// One distinct predicate `p`'s provenance levels for one publication,
+/// with `p'` its synonym-resolved form (`p` itself when the system runs no
+/// synonym stage).
+#[derive(Clone, Copy, Debug)]
+struct PredLevel {
+    /// The raw event satisfies `p`.
+    raw: bool,
+    /// The synonym tier satisfies `p'`; false without the synonym stage.
+    synonym: bool,
+    /// The minimal distance of a hierarchy-tier pair that satisfies `p'`;
+    /// `None` if no pair does, or without a usable hierarchy tier.
+    hierarchy: Option<u32>,
+}
+
+/// The provenance classifier of one publication: behaviourally identical
+/// to [`classify_match`], the pinned oracle, but priced per distinct
+/// predicate rather than per match.
+///
+/// [`Subscription::matches`] is a conjunction of per-predicate ∃-tests, so
+/// each of the oracle's tiers decides a subscription predicate by
+/// predicate: Syntactic if every predicate holds on the raw event, else
+/// Synonym if every resolved predicate holds on the synonym tier, else
+/// Hierarchy at the largest of the per-predicate minimal distances on the
+/// hierarchy tier (a non-truncated bounded-`k` closure holds exactly the
+/// unbounded closure's pairs at distance ≤ `k`), else Mapping. The levels
+/// are not monotone — `Ne` over a synonym-aliased value can hold on the
+/// raw event and fail on the synonym tier — so all three are kept.
+///
+/// Each distinct predicate's levels are computed once per publication into
+/// the matcher's scratch memo. The tiers come from the publication's
+/// [`TierCache`], fetched when the first match is classified. A truncated
+/// hierarchy tier no longer equals "unbounded pairs filtered by distance",
+/// so a subscription that needs it defers to the oracle.
+struct Classifier<'a> {
+    side: EventSide<'a>,
+    source: &'a dyn SemanticSource,
+    config: &'a Config,
+    interner: &'a Interner,
+    /// The synonym-only closure, if the synonym stage runs.
+    synonym: Option<&'a ClosedEvent>,
+    /// The unbounded synonym+hierarchy closure, if the hierarchy stage
+    /// runs.
+    hierarchy: Option<&'a ClosedEvent>,
+}
+
+impl<'a> Classifier<'a> {
+    fn new(
+        side: EventSide<'a>,
+        tiers: &'a TierCache,
+        source: &'a dyn SemanticSource,
+        config: &'a Config,
+        interner: &'a Interner,
+    ) -> Self {
+        let (stages, now_year, limits) = (config.stages, config.now_year, &config.limits.closure);
+        let synonym =
+            stages.synonym().then(|| tiers.synonym_tier(side, source, now_year, interner, limits));
+        let hierarchy = stages.hierarchy().then(|| {
+            let hier_stages = stages.intersect(StageMask::SYNONYM.with(StageMask::HIERARCHY));
+            tiers.hierarchy_tier(side, source, hier_stages, now_year, interner, limits)
+        });
+        Classifier { side, source, config, interner, synonym, hierarchy }
+    }
+
+    /// Why `sub` matches the publication (which it must, under the
+    /// configured stages with unbounded distance).
+    fn classify(
+        &self,
+        sub: &Subscription,
+        memo: &mut FxHashMap<Predicate, PredLevel>,
+    ) -> MatchOrigin {
+        let (mut raw, mut synonym, mut distance) = (true, true, Some(0u32));
+        for p in sub.predicates() {
+            let level = *memo.entry(*p).or_insert_with(|| self.level(p));
+            raw &= level.raw;
+            synonym &= level.synonym;
+            distance = distance.zip(level.hierarchy).map(|(d, l)| d.max(l));
+        }
+        if raw {
+            return MatchOrigin::Syntactic;
+        }
+        if synonym {
+            return MatchOrigin::Synonym;
+        }
+        if self.hierarchy.is_some_and(|tier| tier.truncated) {
+            let Config { stages, now_year, .. } = *self.config;
+            let limits = &self.config.limits.closure;
+            return classify_match(
+                sub,
+                self.side.raw,
+                self.source,
+                stages,
+                now_year,
+                self.interner,
+                limits,
+            );
+        }
+        // Not matching on the raw event guarantees distance ≥ 1; the
+        // oracle's linear search also never reports past the cap.
+        distance.map_or(MatchOrigin::Mapping, |d| MatchOrigin::Hierarchy {
+            distance: d.clamp(1, CLASSIFY_DISTANCE_CAP),
+        })
+    }
+
+    /// `p`'s three levels on this publication.
+    fn level(&self, p: &Predicate) -> PredLevel {
+        let interner = self.interner;
+        let resolved =
+            if self.synonym.is_some() { synonym_resolve_predicate(p, self.source) } else { *p };
+        let hierarchy = self.hierarchy.filter(|tier| !tier.truncated).and_then(|tier| {
+            tier.event
+                .pairs()
+                .iter()
+                .zip(&tier.info)
+                .filter(|((attr, value), _)| {
+                    *attr == resolved.attr && resolved.eval(value, interner)
+                })
+                .map(|(_, info)| info.distance)
+                .min()
+        });
+        PredLevel {
+            raw: self.side.raw.satisfies(p, interner),
+            synonym: self.synonym.is_some_and(|tier| tier.event.satisfies(&resolved, interner)),
+            hierarchy,
+        }
+    }
 }
 
 /// The per-publication mutable state of the match path: the syntactic
@@ -496,9 +621,9 @@ impl MatcherCore {
     /// event-side counters passed through into the result.
     ///
     /// Per-candidate semantic work is served from `tiers` — the
-    /// per-publication closure cache — unless [`Config::tier_cache`]
-    /// selects the per-candidate oracle path (byte-identical results
-    /// either way).
+    /// per-publication closure cache — and provenance from the per-predicate
+    /// memo of a [`Classifier`], unless [`Config::tier_cache`] selects the
+    /// per-candidate oracle path (byte-identical results either way).
     fn match_inner(
         &self,
         side: EventSide<'_>,
@@ -517,6 +642,7 @@ impl MatcherCore {
         // for the whole matching pass.
         let mut state = self.state.lock();
         let state = &mut *state;
+        state.scratch.provenance.clear();
         state.scratch.candidates.clear();
         for event in side.engine_events {
             state.scratch.engine_out.clear();
@@ -532,7 +658,9 @@ impl MatcherCore {
         );
         state.scratch.users.sort_unstable();
         state.scratch.users.dedup();
+        result.matches.reserve(state.scratch.users.len());
 
+        let mut classifier = None;
         for &user_id in &state.scratch.users {
             let entry =
                 self.subs.get(&user_id).expect("invariant: engine ids map to live subscriptions");
@@ -573,17 +701,11 @@ impl MatcherCore {
             let origin = if !self.config.track_provenance {
                 MatchOrigin::Unclassified
             } else if self.config.tier_cache {
-                classify_with_tiers(
-                    &entry.original,
-                    entry.canonical(),
-                    side,
-                    tiers,
-                    self.source.as_ref(),
-                    self.config.stages,
-                    self.config.now_year,
-                    interner,
-                    &self.config.limits.closure,
-                )
+                classifier
+                    .get_or_insert_with(|| {
+                        Classifier::new(side, tiers, self.source.as_ref(), &self.config, interner)
+                    })
+                    .classify(&entry.original, &mut state.scratch.provenance)
             } else {
                 classify_match(
                     &entry.original,
@@ -1123,8 +1245,6 @@ mod tests {
         assert_eq!(matcher.frontend().epoch(), 3, "frontend carries the snapshot's tag");
     }
 
-    /// A stale frontend artifact is refused atomically; a fresh one is
-    /// matched.
     /// The detached front end warms exactly the registered non-system
     /// verification classes in stage 1; a class retires with its last
     /// member, and warming never changes results.
@@ -1159,6 +1279,8 @@ mod tests {
         assert_eq!(from_warm[0].matches, from_cold[0].matches, "warming is invisible");
     }
 
+    /// A stale frontend artifact is refused atomically; a fresh one is
+    /// matched.
     #[test]
     fn try_publish_prepared_batch_checks_staleness() {
         let w = world();
@@ -1213,5 +1335,35 @@ mod tests {
         assert_eq!(result.epoch, 1);
         // The current snapshot is syntactic.
         assert!(matcher.publish(&w.event).is_empty());
+    }
+
+    #[test]
+    fn classifier_matches_oracle_on_the_taxonomy_world() {
+        let mut i = Interner::new();
+        let mut o = Ontology::new("t");
+        let degree = i.intern("degree");
+        let grad = i.intern("graduate_degree");
+        let phd = i.intern("phd");
+        o.taxonomy.add_isa(grad, degree, &i).unwrap();
+        o.taxonomy.add_isa(phd, grad, &i).unwrap();
+        let subs = [
+            SubscriptionBuilder::new(&mut i).term_eq("credential", "degree").build(SubId(1)),
+            SubscriptionBuilder::new(&mut i)
+                .term_eq("credential", "graduate_degree")
+                .build(SubId(2)),
+            SubscriptionBuilder::new(&mut i).term_eq("credential", "phd").build(SubId(3)),
+        ];
+        let event = EventBuilder::new(&mut i).term("credential", "phd").build();
+        let config = Config::default();
+        let lim = config.limits.closure;
+        let tiers = TierCache::new();
+        let side = EventSide { raw: &event, engine_events: &[], info: &[] };
+        let classifier = Classifier::new(side, &tiers, &o, &config, &i);
+        let mut memo = FxHashMap::default();
+        for sub in &subs {
+            let want = classify_match(sub, &event, &o, StageMask::all(), 2003, &i, &lim);
+            assert_eq!(classifier.classify(sub, &mut memo), want, "sub {:?}", sub.id());
+        }
+        assert_eq!(memo.len(), 3, "one memo entry per distinct predicate");
     }
 }

@@ -14,10 +14,15 @@
 //! synthetic workloads, including truncated-closure and distance-cap edge
 //! cases.
 //!
-//! Its second half pins the cache's entries one level down: each
+//! Its second part pins the cache's entries one level down: each
 //! classifier tier and verification class, whether read off the main
 //! closure or recomputed, equals a fresh `semantic_closure` over every
 //! domain × stage mask × closure limit, with a named case per fallback.
+//!
+//! Its third part pins the memoised provenance classifier, which computes
+//! each distinct predicate's levels once per publication, to
+//! `classify_match` on a hand-built world, one named case per edge of
+//! that decomposition, and counts the resolutions it performs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,8 +35,8 @@ use s_topss::matching::EngineKind;
 use s_topss::ontology::domain::NamedMappingSink;
 use s_topss::ontology::Ontology;
 use s_topss::prelude::{
-    Event, EventBuilder, Expr, Guard, Interner, MappingFunction, MatchOrigin, Operator,
-    PatternItem, Production, SemanticSource, SharedInterner, SubId, Subscription,
+    Event, EventBuilder, Expr, Guard, Interner, MappingFunction, Match, MatchOrigin, Operator,
+    PatternItem, Predicate, Production, SemanticSource, SharedInterner, SubId, Subscription,
     SubscriptionBuilder, Symbol, Value,
 };
 use s_topss::types::FxHashMap;
@@ -728,4 +733,341 @@ fn read_off_falls_back_under_a_system_bound_and_other_strategies() {
             assert!(!world.read_off(config, entry), "{config:?} {entry:?}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The memoised provenance classifier.
+//
+// The tier-cached path classifies a match from per-predicate levels, each
+// distinct predicate's levels computed once per publication (see
+// `Classifier` in `matcher.rs`). The named cases below pin it to
+// `classify_match` on a hand-built world, one edge of that
+// decomposition each; the last one counts the work it saves.
+
+/// The hand-built world of the classifier cases: synonyms on attributes
+/// (`school → university`, `pay → salary`, `position → title`) and on
+/// values (`to → toronto`, `teach → instruct`), the taxonomy `phd is-a
+/// graduate_degree is-a degree` and `toronto is-a ontario_city`, and the
+/// paper's `graduation_year ⇒ professional_experience` mapping.
+fn classifier_world() -> (Interner, Ontology) {
+    let mut i = Interner::new();
+    let mut o = Ontology::new("classifier");
+    for (root, alias) in [
+        ("university", "school"),
+        ("salary", "pay"),
+        ("title", "position"),
+        ("toronto", "to"),
+        ("instruct", "teach"),
+    ] {
+        let (root, alias) = (i.intern(root), i.intern(alias));
+        o.synonyms.add_synonym(root, alias, &i).unwrap();
+    }
+    for (special, general) in
+        [("phd", "graduate_degree"), ("graduate_degree", "degree"), ("toronto", "ontario_city")]
+    {
+        let (special, general) = (i.intern(special), i.intern(general));
+        o.taxonomy.add_isa(special, general, &i).unwrap();
+    }
+    let (gy, pe) = (i.intern("graduation_year"), i.intern("professional_experience"));
+    o.mappings
+        .register(MappingFunction::new(
+            "experience",
+            vec![PatternItem { attr: gy, guard: None }],
+            vec![Production { attr: pe, expr: Expr::sub(Expr::Now, Expr::Attr(gy)) }],
+        ))
+        .unwrap();
+    (i, o)
+}
+
+/// An event of symbol-valued pairs.
+fn terms(i: &mut Interner, pairs: &[(&str, &str)]) -> Event {
+    pairs.iter().fold(EventBuilder::new(i), |b, (attr, value)| b.term(attr, value)).build()
+}
+
+/// Publishes `events` in order through one tier-cached matcher holding
+/// `subs` under `config`. Holds every match set to the oracle path and
+/// every origin to `classify_match` on the raw event, and returns each
+/// publication's matches.
+fn classify_against_oracle(
+    (interner, ontology): &(Interner, Ontology),
+    config: Config,
+    subs: &[Subscription],
+    events: &[Event],
+) -> Vec<Vec<Match>> {
+    let interner = SharedInterner::from_interner(interner.clone());
+    let source = Arc::new(ontology.clone());
+    let fast = SToPSS::new(config.with_tier_cache(true), source.clone(), interner.clone());
+    let oracle = SToPSS::new(config.with_tier_cache(false), source.clone(), interner.clone());
+    for sub in subs {
+        fast.subscribe(sub.clone());
+        oracle.subscribe(sub.clone());
+    }
+    let label = format!("stages={:?}", config.stages);
+    let mut out = Vec::new();
+    for (k, event) in events.iter().enumerate() {
+        let got = fast.publish(event);
+        assert_eq!(got, oracle.publish(event), "{label}: event {k} diverged from the oracle path");
+        let Config { stages, now_year, limits, .. } = config;
+        interner.with(|i| {
+            for m in &got {
+                let sub = fast.subscription(m.sub).unwrap();
+                let want =
+                    classify_match(&sub, event, &*source, stages, now_year, i, &limits.closure);
+                assert_eq!(m.origin, want, "{label}: event {k} {:?}", m.sub);
+            }
+        });
+        out.push(got);
+    }
+    out
+}
+
+/// The origin of `id` among `matches`, if it matched.
+fn origin_of(matches: &[Match], id: u64) -> Option<MatchOrigin> {
+    matches.iter().find(|m| m.sub == SubId(id)).map(|m| m.origin)
+}
+
+#[test]
+fn memoized_classifier_keeps_non_monotone_levels_apart() {
+    // `city != to` holds on the raw `city = toronto`, but its resolved
+    // form `city != toronto` fails on the synonym tier and holds only on
+    // the hierarchy tier, through `ontario_city` at distance 1. Deriving
+    // the synonym level from the raw one would call sub 2 a synonym match.
+    let mut world = classifier_world();
+    let i = &mut world.0;
+    let subs = [
+        SubscriptionBuilder::new(i).term("city", Operator::Ne, "to").build(SubId(1)),
+        SubscriptionBuilder::new(i)
+            .term("city", Operator::Ne, "to")
+            .term_eq("university", "uoft")
+            .build(SubId(2)),
+    ];
+    let events = [
+        terms(i, &[("city", "toronto"), ("school", "uoft")]),
+        terms(i, &[("city", "to"), ("university", "uoft")]),
+    ];
+    let got = classify_against_oracle(&world, Config::default(), &subs, &events);
+    assert_eq!(origin_of(&got[0], 1), Some(MatchOrigin::Syntactic));
+    assert_eq!(origin_of(&got[0], 2), Some(MatchOrigin::Hierarchy { distance: 1 }));
+    assert_eq!(origin_of(&got[1], 1), Some(MatchOrigin::Hierarchy { distance: 1 }));
+    assert_eq!(origin_of(&got[1], 2), Some(MatchOrigin::Hierarchy { distance: 1 }));
+}
+
+#[test]
+fn memoized_classifier_shares_predicates_across_and_within_subscriptions() {
+    let mut world = classifier_world();
+    let i = &mut world.0;
+    let mut subs = vec![
+        SubscriptionBuilder::new(i).term_eq("credential", "degree").build(SubId(1)),
+        SubscriptionBuilder::new(i)
+            .term_eq("credential", "degree")
+            .term_eq("credential", "degree")
+            .build(SubId(2)),
+    ];
+    // 27 subscriptions over 6 distinct predicates, each combining a
+    // credential level with a location or school test.
+    let credentials = ["degree", "graduate_degree", "phd"];
+    for k in 0..27u64 {
+        let credential = credentials[k as usize % 3];
+        let b = SubscriptionBuilder::new(i).term_eq("credential", credential);
+        let b = match (k / 3) % 3 {
+            0 => b.term_eq("university", "uoft"),
+            1 => b.term_eq("city", "ontario_city"),
+            _ => b.term("city", Operator::Ne, "to"),
+        };
+        subs.push(b.build(SubId(10 + k)));
+    }
+    let events = [
+        terms(i, &[("credential", "phd"), ("school", "uoft"), ("city", "toronto")]),
+        terms(i, &[("credential", "degree"), ("university", "uoft"), ("city", "ottawa")]),
+    ];
+    let got = classify_against_oracle(&world, Config::default(), &subs, &events);
+    assert_eq!(origin_of(&got[0], 1), Some(MatchOrigin::Hierarchy { distance: 2 }));
+    assert_eq!(origin_of(&got[0], 2), Some(MatchOrigin::Hierarchy { distance: 2 }));
+    assert_eq!(origin_of(&got[1], 2), Some(MatchOrigin::Syntactic));
+    assert!(got[0].len() > 20, "the shared predicates match together: {}", got[0].len());
+}
+
+#[test]
+fn memoized_classifier_classifies_the_empty_subscription() {
+    let mut world = classifier_world();
+    let i = &mut world.0;
+    let subs = [Subscription::new(SubId(1), Vec::new())];
+    let events = [
+        terms(i, &[("school", "uoft")]),
+        EventBuilder::new(i).pair("graduation_year", 1993i64).build(),
+        Event::new(),
+    ];
+    let got = classify_against_oracle(&world, Config::default(), &subs, &events);
+    for matches in &got {
+        assert_eq!(origin_of(matches, 1), Some(MatchOrigin::Syntactic));
+    }
+}
+
+#[test]
+fn memoized_classifier_never_resolves_string_patterns() {
+    // `teach` is an alias of `instruct`, but a `Prefix` pattern is a
+    // fragment, not a term: the resolved form keeps `teach` and matches
+    // `teacher` on the synonym tier. `Exists` ignores its value.
+    let mut world = classifier_world();
+    let i = &mut world.0;
+    let subs = [
+        SubscriptionBuilder::new(i).term("title", Operator::Prefix, "teach").build(SubId(1)),
+        SubscriptionBuilder::new(i).exists("salary").build(SubId(2)),
+        SubscriptionBuilder::new(i)
+            .term("title", Operator::Prefix, "teach")
+            .exists("salary")
+            .term_eq("credential", "degree")
+            .build(SubId(3)),
+        SubscriptionBuilder::new(i)
+            .exists("professional_experience")
+            .term("title", Operator::Prefix, "teach")
+            .build(SubId(4)),
+    ];
+    let events = [
+        EventBuilder::new(i)
+            .term("position", "teacher")
+            .pair("pay", 50_000i64)
+            .term("credential", "phd")
+            .pair("graduation_year", 1993i64)
+            .build(),
+        EventBuilder::new(i).term("title", "teacher").pair("salary", 1i64).build(),
+    ];
+    let got = classify_against_oracle(&world, Config::default(), &subs, &events);
+    assert_eq!(origin_of(&got[0], 1), Some(MatchOrigin::Synonym));
+    assert_eq!(origin_of(&got[0], 2), Some(MatchOrigin::Synonym));
+    assert_eq!(origin_of(&got[0], 3), Some(MatchOrigin::Hierarchy { distance: 2 }));
+    assert_eq!(origin_of(&got[0], 4), Some(MatchOrigin::Mapping));
+    assert_eq!(origin_of(&got[1], 1), Some(MatchOrigin::Syntactic));
+    assert_eq!(origin_of(&got[1], 2), Some(MatchOrigin::Syntactic));
+}
+
+#[test]
+fn memoized_classifier_equals_oracle_without_synonym_or_hierarchy_stages() {
+    let mut world = classifier_world();
+    let i = &mut world.0;
+    let subs = [
+        SubscriptionBuilder::new(i).term("city", Operator::Ne, "to").build(SubId(1)),
+        SubscriptionBuilder::new(i).term_eq("university", "uoft").build(SubId(2)),
+        SubscriptionBuilder::new(i).term_eq("credential", "degree").build(SubId(3)),
+        SubscriptionBuilder::new(i)
+            .term_eq("city", "ontario_city")
+            .term_eq("university", "uoft")
+            .build(SubId(4)),
+        SubscriptionBuilder::new(i)
+            .pred("professional_experience", Operator::Ge, 4i64)
+            .term_eq("university", "uoft")
+            .build(SubId(5)),
+        SubscriptionBuilder::new(i)
+            .pred("professional_experience", Operator::Ge, 4i64)
+            .term_eq("credential", "degree")
+            .build(SubId(6)),
+        Subscription::new(SubId(7), Vec::new()),
+        // Written with an alias: without the synonym stage it must be
+        // classified unresolved.
+        SubscriptionBuilder::new(i)
+            .term_eq("school", "uoft")
+            .term_eq("credential", "degree")
+            .build(SubId(8)),
+    ];
+    let events = [
+        EventBuilder::new(i)
+            .term("city", "toronto")
+            .term("school", "uoft")
+            .term("credential", "phd")
+            .pair("graduation_year", 1993i64)
+            .build(),
+        EventBuilder::new(i)
+            .term("city", "to")
+            .term("university", "uoft")
+            .term("credential", "degree")
+            .pair("graduation_year", 1990i64)
+            .build(),
+    ];
+    let masks = [
+        StageMask::all(),
+        StageMask::HIERARCHY.with(StageMask::MAPPING),
+        StageMask::SYNONYM.with(StageMask::MAPPING),
+        StageMask::HIERARCHY,
+        StageMask::SYNONYM,
+        StageMask::MAPPING,
+        StageMask::syntactic(),
+    ];
+    for stages in masks {
+        let got =
+            classify_against_oracle(&world, Config::default().with_stages(stages), &subs, &events);
+        assert!(!got[0].is_empty(), "stages={stages:?}: the empty subscription always matches");
+    }
+}
+
+#[test]
+fn memoized_classifier_forgets_levels_between_publications() {
+    // One matcher, back to back: the same predicates are raw on one
+    // publication, hierarchy-derived on the next and raw again after.
+    // Levels carried over from an earlier publication would misclassify.
+    let mut world = classifier_world();
+    let i = &mut world.0;
+    let subs = [
+        SubscriptionBuilder::new(i).term_eq("credential", "degree").build(SubId(1)),
+        SubscriptionBuilder::new(i).term("city", Operator::Ne, "to").build(SubId(2)),
+        SubscriptionBuilder::new(i).term_eq("university", "uoft").build(SubId(3)),
+    ];
+    let events = [
+        terms(i, &[("credential", "degree"), ("city", "ottawa"), ("university", "uoft")]),
+        terms(i, &[("credential", "phd"), ("city", "to"), ("school", "uoft")]),
+        terms(i, &[("credential", "graduate_degree"), ("city", "ottawa"), ("school", "uoft")]),
+        terms(i, &[("credential", "degree"), ("city", "ottawa"), ("university", "uoft")]),
+    ];
+    let got = classify_against_oracle(&world, Config::default(), &subs, &events);
+    let hierarchy = |distance| Some(MatchOrigin::Hierarchy { distance });
+    let want = [
+        [Some(MatchOrigin::Syntactic), Some(MatchOrigin::Syntactic), Some(MatchOrigin::Syntactic)],
+        [hierarchy(2), hierarchy(1), Some(MatchOrigin::Synonym)],
+        [hierarchy(1), Some(MatchOrigin::Syntactic), Some(MatchOrigin::Synonym)],
+        [Some(MatchOrigin::Syntactic), Some(MatchOrigin::Syntactic), Some(MatchOrigin::Syntactic)],
+    ];
+    for (k, (matches, want)) in got.iter().zip(want).enumerate() {
+        let origins: Vec<_> = (1..=3).map(|id| origin_of(matches, id)).collect();
+        assert_eq!(origins, want, "publication {k}");
+    }
+}
+
+#[test]
+fn provenance_levels_are_computed_once_per_distinct_predicate_per_publication() {
+    // With the classifier tiers warmed in stage 1 and no tolerance to
+    // verify, the match stage queries the ontology only to resolve a
+    // predicate's synonyms — the first time the publication meets that
+    // predicate. Resolution asks for the attribute, plus the value of an
+    // `Eq`/`Ne` over a symbol. So the query count of a publication is
+    // exactly what resolving each distinct matched predicate once costs.
+    let fixture = jobfinder_fixture(300, 24, 17);
+    let counting = Arc::new(Counting::new(fixture.source.clone()));
+    let matcher = SToPSS::new(Config::default(), counting.clone(), fixture.interner.clone());
+    for sub in &fixture.subscriptions {
+        matcher.subscribe(sub.clone());
+    }
+    let resolve_cost = |p: &Predicate| match (p.op, p.value) {
+        (Operator::Eq | Operator::Ne, Value::Sym(_)) => 2,
+        _ => 1,
+    };
+    let (mut once, mut per_match) = (0, 0);
+    for (k, event) in fixture.publications.iter().enumerate() {
+        let prepared = matcher.frontend().prepare(event);
+        assert!(!prepared.truncated, "event {k}: a truncated tier defers to the oracle");
+        counting.take();
+        let matches = matcher.match_prepared(&prepared).matches;
+        let queries = counting.take();
+        let mut distinct = FxHashMap::default();
+        for m in &matches {
+            let sub = matcher.subscription(m.sub).unwrap();
+            for p in sub.predicates() {
+                distinct.insert(*p, resolve_cost(p));
+                per_match += resolve_cost(p);
+            }
+        }
+        let want: usize = distinct.values().sum();
+        assert_eq!(queries, want, "event {k}: {} matches", matches.len());
+        once += want;
+    }
+    assert!(once > 0, "the fixture must produce matches");
+    assert!(once * 2 < per_match, "predicates are shared: {once} resolutions vs {per_match}");
 }
