@@ -9,8 +9,9 @@
 //! notification's latency is measured from the moment the publish frame
 //! is flushed into the wire to the moment the subscriber's client drains
 //! the Notification frame — so the number covers the whole serving path:
-//! frame decode, batched subscribe/publish dispatch, match, async notify
-//! engine, outbound queue, flush, client-side reassembly.
+//! frame decode, batched subscribe/publish dispatch, match, notification
+//! engine (run inline on the event loop's thread), outbound queue, flush,
+//! client-side reassembly.
 //!
 //! Besides the criterion-stub smoke run, the bench emits the
 //! machine-readable perf trajectory `BENCH_broker.json` at the repo root

@@ -17,9 +17,9 @@
 //!
 //! Everything is deterministic under a fixed seed: the chaos control
 //! stream, the per-incarnation transport streams, and the single-threaded
-//! publish loop (the engine's worker drains a FIFO channel, so transport
-//! RNG draws happen in enqueue order). Same seed ⇒ same faults ⇒ same
-//! report.
+//! publish loop (the engine delivers on the publishing thread, so
+//! transport RNG draws happen in match order). Same seed ⇒ same faults ⇒
+//! same report.
 
 use stopss_types::sync::Arc;
 
@@ -304,9 +304,10 @@ impl Default for NetChaosConfig {
 }
 
 /// What happened under networked fault injection, in conservation-law
-/// form. All counters are deterministic per seed: every publication is
-/// fenced by [`NetBroker::run_until_quiescent`], so thread timing of the
-/// notification engine's worker cannot shift a delivery between buckets.
+/// form. All counters are deterministic per seed: the served broker runs
+/// on one thread and every publication is fenced by
+/// [`NetBroker::run_until_quiescent`], so each delivery lands in the same
+/// bucket on every run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetChaosReport {
     /// Events published.
@@ -587,9 +588,9 @@ impl Default for SessionChaosConfig {
 /// What happened under session-layer fault injection, in
 /// conservation-law form. Deterministic per seed: every fault is
 /// injected at a fenced point (deliveries drained, outbound queues
-/// idle, every reachable client caught up), so worker-thread timing can
-/// never shift a notification between terminal buckets, and the whole
-/// report — payloads included — is bit-identical across runs.
+/// idle, every reachable client caught up), so no fault can land between
+/// a notification and its terminal bucket, and the whole report —
+/// payloads included — is bit-identical across runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionChaosReport {
     /// Events published.
@@ -1006,7 +1007,7 @@ pub fn run_session_chaos(
         // client ticks, so no client can reconnect, acknowledge or read
         // until every delivery sits in a terminal counter or a replay
         // buffer. This is what pins bucket assignment (acked vs replayed
-        // vs retained) regardless of worker-thread timing.
+        // vs retained) regardless of how clients are scheduled.
         server.run_turns(1).expect("turn");
         let mut drained = false;
         for _ in 0..fence_budget {

@@ -110,8 +110,8 @@ pub struct Broker {
     matcher: SToPSS,
     clients: RwLock<FxHashMap<ClientId, ClientInfo>>,
     sub_owner: RwLock<FxHashMap<SubId, ClientId>>,
-    /// Read lock to enqueue; write lock only for the brief engine swap in
-    /// [`Broker::restart_notifier`] (the drain runs outside it).
+    /// Read lock to deliver a publication's notifications; write lock only
+    /// for the engine swap in [`Broker::restart_notifier`].
     notifier: RwLock<NotificationEngine>,
     /// Counters of engines retired by restarts, folded together so
     /// [`Broker::delivery_stats`] spans every incarnation.
@@ -135,7 +135,7 @@ pub struct Broker {
     semantic: RwLock<bool>,
     /// Matches whose owner lookup missed in `notify_matches` — a
     /// subscription matched by an in-flight publish and unsubscribed
-    /// before its notification was enqueued. Counted (not silently
+    /// before its notification was delivered. Counted (not silently
     /// dropped) so delivery accounting stays auditable.
     orphaned_matches: AtomicU64,
     next_client: AtomicU64,
@@ -368,8 +368,9 @@ impl Broker {
         owned.len()
     }
 
-    /// Publishes an event: matches it and enqueues one notification per
-    /// matched subscription. Returns the number of matches.
+    /// Publishes an event: matches it and delivers one notification per
+    /// matched subscription before returning. Returns the number of
+    /// matches.
     ///
     /// Publishers take no broker-side lock at all — they resolve the
     /// matcher's current snapshot and run against it, so concurrent
@@ -381,7 +382,7 @@ impl Broker {
         matches.len()
     }
 
-    /// Publishes a batch of events in two stages, enqueuing notifications
+    /// Publishes a batch of events in two stages, delivering notifications
     /// exactly as [`Broker::publish`] would per event. Returns the total
     /// number of matches across the batch.
     ///
@@ -416,7 +417,7 @@ impl Broker {
         (frontend, epoch)
     }
 
-    /// Stage 2: matches the precomputed artifacts and enqueues
+    /// Stage 2: matches the precomputed artifacts and delivers
     /// notifications. The matcher resolves one snapshot for both the
     /// staleness check and the match: if the snapshot's front-end epoch
     /// still equals `epoch`, the artifacts are valid for it by
@@ -436,6 +437,10 @@ impl Broker {
         total
     }
 
+    /// Hands one publication's notifications to the notification engine:
+    /// one engine read lock and one transport lock for the whole
+    /// publication, every delivery finished (and the batchers flushed)
+    /// before this returns.
     fn notify_matches(&self, event: &Event, matches: &[Match]) {
         if matches.is_empty() {
             return;
@@ -443,26 +448,25 @@ impl Broker {
         let clients = self.clients.read();
         let owners = self.sub_owner.read();
         let rendered = self.interner.with(|i| format!("event {}", event.display(i)));
-        for m in matches {
-            let Some(owner) = owners.get(&m.sub) else {
-                // The subscription was matched by an in-flight publish and
-                // unsubscribed before this notification was enqueued.
+        let deliveries = matches.iter().filter_map(|m| {
+            // A miss on either lookup: the subscription was matched by an
+            // in-flight publish and unsubscribed (or its client dropped)
+            // before this notification was handed over.
+            let Some((owner, info)) =
+                owners.get(&m.sub).and_then(|owner| clients.get(owner).map(|info| (owner, info)))
+            else {
                 // ordering: monotone conservation counter (matches_seen ==
                 // orphaned + delivered); adds commute, no paired state.
                 self.orphaned_matches.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            let Some(info) = clients.get(owner) else {
-                // ordering: monotone conservation counter, as above.
-                self.orphaned_matches.fetch_add(1, Ordering::Relaxed);
-                continue;
+                return None;
             };
             let payload = format!(
                 "to {} [{}]: {} matched via {} — {}",
                 info.name, owner, m.sub, m.origin, rendered
             );
-            self.notifier.read().enqueue(info.transport, Delivery { client: *owner, payload });
-        }
+            Some((info.transport, Delivery { client: *owner, payload }))
+        });
+        self.notifier.read().deliver_all(deliveries);
     }
 
     /// Matches whose notification was dropped because the owning
@@ -544,18 +548,16 @@ impl Broker {
         stats
     }
 
-    /// Restarts the notification engine mid-stream: the current engine is
-    /// shut down (draining its queue and flushing batchers), its final
-    /// counters are folded into the retired total, and a fresh engine is
-    /// started from the transport factory. Restarts are serialized on a
-    /// dedicated lock — the epoch draw, the engine swap, and the
-    /// retired-counter merge happen atomically with respect to other
-    /// restarts, so racing restarts can neither reuse an epoch nor lose a
-    /// retired engine's `DeliveryStats` from the merge. Publishers only
-    /// contend with the brief pointer swap (the drain runs outside the
-    /// notifier lock); notifications enqueued before the restart are
-    /// never lost — shutdown drains. Returns the retired engine's final
-    /// stats.
+    /// Restarts the notification engine mid-stream: a fresh engine is
+    /// built from the transport factory and swapped in, the old one's
+    /// transports are flushed, and its final counters are folded into the
+    /// retired total. Restarts are serialized on a dedicated lock — the
+    /// epoch draw, the engine swap, and the retired-counter merge happen
+    /// atomically with respect to other restarts, so racing restarts can
+    /// neither reuse an epoch nor lose a retired engine's `DeliveryStats`
+    /// from the merge. The swap waits for publications delivering through
+    /// the old engine to finish, so every notification lands in exactly
+    /// one incarnation. Returns the retired engine's final stats.
     pub fn restart_notifier(&self) -> DeliveryStats {
         let _restart = self.restart.lock();
         // ordering: read and write of the epoch are serialized by the
@@ -563,8 +565,8 @@ impl Broker {
         // observe it without the lock.
         let epoch = self.notifier_restarts.load(Ordering::Relaxed) + 1;
         let fresh = NotificationEngine::start((self.transport_factory)(epoch));
-        // The notifier write lock covers only the swap; enqueues stall
-        // for a pointer exchange, not the drain.
+        // The notifier write lock covers only the swap; the old engine
+        // is flushed after it is released.
         let old = std::mem::replace(&mut *self.notifier.write(), fresh);
         // ordering: serialized by the restart mutex, as above.
         self.notifier_restarts.store(epoch, Ordering::Relaxed);
@@ -585,8 +587,8 @@ impl Broker {
         self.inboxes.get(&kind).cloned()
     }
 
-    /// Stops the notification engine (draining the queue) and returns the
-    /// final delivery statistics across every engine incarnation.
+    /// Stops the notification engine and returns the final delivery
+    /// statistics across every engine incarnation.
     pub fn shutdown(self) -> DeliveryStats {
         let mut stats = self.retired_delivery.into_inner();
         stats.merge(&self.notifier.into_inner().shutdown());
@@ -875,7 +877,7 @@ mod tests {
         broker.notify_matches(&event, &matches);
         assert_eq!(broker.orphaned_matches(), 1, "the dropped notification is accounted");
         let stats = broker.shutdown();
-        assert_eq!(stats.get(TransportKind::Tcp).delivered, 0, "nothing was enqueued");
+        assert_eq!(stats.get(TransportKind::Tcp).delivered, 0, "nothing was delivered");
     }
 
     /// Unsubscribe removes from the matcher *before* the owner table, so
@@ -903,13 +905,36 @@ mod tests {
         let event = candidate_event(&interner);
         assert_eq!(broker.publish(&event), 1);
         let retired = broker.restart_notifier();
-        assert_eq!(retired.get(TransportKind::Tcp).delivered, 1, "drained before the swap");
+        assert_eq!(retired.get(TransportKind::Tcp).delivered, 1, "delivered before the swap");
         assert_eq!(broker.notifier_restarts(), 1);
         assert_eq!(broker.publish(&event), 1);
         let inbox = broker.inbox(TransportKind::Tcp).unwrap();
         let stats = broker.shutdown();
         assert_eq!(stats.get(TransportKind::Tcp).delivered, 2, "both incarnations counted");
         assert_eq!(inbox.lock().len(), 2, "inbox survives the restart");
+    }
+
+    /// Delivery runs inside `publish`: the moment it returns `n`, the
+    /// engine has attempted exactly `n` more deliveries — no shutdown, no
+    /// waiting.
+    #[test]
+    fn publish_returns_with_its_deliveries_attempted() {
+        let (broker, interner) = jobs_broker(BrokerConfig { udp_loss: 0.0, ..Default::default() });
+        let preds = recruiter_predicates(&interner);
+        for (name, kind) in [("acme", TransportKind::Tcp), ("mailco", TransportKind::Smtp)] {
+            let client = broker.register_client(name, kind);
+            broker.subscribe(client, preds.clone()).unwrap();
+        }
+        let event = candidate_event(&interner);
+        for round in 1..=3u64 {
+            let before = broker.delivery_stats().total_attempted();
+            let n = broker.publish(&event) as u64;
+            assert_eq!(n, 2);
+            assert_eq!(broker.delivery_stats().total_attempted(), before + n, "round {round}");
+            let mail = broker.inbox(TransportKind::Smtp).unwrap();
+            assert_eq!(mail.lock().len() as u64, round, "the batcher flushed per publication");
+        }
+        let _ = broker.shutdown();
     }
 
     /// The racing-restart regression: pre-fix, `restart_notifier` held

@@ -1,11 +1,9 @@
 //! The networked serving path: one event loop multiplexing many framed
 //! client connections onto the broker core.
 //!
-//! [`NetBroker`] owns a `mio-lite` [`Poll`] and three kinds of sources:
-//! the accept listener (token 0), a [`Waker`] the notification engine's
-//! worker thread rings when a delivery lands (token 1), and one
-//! [`SimStream`] per client connection (tokens 2+). Each call to
-//! [`NetBroker::turn`] runs one readiness cycle:
+//! [`NetBroker`] owns a `mio-lite` [`Poll`] and two kinds of sources: the
+//! accept listener (token 0) and one [`SimStream`] per client connection
+//! (tokens 1+). Each call to [`NetBroker::turn`] runs one readiness cycle:
 //!
 //! 1. **Accept** every pending connection.
 //! 2. **Read** each readable connection to `WouldBlock`, splitting the
@@ -15,11 +13,15 @@
 //!    [`DemoServer::handle_batch`] — consecutive `Subscribe` frames (from
 //!    any mix of connections) coalesce into one
 //!    [`Broker::subscribe_batch`] control mutation, so a connection storm
-//!    of N subscriptions costs one matcher fork, not N.
+//!    of N subscriptions costs one matcher fork, not N. Each `Publish`
+//!    delivers its notifications on this thread, before `handle_batch`
+//!    returns: the broker's notification engine hands them to the
+//!    [`NetTransport`]s, which push them onto a shared delivery queue.
 //! 4. **Route** replies back to their connections, and drain the shared
-//!    delivery queue the [`NetTransport`]s fill, turning each delivery
-//!    into a [`ServerMessage::Notification`] frame on its subscriber's
-//!    connection.
+//!    delivery queue, turning each delivery into a
+//!    [`ServerMessage::Notification`] frame on its subscriber's
+//!    connection. A publication's notifications are queued in the same
+//!    turn that served it.
 //! 5. **Flush** outbound queues until each connection's pipe pushes back.
 //!
 //! # Backpressure
@@ -69,7 +71,8 @@
 //!
 //! Session TTLs and heartbeat timeouts run on an explicit logical clock
 //! the driver advances with [`NetBroker::advance_clock`] — never on turn
-//! counts, whose relation to deliveries depends on worker-thread timing.
+//! counts, which depend on how a driver interleaves its clients' sends
+//! with broker turns.
 //!
 //! # Determinism
 //!
@@ -77,9 +80,12 @@
 //! accepts in connect order, so a single-threaded driver observing the
 //! same client actions produces the same frame order, the same
 //! [`ClientId`]/[`stopss_types::SubId`] assignments and the same reply
-//! sequence on every run. The only asynchrony is the notification
-//! engine's worker thread, whose deliveries are fenced by
-//! [`NetBroker::run_until_quiescent`].
+//! sequence on every run. Notifications are delivered synchronously on
+//! the loop's own thread, so the served broker has no asynchrony of its
+//! own, and each subscriber's stream of notifications is a subsequence of
+//! the order in which the broker served the publishes. Publishes made
+//! in-process from other threads ([`NetBroker::broker`]) land on the same
+//! delivery queue and are routed by the next turn.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
@@ -87,7 +93,7 @@ use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use mio_lite::{
-    Events, Interest, Poll, Registry, SimConnector, SimListener, SimStream, Token, Waker,
+    Events, Interest, Poll, Registry, SimConnector, SimListener, SimStream, Token,
     DEFAULT_PIPE_CAPACITY,
 };
 use stopss_ontology::SemanticSource;
@@ -107,10 +113,8 @@ use crate::wire::{
 
 /// Token of the accept listener.
 const LISTENER: Token = Token(0);
-/// Token of the notification waker.
-const WAKER: Token = Token(1);
 /// First token handed to a client connection.
-const FIRST_CONN: usize = 2;
+const FIRST_CONN: usize = 1;
 
 /// What to do with a notification for a connection whose outbound queue
 /// is already at [`NetBrokerConfig::max_outbound_frames`].
@@ -236,8 +240,8 @@ pub struct NetStats {
 type SharedQueue = Arc<Mutex<VecDeque<Delivery>>>;
 
 /// A [`Transport`] that hands deliveries to the event loop instead of a
-/// simulated medium: it pushes onto the shared queue and rings the
-/// loop's [`Waker`]. It never fails — loss, if any, happens *visibly* at
+/// simulated medium: it pushes onto the shared queue the loop drains
+/// every turn. It never fails — loss, if any, happens *visibly* at
 /// the connection under the [`BackpressurePolicy`] — so the notification
 /// engine's `attempted == delivered` for every kind. The networked
 /// broker installs one per [`TransportKind`] (all sharing the queue)
@@ -246,7 +250,6 @@ type SharedQueue = Arc<Mutex<VecDeque<Delivery>>>;
 pub struct NetTransport {
     kind: TransportKind,
     queue: SharedQueue,
-    waker: Arc<Waker>,
 }
 
 impl Transport for NetTransport {
@@ -256,7 +259,6 @@ impl Transport for NetTransport {
 
     fn deliver(&mut self, delivery: &Delivery) -> Result<(), TransportError> {
         self.queue.lock().push_back(delivery.clone());
-        let _ = self.waker.wake();
         Ok(())
     }
 }
@@ -282,11 +284,18 @@ struct OutFrame {
 }
 
 impl OutFrame {
+    /// Frames `msg` in one buffer: a length-prefix placeholder, the
+    /// payload encoded right behind it, then the prefix patched in.
     fn new(msg: &ServerMessage, kind: FrameKind) -> OutFrame {
-        let mut payload = BytesMut::new();
-        encode_server(msg, &mut payload);
-        let mut framed = BytesMut::new();
-        write_frame(&mut framed, &payload);
+        let hint = match msg {
+            ServerMessage::Notification { payload, .. } => payload.len(),
+            _ => 0,
+        };
+        let mut framed = BytesMut::with_capacity(32 + hint);
+        framed.put_u32_le(0);
+        encode_server(msg, &mut framed);
+        let len = (framed.len() - 4) as u32;
+        framed[..4].copy_from_slice(&len.to_le_bytes());
         OutFrame { bytes: framed.freeze(), written: 0, kind }
     }
 }
@@ -329,8 +338,9 @@ impl Conn {
 /// precomputed, so the per-connection reply order still matches arrival
 /// order.
 enum Planned {
-    /// Flows through [`DemoServer::handle_batch`]; one reply each.
-    Command(ClientMessage),
+    /// Moved into the turn's [`DemoServer::handle_batch`] call; answered
+    /// by the next reply in order.
+    Command,
     /// Handled by the session layer; zero or more reply frames, already
     /// rendered.
     Direct(Vec<(ServerMessage, FrameKind)>),
@@ -362,7 +372,7 @@ pub struct NetBroker {
 
 impl NetBroker {
     /// Builds the event loop: broker core with one [`NetTransport`] per
-    /// transport kind, the accept listener, and the delivery waker.
+    /// transport kind, and the accept listener.
     pub fn new(
         config: NetBrokerConfig,
         source: Arc<dyn SemanticSource>,
@@ -370,18 +380,14 @@ impl NetBroker {
     ) -> io::Result<NetBroker> {
         let poll = Poll::new()?;
         let registry = poll.registry();
-        let waker = Arc::new(Waker::new(&registry, WAKER)?);
         let queue: SharedQueue = SharedQueue::default();
         let factory_queue = queue.clone();
         let factory: TransportFactory = Box::new(move |_epoch| {
             TransportKind::ALL
                 .into_iter()
                 .map(|kind| {
-                    Box::new(NetTransport {
-                        kind,
-                        queue: factory_queue.clone(),
-                        waker: waker.clone(),
-                    }) as Box<dyn Transport>
+                    Box::new(NetTransport { kind, queue: factory_queue.clone() })
+                        as Box<dyn Transport>
                 })
                 .collect()
         });
@@ -447,9 +453,6 @@ impl NetBroker {
                 accept = true;
                 continue;
             }
-            if token == WAKER {
-                continue; // the queue drain below covers it
-            }
             if event.is_readable() {
                 readable.push(token);
             }
@@ -473,6 +476,7 @@ impl NetBroker {
         // precomputed in arrival order so each connection's reply
         // sequence still matches the order it sent its requests in.
         let mut planned: Vec<(Token, Planned)> = Vec::with_capacity(entries.len());
+        let mut msgs: Vec<ClientMessage> = Vec::new();
         for (token, decoded) in entries {
             let item = match decoded {
                 Ok(ClientMessage::Hello { session, last_seen_seq }) => {
@@ -482,24 +486,21 @@ impl NetBroker {
                 Ok(ClientMessage::Ping { nonce }) => {
                     Planned::Direct(vec![(ServerMessage::Pong { nonce }, FrameKind::Reply)])
                 }
-                Ok(msg) => Planned::Command(msg),
+                Ok(msg) => {
+                    msgs.push(msg);
+                    Planned::Command
+                }
                 Err(e) => Planned::Malformed(e),
             };
             planned.push((token, item));
         }
 
-        // Serve phase: the turn's command frames through the batched path.
-        let msgs: Vec<ClientMessage> = planned
-            .iter()
-            .filter_map(|(_, item)| match item {
-                Planned::Command(msg) => Some(msg.clone()),
-                _ => None,
-            })
-            .collect();
+        // Serve phase: the turn's command frames through the batched path;
+        // replies come back positionally, one per command.
         let mut replies = self.server.handle_batch(msgs).into_iter();
         for (token, item) in planned {
             let frames: Vec<(ServerMessage, FrameKind)> = match item {
-                Planned::Command(_) => {
+                Planned::Command => {
                     let reply = replies
                         .next()
                         .expect("invariant: the server returns one reply per served message");
@@ -548,8 +549,9 @@ impl NetBroker {
             }
         }
 
-        // Notification phase: drain what the engine delivered since the
-        // last turn and route each onto its subscriber's connection.
+        // Notification phase: drain what the engine delivered — this
+        // turn's publishes, plus any in-process publishes since the last
+        // turn — and route each onto its subscriber's connection.
         let deliveries: Vec<Delivery> = {
             let mut queue = self.queue.lock();
             queue.drain(..).collect()
@@ -671,8 +673,9 @@ impl NetBroker {
     /// engine (or orphaned) *and* the loop has routed the resulting
     /// deliveries out of the shared queue — i.e. each one now sits in a
     /// terminal counter, a connection's outbound queue, or a replay
-    /// buffer. The chaos harness fences fault injection on this so
-    /// worker-thread timing can never shift a delivery between buckets.
+    /// buffer. A turn that served publishes ends drained unless
+    /// in-process publishers on other threads are still running; the
+    /// chaos harness fences fault injection on it.
     pub fn deliveries_drained(&self) -> bool {
         if !self.queue.lock().is_empty() {
             return false;
@@ -1249,6 +1252,49 @@ mod tests {
         assert!(matches!(&replies[..], [ServerMessage::Error { .. }]), "{replies:?}");
         assert!(!client.peer_closed(), "payload errors must not kill the connection");
         assert_eq!(broker.connection_count(), 1);
+    }
+
+    /// The one-buffer framing in `OutFrame::new` is byte-identical to the
+    /// two-step `write_frame(encode_server(msg))` for every variant.
+    #[test]
+    fn out_frame_bytes_equal_write_frame_of_encode_server() {
+        let samples = [
+            ServerMessage::Registered { client: ClientId(7) },
+            ServerMessage::Subscribed { sub: stopss_types::SubId(9) },
+            ServerMessage::Unsubscribed { ok: true },
+            ServerMessage::Published { matches: 146 },
+            ServerMessage::ModeSet { semantic: false },
+            ServerMessage::Error { message: "bad request: é".into() },
+            ServerMessage::Notification { seq: 0, payload: String::new() },
+            ServerMessage::Notification { seq: 42, payload: "to acme [c1]: s2 — x".repeat(40) },
+            ServerMessage::Welcome { session: 3, resumed: true },
+            ServerMessage::Pong { nonce: u64::MAX },
+            ServerMessage::OntologyUpdated { epoch: 5 },
+        ];
+        // Exhaustive on purpose: a new variant fails to compile here until
+        // it gets a sample above.
+        let variant = |msg: &ServerMessage| match msg {
+            ServerMessage::Registered { .. } => 0,
+            ServerMessage::Subscribed { .. } => 1,
+            ServerMessage::Unsubscribed { .. } => 2,
+            ServerMessage::Published { .. } => 3,
+            ServerMessage::ModeSet { .. } => 4,
+            ServerMessage::Error { .. } => 5,
+            ServerMessage::Notification { .. } => 6,
+            ServerMessage::Welcome { .. } => 7,
+            ServerMessage::Pong { .. } => 8,
+            ServerMessage::OntologyUpdated { .. } => 9,
+        };
+        let covered: BTreeSet<usize> = samples.iter().map(variant).collect();
+        assert_eq!(covered, (0..10).collect(), "every variant has a sample");
+        for msg in &samples {
+            let mut payload = BytesMut::new();
+            encode_server(msg, &mut payload);
+            let mut expected = BytesMut::new();
+            write_frame(&mut expected, &payload);
+            let frame = OutFrame::new(msg, FrameKind::Reply);
+            assert_eq!(&frame.bytes[..], &expected[..], "{msg:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * [`Broker`] — client registry, subscription ownership, publish →
 //!   notify pipeline, semantic/syntactic mode switch;
-//! * [`NotificationEngine`] — queued delivery over per-client transports;
+//! * [`NotificationEngine`] — delivery over per-client transports, on the
+//!   publishing thread;
 //! * [`transport`] — simulated TCP / UDP / SMTP / SMS with their
 //!   characteristic behaviours (loss, batching, rate limits, truncation);
 //! * [`chaos`] — seeded fault injection (dropped connections, slow

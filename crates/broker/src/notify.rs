@@ -3,32 +3,21 @@
 //! "Our software demonstration presents a notification engine that can
 //! send notifications to the clients using different transports" (§4).
 //!
-//! Deliveries flow through a crossbeam channel to one worker thread that
-//! owns the transports. Rate-limited failures are retried after a window
+//! The engine runs on the publishing thread. Every transport sits behind
+//! one lock: `NotificationEngine::deliver_all` hands a whole
+//! publication's notifications to their transports under one acquisition
+//! and then flushes the batching transports once, so a publication is the
+//! unit of SMTP batching. Rate-limited failures are retried after a window
 //! tick (windows open only on the retry path, keeping retry counts
 //! deterministic); lost datagrams are counted and abandoned
-//! (fire-and-forget semantics). Batching transports are flushed whenever
-//! the queue drains and at shutdown.
+//! (fire-and-forget semantics). Delivery finishes before the publish that
+//! caused it returns, so the counters are exact at that moment and each
+//! client receives its notifications in the order their publications
+//! reached the engine.
 
-use std::thread::JoinHandle;
-
-use stopss_types::sync::atomic::{AtomicU64, Ordering};
-use stopss_types::sync::Arc;
-
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
-use stopss_types::FxHashMap;
+use stopss_types::sync::Mutex;
 
 use crate::transport::{Delivery, Transport, TransportError, TransportKind};
-
-/// Per-transport delivery counters (lock-free snapshot).
-#[derive(Default, Debug)]
-struct Counters {
-    attempted: AtomicU64,
-    delivered: AtomicU64,
-    lost: AtomicU64,
-    retried: AtomicU64,
-    rate_dropped: AtomicU64,
-}
 
 /// Snapshot of one transport's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,7 +60,7 @@ impl DeliveryStats {
     /// Total terminal failures: lost datagrams plus deliveries dropped
     /// after exhausting rate-limit retries. Every attempted delivery is
     /// either delivered or a failure: `total_attempted == total_delivered
-    /// + total_failures` holds at shutdown.
+    /// + total_failures` holds whenever no delivery call is running.
     pub fn total_failures(&self) -> u64 {
         self.per_transport.iter().map(|(_, s)| s.lost + s.rate_dropped).sum()
     }
@@ -100,159 +89,109 @@ impl DeliveryStats {
 /// How many rate-limit retries before a delivery is abandoned.
 const MAX_RETRIES: u32 = 3;
 
-/// The notification engine: queue + worker + transports.
+/// One configured transport and its counters.
+struct Slot {
+    transport: Box<dyn Transport>,
+    stats: TransportStats,
+}
+
+impl Slot {
+    /// Hands one delivery to the transport, ticking the rate window and
+    /// retrying while it is rate-limited.
+    fn process_one(&mut self, delivery: &Delivery) {
+        let stats = &mut self.stats;
+        // conservation: attempted == delivered + lost + rate_dropped
+        stats.attempted += 1;
+        let mut attempt = 0;
+        loop {
+            match self.transport.deliver(delivery) {
+                Ok(()) => {
+                    stats.delivered += 1;
+                    return;
+                }
+                Err(TransportError::Lost) => {
+                    stats.lost += 1;
+                    return; // datagram semantics: no retry
+                }
+                Err(TransportError::RateLimited) => {
+                    if attempt >= MAX_RETRIES {
+                        stats.rate_dropped += 1;
+                        return;
+                    }
+                    attempt += 1;
+                    stats.retried += 1;
+                    self.transport.tick(); // open the next rate window
+                }
+            }
+        }
+    }
+}
+
+/// The notification engine: the configured transports and their
+/// counters, driven on the caller's thread.
 pub struct NotificationEngine {
-    sender: Option<Sender<(TransportKind, Delivery)>>,
-    worker: Option<JoinHandle<()>>,
-    counters: Arc<FxHashMap<TransportKind, Counters>>,
+    /// Indexed by `TransportKind as usize`, which is
+    /// [`TransportKind::ALL`] order; `None` for kinds not configured.
+    slots: Mutex<[Option<Slot>; TransportKind::ALL.len()]>,
 }
 
 impl NotificationEngine {
     /// Starts the engine over the given transports (one per kind; kinds
     /// may be missing, deliveries to them are rejected by `enqueue`).
     pub fn start(transports: Vec<Box<dyn Transport>>) -> Self {
-        let mut counters_map: FxHashMap<TransportKind, Counters> = FxHashMap::default();
-        for t in &transports {
-            counters_map.insert(t.kind(), Counters::default());
+        let mut slots: [Option<Slot>; TransportKind::ALL.len()] = Default::default();
+        for transport in transports {
+            let kind = transport.kind() as usize;
+            slots[kind] = Some(Slot { transport, stats: TransportStats::default() });
         }
-        let counters = Arc::new(counters_map);
-        let (sender, receiver) = channel::unbounded();
-        let worker_counters = counters.clone();
-        let worker = std::thread::Builder::new()
-            .name("stopss-notify".into())
-            .spawn(move || worker_loop(receiver, transports, worker_counters))
-            .expect("invariant: spawning the notification worker cannot fail");
-        NotificationEngine { sender: Some(sender), worker: Some(worker), counters }
+        NotificationEngine { slots: Mutex::new(slots) }
     }
 
-    /// Enqueues a delivery; returns false if the transport kind is not
-    /// configured or the engine is shutting down.
+    /// Delivers one notification now and flushes the batching transports;
+    /// returns false if the transport kind is not configured.
     pub fn enqueue(&self, kind: TransportKind, delivery: Delivery) -> bool {
-        if !self.counters.contains_key(&kind) {
-            return false;
-        }
-        match &self.sender {
-            Some(sender) => sender.send((kind, delivery)).is_ok(),
-            None => false,
-        }
+        self.deliver_all([(kind, delivery)]) == 1
     }
 
-    /// Current counter snapshot (transports may still be draining; totals
-    /// are monotone).
+    /// Delivers every `(kind, delivery)` in order under one acquisition of
+    /// the transport lock, then flushes the batching transports once.
+    /// Deliveries to unconfigured kinds are skipped; returns how many
+    /// reached a configured transport.
+    pub(crate) fn deliver_all(
+        &self,
+        deliveries: impl IntoIterator<Item = (TransportKind, Delivery)>,
+    ) -> usize {
+        let mut slots = self.slots.lock();
+        let mut handed = 0;
+        for (kind, delivery) in deliveries {
+            if let Some(slot) = &mut slots[kind as usize] {
+                slot.process_one(&delivery);
+                handed += 1;
+            }
+        }
+        for slot in slots.iter_mut().flatten() {
+            slot.transport.flush();
+        }
+        handed
+    }
+
+    /// Current counter snapshot. Exact: a delivery call holds the lock
+    /// until its last delivery is counted.
     pub fn stats(&self) -> DeliveryStats {
-        let mut per_transport: Vec<(TransportKind, TransportStats)> = self
-            .counters
-            .iter()
-            .map(|(kind, c)| {
-                // ordering: monotone delivery counters (delivered ==
-                // sent + dropped + disconnected is checked on final,
-                // quiesced stats); a live snapshot needs no
-                // cross-counter consistency.
-                (
-                    *kind,
-                    TransportStats {
-                        attempted: c.attempted.load(Ordering::Relaxed),
-                        delivered: c.delivered.load(Ordering::Relaxed),
-                        lost: c.lost.load(Ordering::Relaxed),
-                        retried: c.retried.load(Ordering::Relaxed),
-                        rate_dropped: c.rate_dropped.load(Ordering::Relaxed),
-                    },
-                )
-            })
+        let slots = self.slots.lock();
+        let per_transport = TransportKind::ALL
+            .into_iter()
+            .zip(slots.iter())
+            .filter_map(|(kind, slot)| slot.as_ref().map(|slot| (kind, slot.stats)))
             .collect();
-        per_transport.sort_by_key(|(kind, _)| TransportKind::ALL.iter().position(|k| k == kind));
         DeliveryStats { per_transport }
     }
 
-    /// Drains the queue, flushes batching transports, stops the worker and
-    /// returns the final stats.
-    pub fn shutdown(mut self) -> DeliveryStats {
-        self.sender.take(); // close the channel; the worker drains and exits
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
+    /// Flushes the batching transports one last time and returns the
+    /// final stats.
+    pub fn shutdown(self) -> DeliveryStats {
+        self.deliver_all([]); // an empty batch only flushes
         self.stats()
-    }
-}
-
-impl Drop for NotificationEngine {
-    fn drop(&mut self) {
-        self.sender.take();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn worker_loop(
-    receiver: Receiver<(TransportKind, Delivery)>,
-    transports: Vec<Box<dyn Transport>>,
-    counters: Arc<FxHashMap<TransportKind, Counters>>,
-) {
-    let mut by_kind: FxHashMap<TransportKind, Box<dyn Transport>> = FxHashMap::default();
-    for t in transports {
-        by_kind.insert(t.kind(), t);
-    }
-    // Block for each delivery; when the channel closes, fall through to
-    // the final flush.
-    while let Ok((kind, delivery)) = receiver.recv() {
-        process_one(kind, &delivery, &mut by_kind, &counters);
-        // Opportunistically drain without blocking, then flush batchers so
-        // SMTP mail leaves whenever the system goes quiet. Rate windows are
-        // NOT reopened here: ticks happen only on the retry path inside
-        // `process_one`, so retry accounting does not depend on how the
-        // queue happened to batch under scheduler timing.
-        loop {
-            match receiver.try_recv() {
-                Ok((kind, delivery)) => process_one(kind, &delivery, &mut by_kind, &counters),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        for t in by_kind.values_mut() {
-            t.flush();
-        }
-    }
-    for t in by_kind.values_mut() {
-        t.flush();
-    }
-}
-
-fn process_one(
-    kind: TransportKind,
-    delivery: &Delivery,
-    by_kind: &mut FxHashMap<TransportKind, Box<dyn Transport>>,
-    counters: &FxHashMap<TransportKind, Counters>,
-) {
-    let Some(transport) = by_kind.get_mut(&kind) else {
-        return;
-    };
-    let c = &counters[&kind];
-    // ordering: monotone delivery counters (here and below); only the
-    // single worker thread increments, readers take snapshots.
-    // conservation: attempted == delivered + lost + rate_dropped
-    c.attempted.fetch_add(1, Ordering::Relaxed);
-    let mut attempt = 0;
-    loop {
-        match transport.deliver(delivery) {
-            Ok(()) => {
-                c.delivered.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Err(TransportError::Lost) => {
-                c.lost.fetch_add(1, Ordering::Relaxed);
-                return; // datagram semantics: no retry
-            }
-            Err(TransportError::RateLimited) => {
-                if attempt >= MAX_RETRIES {
-                    c.rate_dropped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                attempt += 1;
-                c.retried.fetch_add(1, Ordering::Relaxed);
-                transport.tick(); // open the next rate window
-            }
-        }
     }
 }
 
@@ -414,10 +353,28 @@ mod tests {
     fn stats_snapshot_while_running() {
         let (engine, ..) = engine_with_all();
         engine.enqueue(TransportKind::Tcp, delivery(1, "x"));
-        // Snapshot may or may not have caught the delivery yet; totals are
-        // monotone and shutdown settles them.
-        let _ = engine.stats();
+        // Delivery runs on the caller's thread: the live snapshot is exact.
+        assert_eq!(engine.stats().get(TransportKind::Tcp).delivered, 1);
         let final_stats = engine.shutdown();
         assert_eq!(final_stats.get(TransportKind::Tcp).delivered, 1);
+    }
+
+    /// One `deliver_all` call is one publication: the SMTP batcher sends
+    /// each client's notifications of that call as a single mail.
+    #[test]
+    fn smtp_batches_one_call_into_one_mail_per_client() {
+        let (engine, _tcp, _udp, smtp_inbox, _sms) = engine_with_all();
+        let batch = (0..6).map(|k| (TransportKind::Smtp, delivery(3 + k % 2, &format!("m{k}"))));
+        assert_eq!(engine.deliver_all(batch), 6);
+        let inbox = smtp_inbox.lock();
+        assert_eq!(inbox.len(), 2, "one mail per client, sent before the call returned");
+        assert!(inbox.iter().all(|m| m.payload.lines().count() == 3));
+    }
+
+    #[test]
+    fn slots_follow_the_kind_discriminants() {
+        for (index, kind) in TransportKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, index, "slot index of {kind:?}");
+        }
     }
 }

@@ -32,9 +32,9 @@
 //! Session TTLs, heartbeat timeouts and the client's reconnect backoff
 //! all run on an explicit **logical clock** advanced by the driver
 //! (`NetBroker::advance_clock`, [`SessionClient::tick`]), never on
-//! wall-clock or turn counts. Turns-to-quiescence depend on the
-//! notification worker's thread timing; a clock derived from them would
-//! make expiry scheduling racy. With driver-advanced ticks, the same
+//! wall-clock or turn counts. Turns-to-quiescence depend on how the
+//! driver interleaves client sends with broker turns; a clock derived
+//! from them would tie expiry to that schedule. With driver-advanced ticks, the same
 //! seed and the same drive sequence expire the same sessions on every
 //! run — the determinism the chaos tier scores bit-for-bit.
 

@@ -15,13 +15,18 @@
 //!   ends in exactly one terminal bucket (the session half of the
 //!   `delivered == acked + replayed + dropped + expired + in-flight`
 //!   conservation identity in `docs/OPERATIONS.md`);
-//! * the `SharedQueue` shape the event loop drains, with a bounded
-//!   producer — produced frames are conserved across drop/drain/remain;
+//! * the `SharedQueue` shape the event loop drains every turn, with a
+//!   bounded producer — produced frames are conserved across
+//!   drop/drain/remain. The loop's own publishes fill the queue on its
+//!   thread; in-process publishers on other threads still race the
+//!   drain;
 //! * the restart stats merge: the seeded `_caught` test reproduces the
-//!   historical racing-restart bug class (a worker's counter increment
-//!   landing between a restarter's read and reset is silently dropped)
-//!   and proves loom-lite finds it and replays its schedule; the
-//!   swap-based merge the dispatcher uses survives exhaustively.
+//!   historical racing-restart bug class (a delivering thread's counter
+//!   increment landing between a restarter's read and reset is silently
+//!   dropped) and proves loom-lite finds it and replays its schedule;
+//!   the swap-based merge survives exhaustively. Delivery now runs on
+//!   the publishing threads, so a restart's merge still races every
+//!   concurrent in-process publisher.
 #![cfg(feature = "loom")]
 
 use std::collections::VecDeque;

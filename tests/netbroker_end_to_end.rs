@@ -367,3 +367,121 @@ fn mid_frame_disconnects_conserve_and_are_deterministic() {
     let dropping = run(7, BackpressurePolicy::DropNewest);
     dropping.assert_invariants();
 }
+
+/// Subscribes a fresh connection to one predicate and returns it.
+fn subscriber(
+    server: &mut NetBroker,
+    name: &str,
+    predicate: s_topss::broker::WirePredicate,
+) -> NetClient {
+    let mut client = NetClient::connect(&server.connector()).unwrap();
+    let id = register(server, &mut client, name);
+    client.send(&ClientMessage::Subscribe { client: id, predicates: vec![predicate] }).unwrap();
+    assert!(server.run_until_quiescent(2_000).unwrap());
+    assert!(matches!(&client.poll_recv().unwrap()[..], [ServerMessage::Subscribed { .. }]));
+    client
+}
+
+fn wire_pred(attr: &str, op: Operator, value: WireValue) -> s_topss::broker::WirePredicate {
+    s_topss::broker::WirePredicate { attr: attr.into(), op, value }
+}
+
+/// The `N` of the event's leading `(seq, N)` pair in a notification.
+fn payload_seq(payload: &str) -> i64 {
+    let tail = payload.split("(seq, ").nth(1).expect("seq-stamped payload");
+    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("numeric seq")
+}
+
+/// Ordering guarantee: each subscriber's notification stream is a
+/// subsequence of the order in which the broker served the publishes.
+/// Three subscribers with overlapping interests receive seq-stamped
+/// publishes sent in bursts (several served per turn); every stream's
+/// seqs strictly increase and hold exactly the events that matched.
+#[test]
+fn each_subscriber_stream_is_a_subsequence_of_publish_order() {
+    let (mut server, _interner, _domain) = net_broker(NetBrokerConfig::default());
+    let skill = |term: &str| WireValue::Term(term.into());
+    let mut subs = [
+        subscriber(&mut server, "coder", wire_pred("skill", Operator::Eq, skill("programming"))),
+        subscriber(&mut server, "senior", wire_pred("level", Operator::Ge, WireValue::Int(3))),
+        subscriber(&mut server, "any", wire_pred("level", Operator::Ge, WireValue::Int(0))),
+    ];
+    let wants = [
+        |k: i64| k % 2 == 0, // skill alternates programming / design
+        |k: i64| k % 5 >= 3, // level = k % 5
+        |_: i64| true,
+    ];
+    let mut publisher = NetClient::connect(&server.connector()).unwrap();
+    let publisher_id = register(&mut server, &mut publisher, "pub");
+    const EVENTS: i64 = 60;
+    for burst in (0..EVENTS).collect::<Vec<_>>().chunks(6) {
+        for &k in burst {
+            let pairs = vec![
+                ("seq".into(), WireValue::Int(k)),
+                ("skill".into(), skill(if k % 2 == 0 { "programming" } else { "design" })),
+                ("level".into(), WireValue::Int(k % 5)),
+            ];
+            publisher.send(&ClientMessage::Publish { client: publisher_id, pairs }).unwrap();
+        }
+        assert!(server.run_until_quiescent(2_000).unwrap());
+        let _ = publisher.poll_recv().unwrap();
+    }
+    for (k, (client, wants)) in subs.iter_mut().zip(wants).enumerate() {
+        let seqs: Vec<i64> = client
+            .poll_recv()
+            .unwrap()
+            .into_iter()
+            .map(|msg| match msg {
+                ServerMessage::Notification { payload, .. } => payload_seq(&payload),
+                other => panic!("subscriber {k}: unexpected {other:?}"),
+            })
+            .collect();
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "subscriber {k} out of order: {seqs:?}");
+        let expected: Vec<i64> = (0..EVENTS).filter(|&s| wants(s)).collect();
+        assert_eq!(seqs, expected, "subscriber {k} received exactly its matches");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.notifications_sent, stats.matches_seen);
+    assert_eq!(stats.notifications_dropped + stats.notifications_disconnected, 0);
+}
+
+/// Notifications are delivered on the loop's thread: the one turn that
+/// reads a `Publish` frame also queues and writes every notification it
+/// produced (the default pipe has room for all of them).
+#[test]
+fn one_turn_serves_a_publish_and_sends_its_notifications() {
+    let (mut server, _interner, _domain) = net_broker(NetBrokerConfig::default());
+    let mut subs: Vec<NetClient> = (0..8)
+        .map(|k| {
+            let pred = wire_pred("skill", Operator::Eq, WireValue::Term("programming".into()));
+            subscriber(&mut server, &format!("sub-{k}"), pred)
+        })
+        .collect();
+    let mut publisher = NetClient::connect(&server.connector()).unwrap();
+    let publisher_id = register(&mut server, &mut publisher, "pub");
+    assert!(server.run_until_quiescent(2_000).unwrap());
+    for round in 0..3 {
+        let before = server.stats();
+        let pairs = vec![
+            ("seq".into(), WireValue::Int(round)),
+            ("skill".into(), WireValue::Term("programming".into())),
+        ];
+        publisher.send(&ClientMessage::Publish { client: publisher_id, pairs }).unwrap();
+        server.turn(Some(Duration::from_millis(1))).unwrap();
+        let after = server.stats();
+        assert_eq!(after.frames_read, before.frames_read + 1, "the turn read the Publish frame");
+        let matches = after.matches_seen - before.matches_seen;
+        assert_eq!(matches, 8);
+        assert_eq!(after.notifications_sent - before.notifications_sent, matches, "round {round}");
+        assert!(server.deliveries_drained());
+        for sub in &mut subs {
+            let got = sub.poll_recv().unwrap();
+            assert!(matches!(&got[..], [ServerMessage::Notification { .. }]), "{got:?}");
+        }
+        assert!(matches!(
+            &publisher.poll_recv().unwrap()[..],
+            [ServerMessage::Published { matches: 8 }]
+        ));
+    }
+}
