@@ -15,31 +15,12 @@
 //! fork, and publishes it with one atomic pointer swap. Publishers
 //! resolve a snapshot, match against it, and are **never blocked** by
 //! control traffic; an in-flight publication simply finishes against the
-//! snapshot it started under. The front-end epoch lives *inside* the
-//! snapshot, so it is bumped by every front-end-invalidating mutation
-//! (not just `set_semantic_mode`) and cannot drift from the state it
-//! guards.
-//!
-//! [`Broker::publish_batch`] runs the two stages back to back: stage 1 —
-//! the event-side semantic pass — needs only the immutable
-//! configuration/ontology/interner, so the broker detaches a
-//! [`stopss_core::SemanticFrontEnd`] handle (tagged with the snapshot's
-//! front-end epoch) and prepares the whole batch; stage 2 — engine
-//! matching and verification on the precomputed artifacts — runs against
-//! whatever snapshot is current. **"Stale"** means: the front-end epoch
-//! tagged on the artifacts no longer equals the epoch of the snapshot the
-//! match stage resolved. The check and the match are atomic
-//! (`try_publish_prepared_batch` resolves *one* snapshot for both), so a
-//! concurrent reconfiguration either lands entirely before the match
-//! stage (stale artifacts are discarded and the batch is republished from
-//! the raw events) or entirely after it — never mid-batch.
+//! snapshot it started under.
 
 use stopss_types::sync::atomic::{AtomicU64, Ordering};
 use stopss_types::sync::{Arc, Mutex, RwLock};
 
-use stopss_core::{
-    Config, Match, MatcherStats, PreparedEvent, SToPSS, SemanticFrontEnd, StageMask, Tolerance,
-};
+use stopss_core::{Config, Match, MatcherStats, SToPSS, StageMask, Tolerance};
 use stopss_ontology::SemanticSource;
 use stopss_types::{Event, FxHashMap, Predicate, SharedInterner, SubId, Subscription};
 
@@ -382,61 +363,6 @@ impl Broker {
         matches.len()
     }
 
-    /// Publishes a batch of events in two stages, delivering notifications
-    /// exactly as [`Broker::publish`] would per event. Returns the total
-    /// number of matches across the batch.
-    ///
-    /// Stage 1 (the event-side semantic pass) runs on a detached
-    /// [`SemanticFrontEnd`] handle over the whole batch; stage 2 (engine
-    /// match + verify on the precomputed artifacts) follows. The artifacts
-    /// carry the per-publication tier cache: with provenance on, the
-    /// classifier's tier closures are warmed in stage 1, and so are the
-    /// verification-class closures of every registered non-system
-    /// tolerance, so the match stage pays neither the semantic closure nor
-    /// any first-use class closure. If a control op invalidated the front
-    /// end in between (the handle's epoch tag no longer matches the live
-    /// snapshot's), the stale artifacts are discarded and the batch is
-    /// republished from the raw events against the fresh snapshot.
-    pub fn publish_batch(&self, events: &[Event]) -> usize {
-        if events.is_empty() {
-            return 0;
-        }
-        let (frontend, epoch) = self.frontend_snapshot();
-        let prepared = frontend.prepare_batch(events);
-        self.match_and_notify(events, &prepared, epoch)
-    }
-
-    /// Snapshots the detached front-end handle and the front-end epoch it
-    /// was taken under (the staleness token for
-    /// [`Broker::match_and_notify`]). The epoch is read off the handle
-    /// itself — it is part of the matcher snapshot, so it can never
-    /// disagree with the configuration the handle carries.
-    fn frontend_snapshot(&self) -> (SemanticFrontEnd, u64) {
-        let frontend = self.matcher.frontend();
-        let epoch = frontend.epoch();
-        (frontend, epoch)
-    }
-
-    /// Stage 2: matches the precomputed artifacts and delivers
-    /// notifications. The matcher resolves one snapshot for both the
-    /// staleness check and the match: if the snapshot's front-end epoch
-    /// still equals `epoch`, the artifacts are valid for it by
-    /// construction; otherwise a control op (mode switch, reconfiguration,
-    /// ontology edit) invalidated them, and the batch is republished from
-    /// the raw events against the fresh snapshot instead.
-    fn match_and_notify(&self, events: &[Event], prepared: &[PreparedEvent], epoch: u64) -> usize {
-        let match_sets = match self.matcher.try_publish_prepared_batch(prepared, epoch) {
-            Some(results) => results.into_iter().map(|r| r.matches).collect(),
-            None => self.matcher.publish_batch(events),
-        };
-        let mut total = 0;
-        for (event, matches) in events.iter().zip(&match_sets) {
-            self.notify_matches(event, matches);
-            total += matches.len();
-        }
-        total
-    }
-
     /// Hands one publication's notifications to the notification engine:
     /// one engine read lock and one transport lock for the whole
     /// publication, every delivery finished (and the batchers flushed)
@@ -480,9 +406,8 @@ impl Broker {
 
     /// Switches between semantic and syntactic mode ("the application can
     /// run in two different modes", §4). The stage switch is a snapshot
-    /// swap inside the matcher, which bumps the front-end epoch — any
-    /// batch prepared under the old mode is refused at match time and
-    /// republished fresh.
+    /// swap inside the matcher; publications in flight finish under the
+    /// old mode.
     pub fn set_semantic_mode(&self, semantic: bool) {
         let mut flag = self.semantic.write();
         if *flag == semantic {
@@ -501,8 +426,7 @@ impl Broker {
     /// Reconfigures the live matcher (engine, strategy, stages, …) between
     /// publications — subscriptions survive and are re-indexed inside one
     /// snapshot swap. The broker's semantic flag and restore mask track
-    /// the new configuration, and the front-end epoch bump makes every
-    /// in-flight prepared batch fall back to a fresh publish.
+    /// the new configuration.
     pub fn reconfigure_matcher(&self, config: Config) {
         let mut flag = self.semantic.write();
         let semantic = !config.stages.is_syntactic();
@@ -517,8 +441,7 @@ impl Broker {
     /// scenario the paper defers: new synonyms, taxonomy growth, or
     /// changed mapping functions take effect for the next resolved
     /// snapshot, while in-flight publications finish against the ontology
-    /// they started under. Invalidates detached front ends (epoch bump),
-    /// exactly like a reconfiguration.
+    /// they started under.
     pub fn set_ontology(&self, source: Arc<dyn SemanticSource>) {
         self.matcher.set_source(source);
     }
@@ -710,97 +633,21 @@ mod tests {
     }
 
     #[test]
-    fn publish_batch_notifies_per_event() {
+    fn consecutive_publishes_notify_per_event() {
         let (broker, interner) = jobs_broker(BrokerConfig::default());
         let company = broker.register_client("acme", TransportKind::Tcp);
         broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
-        let events = vec![candidate_event(&interner); 3];
-        assert_eq!(broker.publish_batch(&events), 3);
+        let event = candidate_event(&interner);
+        let matches: usize = (0..3).map(|_| broker.publish(&event)).sum();
+        assert_eq!(matches, 3);
         assert_eq!(broker.matcher_stats().published, 3);
         let stats = broker.shutdown();
         assert_eq!(stats.get(TransportKind::Tcp).delivered, 3);
     }
 
-    /// The stale path, forced deterministically: snapshot the front-end,
-    /// prepare artifacts, flip `set_semantic_mode` (which swaps in a new
-    /// matcher snapshot with a bumped front-end epoch), then run the match
-    /// stage with the stale handle's token. The guard must discard the
-    /// semantically-prepared artifacts and republish from the raw events —
-    /// equal to a fresh publish under the new configuration — rather than
-    /// match stale closures.
-    #[test]
-    fn stale_epoch_falls_back_to_fresh_publish() {
-        let (broker, interner) = jobs_broker(BrokerConfig::default());
-        let company = broker.register_client("acme", TransportKind::Tcp);
-        broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
-        let events = vec![candidate_event(&interner); 3];
-
-        let (frontend, epoch) = broker.frontend_snapshot();
-        let prepared = frontend.prepare_batch(&events);
-        // The artifacts would match semantically (the closure carries the
-        // synonym-resolved pairs and the mapping-produced experience); a
-        // broken guard would report 3 matches.
-        broker.set_semantic_mode(false);
-        let stale = broker.match_and_notify(&events, &prepared, epoch);
-        assert_eq!(
-            stale, 0,
-            "stale semantic artifacts must be republished under the syntactic configuration"
-        );
-        assert_eq!(stale, broker.publish_batch(&events), "fallback equals a fresh publish");
-
-        // Restore semantic mode: a fresh snapshot + matching epoch takes
-        // the prepared-artifact path and finds the matches.
-        broker.set_semantic_mode(true);
-        let (frontend, epoch) = broker.frontend_snapshot();
-        let prepared = frontend.prepare_batch(&events);
-        let fresh = broker.match_and_notify(&events, &prepared, epoch);
-        assert_eq!(fresh, 3);
-        assert_eq!(fresh, broker.publish_batch(&events), "prepared path equals fresh publish");
-        let _ = broker.shutdown();
-    }
-
-    /// The reconfigure-path regression for the old `matcher_epoch` bug:
-    /// only `set_semantic_mode` bumped the broker-side epoch, so a
-    /// reconfiguration (or ontology swap) reaching the matcher left
-    /// detached front ends stale without tripping the guard — prepared
-    /// semantic artifacts would match against the new configuration. With
-    /// the epoch inside the matcher snapshot, *every* invalidating
-    /// mutation bumps it; the stale batch must fall back to a fresh
-    /// publish (0 matches under the syntactic config), not report 3.
-    #[test]
-    fn stale_reconfigure_falls_back_to_fresh_publish() {
-        let (broker, interner) = jobs_broker(BrokerConfig::default());
-        let company = broker.register_client("acme", TransportKind::Tcp);
-        broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
-        let events = vec![candidate_event(&interner); 3];
-
-        let (frontend, epoch) = broker.frontend_snapshot();
-        let prepared = frontend.prepare_batch(&events);
-        // Reconfigure — not set_semantic_mode — to the syntactic stage
-        // mask. Pre-fix, this path never bumped the epoch.
-        broker.reconfigure_matcher(Config::default().with_stages(StageMask::syntactic()));
-        assert!(!broker.is_semantic(), "flag tracks the new config");
-        let stale = broker.match_and_notify(&events, &prepared, epoch);
-        assert_eq!(
-            stale, 0,
-            "artifacts prepared before the reconfiguration must be refused and republished \
-             under the new configuration"
-        );
-
-        // Reconfigure back to semantic: the restore mask follows, and a
-        // fresh handle takes the prepared path again.
-        broker.reconfigure_matcher(Config::default());
-        assert!(broker.is_semantic());
-        let (frontend, epoch) = broker.frontend_snapshot();
-        let prepared = frontend.prepare_batch(&events);
-        assert_eq!(broker.match_and_notify(&events, &prepared, epoch), 3);
-        let _ = broker.shutdown();
-    }
-
     /// A live ontology edit between publications — the evolution scenario
     /// the paper defers. A new synonym installed via `set_ontology` must
-    /// (a) change matching for the next publication and (b) invalidate
-    /// any front-end handle detached before the edit.
+    /// change matching for the next publication.
     #[test]
     fn live_ontology_edit_changes_matching_between_publications() {
         let mut interner = Interner::new();
@@ -823,22 +670,11 @@ mod tests {
         }
         assert_eq!(broker.publish(&event), 0, "'academy' is not a known synonym yet");
 
-        let (frontend, epoch) = broker.frontend_snapshot();
-        let prepared = frontend.prepare_batch(std::slice::from_ref(&event));
-
         let mut evolved = base;
         shared.with(|i| evolved.synonyms.add_synonym(university, academy, i)).unwrap();
         broker.set_ontology(Arc::new(evolved));
 
         assert_eq!(broker.publish(&event), 1, "the live edit matches the next publication");
-        // The pre-edit handle is stale: its artifacts (no closure through
-        // 'academy') must be discarded, and the fallback republish under
-        // the evolved ontology finds the match.
-        assert_eq!(
-            broker.match_and_notify(std::slice::from_ref(&event), &prepared, epoch),
-            1,
-            "stale pre-edit artifacts fall back to the evolved ontology"
-        );
         let _ = broker.shutdown();
     }
 

@@ -85,9 +85,9 @@ pub struct Config {
     /// checks per match; disable for throughput benchmarks).
     pub track_provenance: bool,
     /// Serve per-candidate tolerance verification and provenance
-    /// classification from the per-publication tier cache carried by
-    /// [`crate::PreparedEvent`] (see [`crate::TierCache`]) instead of
-    /// re-running the oracle closures for every matched candidate.
+    /// classification from the per-publication tier cache
+    /// ([`crate::TierCache`]) instead of re-running the oracle closures
+    /// for every matched candidate.
     /// Results are byte-identical either way (pinned by
     /// `tests/tier_cache_differential.rs`); the `false` setting keeps the
     /// oracle path selectable for differential tests and the

@@ -1,4 +1,4 @@
-//! The detachable event-side semantic front-end.
+//! The event-side semantic pass of one publication.
 //!
 //! Everything Figure 1 does to a *publication* — synonym canonicalization,
 //! the bounded hierarchy/mapping closure, event materialization — depends
@@ -6,17 +6,11 @@
 //! subscriptions are registered. The companion paper "I know what you
 //! mean" frames exactly this split: semantic enrichment is a
 //! per-publication transform, matching is the per-subscription fan-out.
-//! This module computes that transform once, into a [`PreparedEvent`]
-//! artifact, so a detached caller (the broker's batched publish path)
-//! hands the matcher only the engine-match + verify work.
-//!
-//! [`SemanticFrontEnd`] is the detachable handle: a snapshot of the
-//! configuration plus shared ontology/interner references, cheap to clone
-//! out of a matcher so callers (e.g. the broker) can run the event-side
-//! pass detached from the matcher entirely — against one consistent
-//! config/ontology snapshot, while control ops swap new snapshots in
-//! underneath (the epoch-snapshot control plane; staleness is caught by
-//! the `frontend_epoch` check at publish time).
+//! This module computes that transform once per publication.
+//! [`crate::SToPSS::publish`] runs it inline; [`crate::SToPSS::prepare`]
+//! wraps it into a self-contained [`PreparedEvent`] artifact, the
+//! stage-split seam that [`crate::SToPSS::match_prepared`] matches against
+//! the current snapshot.
 //!
 //! # The tier cache
 //!
@@ -35,15 +29,11 @@
 //!   linearly re-closes the event once per candidate hierarchy distance
 //!   (up to [`crate::CLASSIFY_DISTANCE_CAP`] times).
 //!
-//! [`TierCache`] hoists all of it into the per-publication artifact:
+//! [`TierCache`] hoists all of it into one plain per-publication value:
 //! the classifier's tier closures and one closed event per distinct
-//! *verification class* ([`Tolerance::verify_class`]) are computed at
-//! most once per publication — lazily on first use, eagerly in the
-//! detached stage-1 pass for the classifier tiers (provenance on) *and*
-//! for the verification classes registered at subscribe time (the
-//! matcher snapshots them into the [`SemanticFrontEnd`] handle) — and
-//! shared read-only through `OnceLock`/`RwLock` interior mutability. The
-//! matcher's classifier evaluates each distinct predicate of a
+//! *verification class* ([`Tolerance::verify_class`]) are each computed at
+//! most once per publication, lazily on first use, and filled through
+//! `&mut`. The matcher's classifier evaluates each distinct predicate of a
 //! publication's matches once against these tiers, reading the minimal
 //! hierarchy distance straight off the cached closure's [`PairInfo`]
 //! instead of searching for it by repeated re-closing (see `matcher.rs`).
@@ -81,10 +71,8 @@
 //! stays where it is, in [`PreparedEvent::engine_events`]`[0]` and
 //! [`PreparedEvent::info`]; the cache borrows it through [`EventSide`].
 
-use stopss_types::sync::{Arc, OnceLock, RwLock};
-
 use stopss_ontology::SemanticSource;
-use stopss_types::{Event, FxHashMap, Interner, SharedInterner};
+use stopss_types::{Event, FxHashMap, Interner};
 
 use crate::closure::{semantic_closure, ClosedEvent, ClosureLimits, PairInfo};
 use crate::config::{Config, Strategy};
@@ -121,15 +109,20 @@ pub struct PreparedEvent {
     pub closure_pairs: usize,
     /// True if a resource bound clipped the semantic pass.
     pub truncated: bool,
-    /// Per-publication closures for tolerance verification and provenance
-    /// classification, filled at most once each (see the module docs).
-    pub tiers: TierCache,
+    /// What the publication's tier cache may read off the main closure.
+    read_off: Option<ReadOff>,
 }
 
 impl PreparedEvent {
     /// This artifact's event side, as [`TierCache`] reads it.
     pub fn event_side(&self) -> EventSide<'_> {
         EventSide { raw: &self.raw, engine_events: &self.engine_events, info: &self.info }
+    }
+
+    /// An empty tier cache for this publication, told what it may read off
+    /// the main closure.
+    pub fn tier_cache(&self) -> TierCache {
+        TierCache { read_off: self.read_off, ..TierCache::new() }
     }
 }
 
@@ -148,9 +141,9 @@ pub struct EventSide<'a> {
 }
 
 /// The engine-facing pieces of the event-side pass, without the owned raw
-/// event. The inline single-matcher publish path uses this directly so it
-/// can keep borrowing the caller's event; the detachable
-/// [`prepare_event`] wraps it into a self-contained [`PreparedEvent`].
+/// event. [`crate::SToPSS::publish`] uses this directly so it can keep
+/// borrowing the caller's event; [`prepare_event`] wraps it into a
+/// self-contained [`PreparedEvent`].
 pub(crate) struct PreparedParts {
     /// See [`PreparedEvent::engine_events`].
     pub engine_events: Vec<Event>,
@@ -162,9 +155,16 @@ pub(crate) struct PreparedParts {
     pub closure_pairs: usize,
     /// See [`PreparedEvent::truncated`].
     pub truncated: bool,
-    /// See [`PreparedEvent::tiers`]: empty, but told what it may read off
-    /// the main closure.
-    pub tiers: TierCache,
+    /// What the tier cache may read off the main closure.
+    read_off: Option<ReadOff>,
+}
+
+impl PreparedParts {
+    /// An empty tier cache for this publication (see
+    /// [`PreparedEvent::tier_cache`]).
+    pub(crate) fn tier_cache(&self) -> TierCache {
+        TierCache { read_off: self.read_off, ..TierCache::new() }
+    }
 }
 
 pub(crate) fn prepare_parts(
@@ -194,7 +194,7 @@ pub(crate) fn prepare_parts(
             PreparedParts {
                 closure_pairs: closed.event.len(),
                 truncated: closed.truncated,
-                tiers: TierCache { read_off: ReadOff::of(&closed, config), ..TierCache::new() },
+                read_off: ReadOff::of(&closed, config),
                 engine_events: vec![closed.event],
                 info: closed.info,
                 derived_events: 1,
@@ -216,7 +216,7 @@ pub(crate) fn prepare_parts(
                 engine_events: materialized.events,
                 info: Vec::new(),
                 closure_pairs: 0,
-                tiers: TierCache::new(),
+                read_off: None,
             }
         }
     }
@@ -225,41 +225,28 @@ pub(crate) fn prepare_parts(
 /// The per-publication tier cache: every closure the matching back end
 /// needs beyond the engine events — the provenance classifier's tier
 /// closures and one closed event per distinct verification class — each
-/// computed at most once per publication (interior mutability; all
-/// methods take `&self` and are safe to call concurrently). See the
-/// module docs for why this is event-side work, how it replaces the
-/// per-candidate oracle closures, and when an entry is read off the main
-/// closure instead of computed.
+/// computed at most once, on first use. See the module docs for why this
+/// is event-side work, how it replaces the per-candidate oracle closures,
+/// and when an entry is read off the main closure instead of computed.
 ///
 /// One cache serves exactly one `(publication, configuration)` pair: the
-/// tier slots memoize the first computation, so callers must not reuse a
-/// cache across events or across reconfigurations (the matcher creates
-/// one per publication; `reconfigure` never recycles artifacts), and every
-/// call must pass that publication's [`EventSide`].
+/// slots memoize the first computation, so callers must not reuse a cache
+/// across events or across reconfigurations (the matcher builds one per
+/// publication), and every call must pass that publication's
+/// [`EventSide`].
 #[derive(Debug, Default)]
 pub struct TierCache {
     /// What may be read off the publication's main closure; `None` (a
     /// cache from [`TierCache::new`]) computes every entry.
     read_off: Option<ReadOff>,
     /// Classifier tier: the synonym-only closure (never truncated).
-    synonym: OnceLock<ClosedEvent>,
+    synonym: Option<ClosedEvent>,
     /// Classifier tier: the unbounded synonym∩stages+hierarchy closure,
     /// tagged with the stage mask it was computed under.
-    hierarchy: OnceLock<(StageMask, ClosedEvent)>,
+    hierarchy: Option<(StageMask, ClosedEvent)>,
     /// One closed event per distinct [`Tolerance::verify_class`] among
     /// the candidates verified so far.
-    classes: RwLock<FxHashMap<Tolerance, Arc<ClosedEvent>>>,
-}
-
-impl Clone for TierCache {
-    fn clone(&self) -> Self {
-        TierCache {
-            read_off: self.read_off,
-            synonym: self.synonym.clone(),
-            hierarchy: self.hierarchy.clone(),
-            classes: RwLock::new(self.classes.read().clone()),
-        }
-    }
+    classes: FxHashMap<Tolerance, ClosedEvent>,
 }
 
 impl TierCache {
@@ -272,22 +259,17 @@ impl TierCache {
     /// The synonym-only closure of the raw event (classifier tier 2),
     /// computed on first use.
     pub fn synonym_tier(
-        &self,
+        &mut self,
         side: EventSide<'_>,
         source: &dyn SemanticSource,
         now_year: i64,
         interner: &Interner,
         limits: &ClosureLimits,
     ) -> &ClosedEvent {
-        self.synonym.get_or_init(|| {
-            self.close(
-                side,
-                Tolerance::stages(StageMask::SYNONYM),
-                source,
-                now_year,
-                interner,
-                limits,
-            )
+        let tolerance = Tolerance::stages(StageMask::SYNONYM);
+        let read_off = self.read_off;
+        self.synonym.get_or_insert_with(|| {
+            close(read_off, side, tolerance, source, now_year, interner, limits)
         })
     }
 
@@ -296,7 +278,7 @@ impl TierCache {
     /// every call for a given cache (it is a pure function of the
     /// configuration: `stages ∩ (SYNONYM | HIERARCHY)`).
     pub fn hierarchy_tier(
-        &self,
+        &mut self,
         side: EventSide<'_>,
         source: &dyn SemanticSource,
         hier_stages: StageMask,
@@ -304,12 +286,12 @@ impl TierCache {
         interner: &Interner,
         limits: &ClosureLimits,
     ) -> &ClosedEvent {
-        let (mask, closed) = self.hierarchy.get_or_init(|| {
-            let tolerance = Tolerance::stages(hier_stages);
-            (hier_stages, self.close(side, tolerance, source, now_year, interner, limits))
+        let tolerance = Tolerance::stages(hier_stages);
+        let read_off = self.read_off;
+        let (mask, closed) = self.hierarchy.get_or_insert_with(|| {
+            (hier_stages, close(read_off, side, tolerance, source, now_year, interner, limits))
         });
         debug_assert_eq!(*mask, hier_stages, "one cache serves one configuration");
-        let _ = mask;
         closed
     }
 
@@ -318,81 +300,96 @@ impl TierCache {
     /// one entry, so per-candidate verification costs one closure per
     /// *distinct class* per publication instead of one per candidate.
     pub fn tolerance_class(
-        &self,
+        &mut self,
         tolerance: &Tolerance,
         side: EventSide<'_>,
         source: &dyn SemanticSource,
         now_year: i64,
         interner: &Interner,
         limits: &ClosureLimits,
-    ) -> Arc<ClosedEvent> {
+    ) -> &ClosedEvent {
         let class = tolerance.verify_class();
-        if let Some(hit) = self.classes.read().get(&class) {
-            return Arc::clone(hit);
-        }
-        // Computed outside the write lock; a concurrent caller racing on
-        // the same class wastes one idempotent closure at worst.
-        let computed = Arc::new(self.close(side, class, source, now_year, interner, limits));
-        let mut classes = self.classes.write();
-        Arc::clone(classes.entry(class).or_insert(computed))
+        let read_off = self.read_off;
+        self.classes
+            .entry(class)
+            .or_insert_with(|| close(read_off, side, class, source, now_year, interner, limits))
     }
 
-    /// The closure of the raw event under `tolerance`: read off the main
-    /// closure where the module docs' rules allow it, computed otherwise.
-    fn close(
-        &self,
+    /// The classifier tiers `config` runs (synonym-only if the synonym
+    /// stage is on, synonym∩stages+hierarchy if the hierarchy stage is),
+    /// filled on first use. The matcher asks once per classified match,
+    /// so the filled case is a few flag tests.
+    #[inline]
+    pub(crate) fn classifier_tiers(
+        &mut self,
         side: EventSide<'_>,
-        tolerance: Tolerance,
         source: &dyn SemanticSource,
-        now_year: i64,
+        config: &Config,
         interner: &Interner,
-        limits: &ClosureLimits,
-    ) -> ClosedEvent {
-        if let Some(read_off) = self.read_off {
-            if let Some(keep) = read_off.rule(tolerance) {
-                return read_off.read(side, keep);
-            }
+    ) -> ClassifierTiers<'_> {
+        let stages = config.stages;
+        if stages.synonym() && self.synonym.is_none()
+            || stages.hierarchy() && self.hierarchy.is_none()
+        {
+            self.fill_classifier_tiers(side, source, config, interner);
         }
-        let Tolerance { stages, max_distance } = tolerance;
-        semantic_closure(side.raw, source, stages, max_distance, now_year, interner, limits)
+        let hierarchy = self.hierarchy.as_ref().map(|(_, closed)| closed);
+        ClassifierTiers { synonym: self.synonym.as_ref(), hierarchy }
     }
 
-    /// Eagerly fills the classifier tiers the configuration will need, so
-    /// the detached front-end pays them in stage 1 rather than the match
-    /// stage paying them on first use.
-    pub fn warm_classifier_tiers(
-        &self,
+    /// Fills the classifier tiers [`TierCache::classifier_tiers`] returns.
+    fn fill_classifier_tiers(
+        &mut self,
         side: EventSide<'_>,
         source: &dyn SemanticSource,
         config: &Config,
         interner: &Interner,
     ) {
-        if config.stages.synonym() {
-            self.synonym_tier(side, source, config.now_year, interner, &config.limits.closure);
+        let (stages, now_year, limits) = (config.stages, config.now_year, &config.limits.closure);
+        if stages.synonym() {
+            self.synonym_tier(side, source, now_year, interner, limits);
         }
-        if config.stages.hierarchy() {
-            let hier_stages =
-                config.stages.intersect(StageMask::SYNONYM.with(StageMask::HIERARCHY));
-            self.hierarchy_tier(
-                side,
-                source,
-                hier_stages,
-                config.now_year,
-                interner,
-                &config.limits.closure,
-            );
+        if stages.hierarchy() {
+            let hier_stages = stages.intersect(StageMask::SYNONYM.with(StageMask::HIERARCHY));
+            self.hierarchy_tier(side, source, hier_stages, now_year, interner, limits);
         }
     }
 
     /// Number of distinct verification classes closed so far.
     pub fn class_count(&self) -> usize {
-        self.classes.read().len()
+        self.classes.len()
     }
+}
 
-    /// True if the classifier tiers have been computed.
-    pub fn classifier_tiers_ready(&self) -> bool {
-        self.synonym.get().is_some() || self.hierarchy.get().is_some()
+/// The classifier tiers of one publication, borrowed out of its
+/// [`TierCache`].
+#[derive(Clone, Copy)]
+pub(crate) struct ClassifierTiers<'a> {
+    /// The synonym-only closure, if the synonym stage runs.
+    pub synonym: Option<&'a ClosedEvent>,
+    /// The unbounded synonym+hierarchy closure, if the hierarchy stage
+    /// runs.
+    pub hierarchy: Option<&'a ClosedEvent>,
+}
+
+/// The closure of `side`'s raw event under `tolerance`: read off the main
+/// closure where the module docs' rules allow it, computed otherwise.
+fn close(
+    read_off: Option<ReadOff>,
+    side: EventSide<'_>,
+    tolerance: Tolerance,
+    source: &dyn SemanticSource,
+    now_year: i64,
+    interner: &Interner,
+    limits: &ClosureLimits,
+) -> ClosedEvent {
+    if let Some(read_off) = read_off {
+        if let Some(keep) = read_off.rule(tolerance) {
+            return read_off.read(side, keep);
+        }
     }
+    let Tolerance { stages, max_distance } = tolerance;
+    semantic_closure(side.raw, source, stages, max_distance, now_year, interner, limits)
 }
 
 /// The facts about a publication's main closure that decide which tier
@@ -492,14 +489,11 @@ impl ReadOff {
     }
 }
 
-/// Computes the event-side semantic pass for `event` under `config`.
-///
-/// This is the single source of truth for publication-side semantics:
-/// [`crate::SToPSS::publish_detailed`] runs it per publication, and
-/// [`SemanticFrontEnd`] runs it detached from the matcher. When the
-/// configuration tracks provenance through the tier cache, the classifier
-/// tiers are warmed here — in the detached stage-1 pass — so the match
-/// stage never pays them.
+/// Computes the event-side semantic pass for `event` under `config` into a
+/// self-contained artifact that owns a copy of the raw event. This is the
+/// single source of truth for publication-side semantics:
+/// [`crate::SToPSS::publish_detailed`] runs the same pass inline,
+/// borrowing the event instead of copying it.
 pub fn prepare_event(
     event: &Event,
     source: &dyn SemanticSource,
@@ -507,111 +501,14 @@ pub fn prepare_event(
     interner: &Interner,
 ) -> PreparedEvent {
     let parts = prepare_parts(event, source, config, interner);
-    let prepared = PreparedEvent {
+    PreparedEvent {
         raw: event.clone(),
         engine_events: parts.engine_events,
         info: parts.info,
         derived_events: parts.derived_events,
         closure_pairs: parts.closure_pairs,
         truncated: parts.truncated,
-        tiers: parts.tiers,
-    };
-    if config.track_provenance && config.tier_cache {
-        prepared.tiers.warm_classifier_tiers(prepared.event_side(), source, config, interner);
-    }
-    prepared
-}
-
-/// A detachable handle on the event-side semantic machinery: the
-/// configuration snapshot plus the shared ontology and interner, and the
-/// verification classes registered at snapshot time.
-///
-/// Cloned out of a matcher (see [`crate::SToPSS::frontend`]) so the
-/// publication-side pass can run detached from the matcher — the broker
-/// uses this to prepare whole batches ahead of dispatch. It is a
-/// point-in-time snapshot: a control op that changes stages/config/
-/// ontology bumps `frontend_epoch`, and artifacts prepared on a stale
-/// handle are rejected at publish time and re-prepared.
-#[derive(Clone)]
-pub struct SemanticFrontEnd {
-    config: Config,
-    source: Arc<dyn SemanticSource>,
-    interner: SharedInterner,
-    /// Distinct [`Tolerance::verify_class`] values among the matcher's
-    /// registered subscriptions at snapshot time (see
-    /// [`crate::SToPSS::verify_classes`]). Warmed into every artifact's
-    /// tier cache during stage 1, alongside the classifier tiers, so the
-    /// match stage pays no class closure on first use. Empty by default
-    /// (the cache then fills lazily, exactly as before).
-    verify_classes: Arc<[Tolerance]>,
-    /// The `frontend_epoch` of the matcher snapshot this front-end was
-    /// detached from. Artifacts prepared here are valid exactly while the
-    /// matcher's front-end epoch still equals this tag (see
-    /// [`crate::SToPSS::try_publish_prepared_batch`]); 0 for a front-end
-    /// built directly rather than detached from a matcher.
-    epoch: u64,
-}
-
-impl SemanticFrontEnd {
-    /// Creates a front-end over `source` with `config`'s semantics and no
-    /// verification classes to warm.
-    pub fn new(config: Config, source: Arc<dyn SemanticSource>, interner: SharedInterner) -> Self {
-        SemanticFrontEnd { config, source, interner, verify_classes: Arc::from([]), epoch: 0 }
-    }
-
-    /// Returns a copy tagged with the matcher snapshot's front-end epoch
-    /// (see [`SemanticFrontEnd::epoch`]).
-    #[must_use]
-    pub fn with_epoch(mut self, epoch: u64) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
-    /// The front-end epoch of the matcher snapshot this handle was
-    /// detached from — the staleness tag to pass back to
-    /// [`crate::SToPSS::try_publish_prepared_batch`].
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Returns a copy that warms `classes` into every prepared artifact's
-    /// tier cache during stage 1 (only meaningful with
-    /// [`Config::tier_cache`] on; lazily-filled behaviour is
-    /// byte-identical either way).
-    #[must_use]
-    pub fn with_verify_classes(mut self, classes: Vec<Tolerance>) -> Self {
-        self.verify_classes = classes.into();
-        self
-    }
-
-    /// Prepares one publication.
-    pub fn prepare(&self, event: &Event) -> PreparedEvent {
-        self.interner.with(|i| self.prepare_one(event, i))
-    }
-
-    /// The per-event stage-1 pass: [`prepare_event`] plus eager warming of
-    /// the registered verification classes (the classifier tiers are
-    /// warmed inside `prepare_event` itself).
-    fn prepare_one(&self, event: &Event, interner: &Interner) -> PreparedEvent {
-        let prepared = prepare_event(event, self.source.as_ref(), &self.config, interner);
-        if self.config.tier_cache {
-            for tolerance in self.verify_classes.iter() {
-                prepared.tiers.tolerance_class(
-                    tolerance,
-                    prepared.event_side(),
-                    self.source.as_ref(),
-                    self.config.now_year,
-                    interner,
-                    &self.config.limits.closure,
-                );
-            }
-        }
-        prepared
-    }
-
-    /// Prepares a batch of publications, in order.
-    pub fn prepare_batch(&self, events: &[Event]) -> Vec<PreparedEvent> {
-        self.interner.with(|i| events.iter().map(|e| self.prepare_one(e, i)).collect())
+        read_off: parts.read_off,
     }
 }
 
@@ -619,9 +516,9 @@ impl SemanticFrontEnd {
 mod tests {
     use super::*;
     use stopss_ontology::Ontology;
-    use stopss_types::{EventBuilder, Interner};
+    use stopss_types::EventBuilder;
 
-    fn world() -> (SharedInterner, Arc<Ontology>, Vec<Event>) {
+    fn world() -> (Interner, Ontology, Vec<Event>) {
         let mut i = Interner::new();
         let mut o = Ontology::new("t");
         let degree = i.intern("degree");
@@ -634,14 +531,13 @@ mod tests {
             EventBuilder::new(&mut i).term("credential", "degree").build(),
             EventBuilder::new(&mut i).term("credential", "other").build(),
         ];
-        (SharedInterner::from_interner(i), Arc::new(o), events)
+        (i, o, events)
     }
 
     #[test]
     fn prepare_flattened_carries_closure_and_provenance() {
-        let (interner, source, events) = world();
-        let frontend = SemanticFrontEnd::new(Config::default(), source, interner);
-        let prepared = frontend.prepare(&events[0]);
+        let (i, o, events) = world();
+        let prepared = prepare_event(&events[0], &o, &Config::default(), &i);
         assert_eq!(prepared.raw, events[0]);
         assert_eq!(prepared.engine_events.len(), 1);
         assert_eq!(prepared.derived_events, 1);
@@ -652,10 +548,9 @@ mod tests {
 
     #[test]
     fn prepare_materialize_carries_derivation_lattice() {
-        let (interner, source, events) = world();
+        let (i, o, events) = world();
         let config = Config::default().with_strategy(Strategy::MaterializeEvents);
-        let frontend = SemanticFrontEnd::new(config, source, interner);
-        let prepared = frontend.prepare(&events[0]);
+        let prepared = prepare_event(&events[0], &o, &config, &i);
         // root, root+grad, root+degree, root+both.
         assert_eq!(prepared.derived_events, 4);
         assert_eq!(prepared.engine_events.len(), 4);
@@ -664,98 +559,26 @@ mod tests {
     }
 
     #[test]
-    fn prepare_warms_classifier_tiers_only_with_provenance_on() {
-        let (interner, source, events) = world();
-        let warm = SemanticFrontEnd::new(Config::default(), source.clone(), interner.clone());
-        assert!(warm.prepare(&events[0]).tiers.classifier_tiers_ready());
-        let cold_configs =
-            [Config::default().with_provenance(false), Config::default().with_tier_cache(false)];
-        for config in cold_configs {
-            let frontend = SemanticFrontEnd::new(config, source.clone(), interner.clone());
-            assert!(!frontend.prepare(&events[0]).tiers.classifier_tiers_ready());
-        }
-    }
-
-    #[test]
     fn tolerance_classes_are_shared_and_lazy() {
-        use crate::tolerance::Tolerance;
-        let (interner, source, events) = world();
-        let frontend = SemanticFrontEnd::new(Config::default(), source.clone(), interner.clone());
-        let prepared = frontend.prepare(&events[0]);
-        assert_eq!(prepared.tiers.class_count(), 0, "classes fill on demand only");
-        interner.with(|i| {
-            let lim = ClosureLimits::default();
-            let a = prepared.tiers.tolerance_class(
-                &Tolerance::bounded(1),
-                prepared.event_side(),
-                source.as_ref(),
-                2003,
-                i,
-                &lim,
-            );
-            // Same class again: served from the cache, same artifact.
-            let b = prepared.tiers.tolerance_class(
-                &Tolerance::bounded(1),
-                prepared.event_side(),
-                source.as_ref(),
-                2003,
-                i,
-                &lim,
-            );
-            assert!(Arc::ptr_eq(&a, &b), "equal classes share one closure");
-            assert_eq!(prepared.tiers.class_count(), 1);
-            // Equivalent tolerances (hierarchy off ≡ distance 0) collapse.
-            let c = prepared.tiers.tolerance_class(
-                &Tolerance { stages: StageMask::all(), max_distance: Some(0) },
-                prepared.event_side(),
-                source.as_ref(),
-                2003,
-                i,
-                &lim,
-            );
-            let d = prepared.tiers.tolerance_class(
-                &Tolerance::stages(StageMask::all().without(StageMask::HIERARCHY)),
-                prepared.event_side(),
-                source.as_ref(),
-                2003,
-                i,
-                &lim,
-            );
-            assert!(Arc::ptr_eq(&c, &d), "verify classes collapse equivalent tolerances");
-            assert_eq!(prepared.tiers.class_count(), 2);
-            // The cached closure equals a fresh oracle-side closure.
-            let fresh = semantic_closure(
-                &prepared.raw,
-                source.as_ref(),
-                StageMask::all(),
-                Some(1),
-                2003,
-                i,
-                &lim,
-            );
-            assert_eq!(a.event, fresh.event);
-            assert_eq!(a.truncated, fresh.truncated);
-        });
-        // Cloning an artifact snapshots the cache contents.
-        let cloned = prepared.clone();
-        assert_eq!(cloned.tiers.class_count(), 2);
-        assert!(cloned.tiers.classifier_tiers_ready());
-    }
-
-    #[test]
-    fn prepare_batch_equals_per_event_prepare() {
-        let (interner, source, events) = world();
-        let batch: Vec<Event> = events.iter().cycle().take(40).cloned().collect();
-        let frontend = SemanticFrontEnd::new(Config::default(), source, interner);
-        let batched = frontend.prepare_batch(&batch);
-        assert_eq!(batched.len(), batch.len());
-        for (got, event) in batched.iter().zip(&batch) {
-            let want = frontend.prepare(event);
-            assert_eq!(got.raw, want.raw);
-            assert_eq!(got.engine_events, want.engine_events);
-            assert_eq!(got.derived_events, want.derived_events);
-            assert_eq!(got.closure_pairs, want.closure_pairs);
-            assert_eq!(got.truncated, want.truncated);
-        }
+        let (i, o, events) = world();
+        let prepared = prepare_event(&events[0], &o, &Config::default(), &i);
+        let mut tiers = prepared.tier_cache();
+        assert_eq!(tiers.class_count(), 0, "classes fill on demand only");
+        let (side, lim) = (prepared.event_side(), ClosureLimits::default());
+        let a = tiers.tolerance_class(&Tolerance::bounded(1), side, &o, 2003, &i, &lim).clone();
+        // Same class again: served from the cache.
+        tiers.tolerance_class(&Tolerance::bounded(1), side, &o, 2003, &i, &lim);
+        assert_eq!(tiers.class_count(), 1, "equal classes share one closure");
+        // Equivalent tolerances (hierarchy off ≡ distance 0) collapse.
+        let bounded_zero = Tolerance { stages: StageMask::all(), max_distance: Some(0) };
+        let c = tiers.tolerance_class(&bounded_zero, side, &o, 2003, &i, &lim).event.clone();
+        let no_hierarchy = Tolerance::stages(StageMask::all().without(StageMask::HIERARCHY));
+        let d = tiers.tolerance_class(&no_hierarchy, side, &o, 2003, &i, &lim);
+        assert_eq!(c, d.event);
+        assert_eq!(tiers.class_count(), 2, "verify classes collapse equivalent tolerances");
+        // The cached closure equals a fresh oracle-side closure.
+        let fresh = semantic_closure(&prepared.raw, &o, StageMask::all(), Some(1), 2003, &i, &lim);
+        assert_eq!(a.event, fresh.event);
+        assert_eq!(a.truncated, fresh.truncated);
     }
 }

@@ -18,13 +18,11 @@
 //!   materialization, flattened closure, subscription rewriting);
 //! * [`Tolerance`] / [`StageMask`] — the information-loss knob (§3.2);
 //! * [`SToPSS`] — the matcher: subscribe / publish / provenance;
-//! * [`frontend`] — the shared event-side semantic pass:
-//!   [`prepare_event`] computes a [`PreparedEvent`] artifact (closure or
-//!   materialized derivation lattice + counters + the per-publication
-//!   [`TierCache`] serving tolerance verification and provenance
-//!   classification) once per publication, and [`SemanticFrontEnd`] is
-//!   the detachable, epoch-stamped handle that runs it against one
-//!   consistent snapshot, fully decoupled from the matcher;
+//! * [`frontend`] — the event-side semantic pass: [`prepare_event`]
+//!   computes a [`PreparedEvent`] artifact (closure or materialized
+//!   derivation lattice + counters) once per publication, and the
+//!   per-publication [`TierCache`] serves tolerance verification and
+//!   provenance classification from it;
 //! * [`oracle`] — the executable definition of semantic matching, used as
 //!   ground truth by the property tests.
 
@@ -44,7 +42,7 @@ pub use closure::{
     ClosureLimits, PairInfo,
 };
 pub use config::{Config, Limits, Strategy};
-pub use frontend::{prepare_event, EventSide, PreparedEvent, SemanticFrontEnd, TierCache};
+pub use frontend::{prepare_event, EventSide, PreparedEvent, TierCache};
 pub use matcher::{MatcherStats, PublishResult, SToPSS};
 pub use oracle::{classify_match, semantic_match, CLASSIFY_DISTANCE_CAP};
 pub use provenance::{Match, MatchOrigin, OriginCounts};

@@ -18,34 +18,31 @@
 //! the fork, and publish it with one pointer swap. In-flight publications
 //! finish against the epoch they started under.
 //!
-//! Two epochs live inside every snapshot, so a reader resolves state and
-//! version in a single `Arc`:
-//!
-//! * `control_epoch` — bumped by **every** control mutation. It is the
-//!   linearization token: each mutation returns the epoch it created, and
-//!   every [`PublishResult`] carries the epoch it matched under, so an
-//!   interleaved run can be replayed as a sequential stream.
-//! * `frontend_epoch` — bumped only by mutations that invalidate detached
-//!   [`SemanticFrontEnd`] artifacts (`set_stages`, `reconfigure`,
-//!   `set_source`). Subscribing does not bump it: the stage-1 warm set is
-//!   an optimization and tolerance classes fill lazily during matching.
+//! Every snapshot carries its `control_epoch`, so a reader resolves state
+//! and version in a single `Arc`. It is bumped by **every** control
+//! mutation and is the linearization token: each mutation returns the
+//! epoch it created, and every [`PublishResult`] carries the epoch it
+//! matched under, so an interleaved run can be replayed as a sequential
+//! stream.
 use stopss_matching::MatchingEngine;
 use stopss_ontology::SemanticSource;
 use stopss_types::sync::atomic::{AtomicU64, Ordering};
 use stopss_types::sync::{Arc, Mutex, RwLock};
-use stopss_types::{Event, FxHashMap, Interner, Predicate, SharedInterner, SubId, Subscription};
+use stopss_types::{
+    Event, FxHashMap, FxHashSet, Interner, Predicate, SharedInterner, SubId, Subscription,
+};
 
 use std::borrow::Cow;
 
-use crate::closure::{synonym_resolve_predicate, synonym_resolve_subscription, ClosedEvent};
+use crate::closure::{synonym_resolve_predicate, synonym_resolve_subscription};
 use crate::config::{Config, Strategy};
 use crate::frontend::{
-    prepare_event, prepare_parts, EventSide, PreparedEvent, SemanticFrontEnd, TierCache,
+    prepare_event, prepare_parts, ClassifierTiers, EventSide, PreparedEvent, TierCache,
 };
 use crate::oracle::{classify_match, semantic_match, CLASSIFY_DISTANCE_CAP};
 use crate::provenance::{Match, MatchOrigin};
 use crate::strategy::expand_subscription;
-use crate::tolerance::{StageMask, Tolerance};
+use crate::tolerance::Tolerance;
 
 /// Counters accumulated across the matcher's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -201,49 +198,30 @@ struct PredLevel {
 ///
 /// Each distinct predicate's levels are computed once per publication into
 /// the matcher's scratch memo. The tiers come from the publication's
-/// [`TierCache`], fetched when the first match is classified. A truncated
-/// hierarchy tier no longer equals "unbounded pairs filtered by distance",
-/// so a subscription that needs it defers to the oracle.
+/// [`TierCache`], filled when the first match is classified and passed in
+/// per match, so the cache's class map stays free for verification. A
+/// truncated hierarchy tier no longer equals "unbounded pairs filtered by
+/// distance", so a subscription that needs it defers to the oracle.
 struct Classifier<'a> {
     side: EventSide<'a>,
     source: &'a dyn SemanticSource,
     config: &'a Config,
     interner: &'a Interner,
-    /// The synonym-only closure, if the synonym stage runs.
-    synonym: Option<&'a ClosedEvent>,
-    /// The unbounded synonym+hierarchy closure, if the hierarchy stage
-    /// runs.
-    hierarchy: Option<&'a ClosedEvent>,
 }
 
-impl<'a> Classifier<'a> {
-    fn new(
-        side: EventSide<'a>,
-        tiers: &'a TierCache,
-        source: &'a dyn SemanticSource,
-        config: &'a Config,
-        interner: &'a Interner,
-    ) -> Self {
-        let (stages, now_year, limits) = (config.stages, config.now_year, &config.limits.closure);
-        let synonym =
-            stages.synonym().then(|| tiers.synonym_tier(side, source, now_year, interner, limits));
-        let hierarchy = stages.hierarchy().then(|| {
-            let hier_stages = stages.intersect(StageMask::SYNONYM.with(StageMask::HIERARCHY));
-            tiers.hierarchy_tier(side, source, hier_stages, now_year, interner, limits)
-        });
-        Classifier { side, source, config, interner, synonym, hierarchy }
-    }
-
+impl Classifier<'_> {
     /// Why `sub` matches the publication (which it must, under the
-    /// configured stages with unbounded distance).
+    /// configured stages with unbounded distance), with `tiers` the
+    /// publication's classifier tiers.
     fn classify(
         &self,
         sub: &Subscription,
+        tiers: ClassifierTiers<'_>,
         memo: &mut FxHashMap<Predicate, PredLevel>,
     ) -> MatchOrigin {
         let (mut raw, mut synonym, mut distance) = (true, true, Some(0u32));
         for p in sub.predicates() {
-            let level = *memo.entry(*p).or_insert_with(|| self.level(p));
+            let level = *memo.entry(*p).or_insert_with(|| self.level(p, tiers));
             raw &= level.raw;
             synonym &= level.synonym;
             distance = distance.zip(level.hierarchy).map(|(d, l)| d.max(l));
@@ -254,7 +232,7 @@ impl<'a> Classifier<'a> {
         if synonym {
             return MatchOrigin::Synonym;
         }
-        if self.hierarchy.is_some_and(|tier| tier.truncated) {
+        if tiers.hierarchy.is_some_and(|tier| tier.truncated) {
             let Config { stages, now_year, .. } = *self.config;
             let limits = &self.config.limits.closure;
             return classify_match(
@@ -275,11 +253,11 @@ impl<'a> Classifier<'a> {
     }
 
     /// `p`'s three levels on this publication.
-    fn level(&self, p: &Predicate) -> PredLevel {
+    fn level(&self, p: &Predicate, tiers: ClassifierTiers<'_>) -> PredLevel {
         let interner = self.interner;
         let resolved =
-            if self.synonym.is_some() { synonym_resolve_predicate(p, self.source) } else { *p };
-        let hierarchy = self.hierarchy.filter(|tier| !tier.truncated).and_then(|tier| {
+            if tiers.synonym.is_some() { synonym_resolve_predicate(p, self.source) } else { *p };
+        let hierarchy = tiers.hierarchy.filter(|tier| !tier.truncated).and_then(|tier| {
             tier.event
                 .pairs()
                 .iter()
@@ -292,7 +270,7 @@ impl<'a> Classifier<'a> {
         });
         PredLevel {
             raw: self.side.raw.satisfies(p, interner),
-            synonym: self.synonym.is_some_and(|tier| tier.event.satisfies(&resolved, interner)),
+            synonym: tiers.synonym.is_some_and(|tier| tier.event.satisfies(&resolved, interner)),
             hierarchy,
         }
     }
@@ -301,7 +279,7 @@ impl<'a> Classifier<'a> {
 /// The per-publication mutable state of the match path: the syntactic
 /// engine (its trait allows interior scratch, so `match_event` takes
 /// `&mut self`) and the candidate scratch vectors. Bundled behind one
-/// `Mutex` so [`MatcherCore::match_prepared_inner`] can run under `&self`
+/// `Mutex` so [`MatcherCore::match_inner`] can run under `&self`
 /// — the matching stage locks once per artifact. This is the *data-plane*
 /// mutex; control-plane mutations never touch it except to fork the
 /// engine.
@@ -311,7 +289,7 @@ struct MatchState {
 }
 
 /// One immutable incarnation of the matcher: configuration, ontology
-/// handle, subscription table, engine, and the two epochs. Snapshots are
+/// handle, subscription table, engine, and the control epoch. Snapshots are
 /// never mutated after publication — control ops [`MatcherCore::fork`] a
 /// copy, mutate it exclusively, and swap it in. Readers that hold an
 /// `Arc<MatcherCore>` observe a frozen, internally consistent matcher.
@@ -324,15 +302,8 @@ pub(crate) struct MatcherCore {
     engine_to_user: FxHashMap<SubId, SubId>,
     next_engine_id: u64,
     stats: Arc<AtomicStats>,
-    /// Distinct [`Tolerance::verify_class`] values among the registered
-    /// subscriptions that need per-candidate verification, refcounted so
-    /// `frontend()` can hand the detached stage-1 pass the exact class set
-    /// to warm (see [`SemanticFrontEnd`]).
-    verify_classes: FxHashMap<Tolerance, usize>,
     /// Bumped by every control mutation (linearization token).
     pub(crate) control_epoch: u64,
-    /// Bumped by mutations that invalidate detached front-end artifacts.
-    pub(crate) frontend_epoch: u64,
 }
 
 impl MatcherCore {
@@ -354,9 +325,7 @@ impl MatcherCore {
             engine_to_user: FxHashMap::default(),
             next_engine_id: 1,
             stats,
-            verify_classes: FxHashMap::default(),
             control_epoch: 0,
-            frontend_epoch: 0,
         }
     }
 
@@ -378,9 +347,7 @@ impl MatcherCore {
             engine_to_user: self.engine_to_user.clone(),
             next_engine_id: self.next_engine_id,
             stats: self.stats.clone(),
-            verify_classes: self.verify_classes.clone(),
             control_epoch: self.control_epoch + 1,
-            frontend_epoch: self.frontend_epoch,
         }
     }
 
@@ -404,8 +371,16 @@ impl MatcherCore {
         self.subs.get(&id).map(|e| e.requested)
     }
 
+    /// A cold scan over the subscription table (see
+    /// [`SToPSS::verify_classes`]).
     pub(crate) fn verify_classes(&self) -> Vec<Tolerance> {
-        self.verify_classes.keys().copied().collect()
+        let classes: FxHashSet<Tolerance> = self
+            .subs
+            .values()
+            .filter(|e| e.needs_verify)
+            .map(|e| e.effective.verify_class())
+            .collect();
+        classes.into_iter().collect()
     }
 
     pub(crate) fn subscribe(&mut self, sub: Subscription) {
@@ -415,16 +390,7 @@ impl MatcherCore {
     pub(crate) fn subscribe_with_tolerance(&mut self, sub: Subscription, tolerance: Tolerance) {
         self.remove_entry(sub.id());
         let entry = self.build_entry(sub, tolerance);
-        self.track_verify_class(&entry);
         self.subs.insert(entry.original.id(), Arc::new(entry));
-    }
-
-    /// Refcounts the entry's verification class (see
-    /// [`SToPSS::verify_classes`]).
-    fn track_verify_class(&mut self, entry: &SubEntry) {
-        if entry.needs_verify {
-            *self.verify_classes.entry(entry.effective.verify_class()).or_insert(0) += 1;
-        }
     }
 
     fn build_entry(&mut self, sub: Subscription, requested: Tolerance) -> SubEntry {
@@ -491,15 +457,6 @@ impl MatcherCore {
         let Some(entry) = self.subs.remove(&id) else {
             return false;
         };
-        if entry.needs_verify {
-            let class = entry.effective.verify_class();
-            if let Some(count) = self.verify_classes.get_mut(&class) {
-                *count -= 1;
-                if *count == 0 {
-                    self.verify_classes.remove(&class);
-                }
-            }
-        }
         for engine_id in &entry.engine_ids {
             self.state.get_mut().engine.remove(*engine_id);
             self.engine_to_user.remove(engine_id);
@@ -509,13 +466,11 @@ impl MatcherCore {
 
     pub(crate) fn set_stages(&mut self, stages: crate::tolerance::StageMask) {
         self.config.stages = stages;
-        self.frontend_epoch += 1;
         self.rebuild();
     }
 
     pub(crate) fn reconfigure(&mut self, config: Config) {
         self.config = config;
-        self.frontend_epoch += 1;
         self.state.get_mut().engine = self.config.engine.build();
         self.engine_to_user.clear();
         self.rebuild_entries();
@@ -526,7 +481,6 @@ impl MatcherCore {
     /// expansions depend on the ontology.
     pub(crate) fn set_source(&mut self, source: Arc<dyn SemanticSource>) {
         self.source = source;
-        self.frontend_epoch += 1;
         self.rebuild();
     }
 
@@ -539,24 +493,10 @@ impl MatcherCore {
     fn rebuild_entries(&mut self) {
         let old: Vec<(Subscription, Tolerance)> =
             self.subs.drain().map(|(_, e)| (e.original.clone(), e.requested)).collect();
-        // Verification classes are recomputed from scratch: effective
-        // tolerances (and therefore `needs_verify`) depend on the new
-        // system configuration.
-        self.verify_classes.clear();
         for (sub, requested) in old {
             let entry = self.build_entry(sub, requested);
-            self.track_verify_class(&entry);
             self.subs.insert(entry.original.id(), Arc::new(entry));
         }
-    }
-
-    /// A detachable front-end handle for this snapshot, tagged with its
-    /// `frontend_epoch` so artifacts it prepares can later be checked for
-    /// staleness.
-    pub(crate) fn frontend(&self) -> SemanticFrontEnd {
-        SemanticFrontEnd::new(self.config, self.source.clone(), self.interner.clone())
-            .with_verify_classes(self.verify_classes())
-            .with_epoch(self.frontend_epoch)
     }
 
     pub(crate) fn publish_inner(&self, event_raw: &Event, interner: &Interner) -> PublishResult {
@@ -564,9 +504,9 @@ impl MatcherCore {
         // commute and no reader couples them to other memory.
         self.stats.published.fetch_add(1, Ordering::Relaxed);
         // `prepare_parts` (not `prepare_event`) so the inline path keeps
-        // borrowing the caller's event instead of cloning it into a
-        // detached artifact; the tier cache is a fresh per-publication
-        // local, filled lazily only if candidates need it.
+        // borrowing the caller's event instead of cloning it into an
+        // artifact; the tier cache is a fresh per-publication local,
+        // filled lazily only if candidates need it.
         let parts = prepare_parts(event_raw, self.source.as_ref(), &self.config, interner);
         if parts.truncated {
             // ordering: monotone stats counters, as above.
@@ -580,55 +520,37 @@ impl MatcherCore {
         self.match_inner(
             side,
             (parts.derived_events, parts.closure_pairs, parts.truncated),
-            &parts.tiers,
+            parts.tier_cache(),
             interner,
         )
-    }
-
-    /// Accounts the event-side counters a prepared artifact carries, then
-    /// matches it.
-    pub(crate) fn publish_prepared(&self, prepared: &PreparedEvent) -> PublishResult {
-        // ordering: monotone stats counters; atomic adds commute and no
-        // reader couples them to other memory.
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        if prepared.truncated {
-            // ordering: monotone stats counters, as above.
-            self.stats.truncations.fetch_add(1, Ordering::Relaxed);
-        }
-        // ordering: monotone stats counters, as above.
-        self.stats.derived_events.fetch_add(prepared.derived_events as u64, Ordering::Relaxed);
-        self.stats.closure_pairs.fetch_add(prepared.closure_pairs as u64, Ordering::Relaxed);
-        self.match_prepared(prepared)
     }
 
     pub(crate) fn match_prepared(&self, prepared: &PreparedEvent) -> PublishResult {
         let interner = self.interner.clone();
-        interner.with(|i| self.match_prepared_inner(prepared, i))
+        interner.with(|i| {
+            self.match_inner(
+                prepared.event_side(),
+                (prepared.derived_events, prepared.closure_pairs, prepared.truncated),
+                prepared.tier_cache(),
+                i,
+            )
+        })
     }
 
-    fn match_prepared_inner(&self, prepared: &PreparedEvent, interner: &Interner) -> PublishResult {
-        self.match_inner(
-            prepared.event_side(),
-            (prepared.derived_events, prepared.closure_pairs, prepared.truncated),
-            &prepared.tiers,
-            interner,
-        )
-    }
-
-    /// The subscription-side half shared by every publish entry point:
+    /// The subscription-side half shared by both publish entry points:
     /// engine matching over the precomputed `engine_events`, tolerance
     /// verification and provenance against the raw event, with the
     /// event-side counters passed through into the result.
     ///
     /// Per-candidate semantic work is served from `tiers` — the
-    /// per-publication closure cache — and provenance from the per-predicate
+    /// publication's closure cache — and provenance from the per-predicate
     /// memo of a [`Classifier`], unless [`Config::tier_cache`] selects the
     /// per-candidate oracle path (byte-identical results either way).
     fn match_inner(
         &self,
         side: EventSide<'_>,
         (derived_events, closure_pairs, truncated): (usize, usize, bool),
-        tiers: &TierCache,
+        mut tiers: TierCache,
         interner: &Interner,
     ) -> PublishResult {
         let mut result = PublishResult {
@@ -660,7 +582,8 @@ impl MatcherCore {
         state.scratch.users.dedup();
         result.matches.reserve(state.scratch.users.len());
 
-        let mut classifier = None;
+        let (source, config) = (self.source.as_ref(), &self.config);
+        let classifier = Classifier { side, source, config, interner };
         for &user_id in &state.scratch.users {
             let entry =
                 self.subs.get(&user_id).expect("invariant: engine ids map to live subscriptions");
@@ -701,11 +624,12 @@ impl MatcherCore {
             let origin = if !self.config.track_provenance {
                 MatchOrigin::Unclassified
             } else if self.config.tier_cache {
-                classifier
-                    .get_or_insert_with(|| {
-                        Classifier::new(side, tiers, self.source.as_ref(), &self.config, interner)
-                    })
-                    .classify(&entry.original, &mut state.scratch.provenance)
+                let classifier_tiers = tiers.classifier_tiers(side, source, config, interner);
+                classifier.classify(
+                    &entry.original,
+                    classifier_tiers,
+                    &mut state.scratch.provenance,
+                )
             } else {
                 classify_match(
                     &entry.original,
@@ -798,19 +722,11 @@ impl SToPSS {
         self.resolve().control_epoch
     }
 
-    /// The front-end epoch of the current snapshot (bumped by mutations
-    /// that invalidate detached [`SemanticFrontEnd`] artifacts:
-    /// `set_stages`, `reconfigure`, `set_source`).
-    pub fn frontend_epoch(&self) -> u64 {
-        self.resolve().frontend_epoch
-    }
-
     /// The distinct verification classes ([`Tolerance::verify_class`])
     /// among registered subscriptions whose effective tolerance differs
-    /// from the system-wide one. Snapshot at subscribe time; the detached
-    /// front-end warms exactly these classes in stage 1 so the first
-    /// publication after a subscribe does not pay the class closure in the
-    /// match stage.
+    /// from the system-wide one, in no particular order. A cold scan over
+    /// the current snapshot's subscriptions; the publish path never asks
+    /// for it.
     pub fn verify_classes(&self) -> Vec<Tolerance> {
         self.resolve().verify_classes()
     }
@@ -938,19 +854,18 @@ impl SToPSS {
         events.iter().map(|e| self.publish(e)).collect()
     }
 
-    /// A detachable handle on this matcher's event-side semantic machinery
-    /// (configuration snapshot + shared ontology/interner + the registered
-    /// verification classes to warm), tagged with the snapshot's
-    /// `frontend_epoch`. Lets callers run [`SemanticFrontEnd::prepare`]
-    /// without borrowing the matcher — the broker prepares whole batches
-    /// concurrently with control-plane traffic and checks the tag at match
-    /// time (see [`SToPSS::try_publish_prepared_batch`]).
-    pub fn frontend(&self) -> SemanticFrontEnd {
-        self.resolve().frontend()
+    /// The matcher itself, kept so the benchmark package (`benchmark/`)
+    /// keeps compiling its `frontend().prepare(event)`; it goes with the
+    /// next benchmark-package change. Call [`SToPSS::prepare`] directly.
+    #[doc(hidden)]
+    pub fn frontend(&self) -> &Self {
+        self
     }
 
     /// Runs the event-side semantic pass for one publication (closure or
-    /// event materialization) without touching the engine or any stats.
+    /// event materialization) against the current snapshot, without
+    /// touching the engine or any stats. With [`SToPSS::match_prepared`]
+    /// this is [`SToPSS::publish_detailed`] split at the stage seam.
     pub fn prepare(&self, event: &Event) -> PreparedEvent {
         let core = self.resolve();
         self.interner.with(|i| prepare_event(event, core.source.as_ref(), &core.config, i))
@@ -963,42 +878,12 @@ impl SToPSS {
     /// Takes `&self`: the engine + scratch state is locked per artifact
     /// and the counters are atomics, so concurrent callers need no
     /// exclusive borrow. Only the subscription-side counters
-    /// (`verifications`, `verify_rejections`) accumulate here; the
-    /// event-side counters belong to whoever ran the front-end pass (see
-    /// [`SToPSS::publish_prepared`]). The
-    /// artifact must have been prepared under this matcher's current
-    /// configuration.
+    /// (`verifications`, `verify_rejections`) accumulate here. The
+    /// artifact is matched against the current snapshot, so it must have
+    /// been prepared under the current configuration and ontology; no
+    /// epoch token checks that.
     pub fn match_prepared(&self, prepared: &PreparedEvent) -> PublishResult {
         self.resolve().match_prepared(prepared)
-    }
-
-    /// Publishes a precomputed artifact: accounts the event-side counters
-    /// it carries, then matches. Equivalent to
-    /// `publish_detailed(&prepared.raw)` when the artifact came from this
-    /// matcher's [`SToPSS::frontend`].
-    pub fn publish_prepared(&self, prepared: &PreparedEvent) -> PublishResult {
-        self.resolve().publish_prepared(prepared)
-    }
-
-    /// Atomic staleness check + match: resolves one snapshot and, if its
-    /// `frontend_epoch` still equals `frontend_epoch` (the tag of the
-    /// [`SemanticFrontEnd`] that prepared `prepared`), publishes every
-    /// artifact against that snapshot. Returns `None` when the front end
-    /// is stale — the caller re-prepares from a fresh
-    /// [`SToPSS::frontend`]. The check and the match use the *same*
-    /// snapshot, so a control op racing this call either happens entirely
-    /// before (stale ⇒ `None`) or entirely after (the batch matches the
-    /// pre-op snapshot) — never mid-batch.
-    pub fn try_publish_prepared_batch(
-        &self,
-        prepared: &[PreparedEvent],
-        frontend_epoch: u64,
-    ) -> Option<Vec<PublishResult>> {
-        let core = self.resolve();
-        if core.frontend_epoch != frontend_epoch {
-            return None;
-        }
-        Some(prepared.iter().map(|p| core.publish_prepared(p)).collect())
     }
 }
 
@@ -1226,32 +1111,15 @@ mod tests {
         assert_eq!(e4, 4);
     }
 
-    /// `frontend_epoch` moves only on front-end-invalidating mutations;
-    /// subscribe/unsubscribe leave detached artifacts valid.
+    /// `verify_classes()` scans the registered subscriptions: the system
+    /// tolerance registers no class, a class retires with its last member,
+    /// and the classes follow the system configuration through `set_stages`
+    /// and `reconfigure`.
     #[test]
-    fn frontend_epoch_tracks_invalidating_mutations_only() {
+    fn verify_classes_scans_registered_tolerances() {
         let w = world();
-        let matcher = SToPSS::new(Config::default(), w.source.clone(), w.interner);
-        assert_eq!(matcher.frontend_epoch(), 0);
-        matcher.subscribe(w.sub.clone());
-        matcher.unsubscribe(w.sub.id());
-        assert_eq!(matcher.frontend_epoch(), 0, "subscription churn keeps artifacts valid");
-        matcher.set_stages(StageMask::syntactic());
-        assert_eq!(matcher.frontend_epoch(), 1);
-        matcher.reconfigure(Config::default());
-        assert_eq!(matcher.frontend_epoch(), 2);
-        matcher.set_source(w.source);
-        assert_eq!(matcher.frontend_epoch(), 3);
-        assert_eq!(matcher.frontend().epoch(), 3, "frontend carries the snapshot's tag");
-    }
-
-    /// The detached front end warms exactly the registered non-system
-    /// verification classes in stage 1; a class retires with its last
-    /// member, and warming never changes results.
-    #[test]
-    fn frontend_warms_registered_verify_classes_in_stage_1() {
-        let w = world();
-        let matcher = SToPSS::new(Config::default(), w.source.clone(), w.interner.clone());
+        let matcher = SToPSS::new(Config::default(), w.source, w.interner);
+        let classes = |m: &SToPSS| m.verify_classes().into_iter().collect::<FxHashSet<_>>();
         let tolerances =
             [Tolerance::full(), Tolerance::bounded(1), Tolerance::stages(StageMask::SYNONYM)];
         let subs: Vec<Subscription> =
@@ -1259,44 +1127,20 @@ mod tests {
         for (k, sub) in subs.iter().enumerate() {
             matcher.subscribe_with_tolerance(sub.clone(), tolerances[k % 3]);
         }
-        // The system tolerance registers no class; the other two do.
-        let prepared = matcher.frontend().prepare(&w.phd_event);
-        assert_eq!(prepared.tiers.class_count(), 2, "both classes are warmed at prepare time");
+        let want: FxHashSet<_> = tolerances[1..].iter().map(Tolerance::verify_class).collect();
+        assert_eq!(want.len(), 2);
+        assert_eq!(classes(&matcher), want, "the system tolerance registers no class");
         for (k, sub) in subs.iter().enumerate() {
             if k % 3 == 1 {
                 matcher.unsubscribe(sub.id());
             }
         }
-        let prepared = matcher.frontend().prepare(&w.phd_event);
-        assert_eq!(prepared.tiers.class_count(), 1, "unsubscribe retires the class");
-        let cold = SemanticFrontEnd::new(Config::default(), w.source, w.interner)
-            .prepare_batch(std::slice::from_ref(&w.phd_event));
-        let frontend = matcher.frontend();
-        let warm = frontend.prepare_batch(std::slice::from_ref(&w.phd_event));
-        let from_warm = matcher.try_publish_prepared_batch(&warm, frontend.epoch()).unwrap();
-        let from_cold = matcher.try_publish_prepared_batch(&cold, frontend.epoch()).unwrap();
-        assert!(!from_warm[0].matches.is_empty());
-        assert_eq!(from_warm[0].matches, from_cold[0].matches, "warming is invisible");
-    }
-
-    /// A stale frontend artifact is refused atomically; a fresh one is
-    /// matched.
-    #[test]
-    fn try_publish_prepared_batch_checks_staleness() {
-        let w = world();
-        let matcher = SToPSS::new(Config::default(), w.source, w.interner);
-        matcher.subscribe(w.sub);
-        let frontend = matcher.frontend();
-        let prepared = vec![frontend.prepare(&w.event)];
-        let results = matcher
-            .try_publish_prepared_batch(&prepared, frontend.epoch())
-            .expect("fresh artifact matches");
-        assert_eq!(results[0].matches.len(), 1);
+        let synonym_only = FxHashSet::from_iter([tolerances[2].verify_class()]);
+        assert_eq!(classes(&matcher), synonym_only, "a class retires with its last member");
         matcher.set_stages(StageMask::syntactic());
-        assert!(
-            matcher.try_publish_prepared_batch(&prepared, frontend.epoch()).is_none(),
-            "stale artifact is refused"
-        );
+        assert!(matcher.verify_classes().is_empty(), "syntactic stages clamp every class away");
+        matcher.reconfigure(Config::default());
+        assert_eq!(classes(&matcher), synonym_only, "reconfiguring back restores it");
     }
 
     /// Live ontology evolution: a synonym added after subscribe takes
@@ -1356,13 +1200,14 @@ mod tests {
         let event = EventBuilder::new(&mut i).term("credential", "phd").build();
         let config = Config::default();
         let lim = config.limits.closure;
-        let tiers = TierCache::new();
+        let mut tiers = TierCache::new();
         let side = EventSide { raw: &event, engine_events: &[], info: &[] };
-        let classifier = Classifier::new(side, &tiers, &o, &config, &i);
+        let classifier = Classifier { side, source: &o, config: &config, interner: &i };
+        let tiers = tiers.classifier_tiers(side, &o, &config, &i);
         let mut memo = FxHashMap::default();
         for sub in &subs {
             let want = classify_match(sub, &event, &o, StageMask::all(), 2003, &i, &lim);
-            assert_eq!(classifier.classify(sub, &mut memo), want, "sub {:?}", sub.id());
+            assert_eq!(classifier.classify(sub, tiers, &mut memo), want, "sub {:?}", sub.id());
         }
         assert_eq!(memo.len(), 3, "one memo entry per distinct predicate");
     }

@@ -43,7 +43,7 @@ pub struct MaterializedEvents {
 /// mapping derivation appends the produced pairs ("new event from mapping
 /// function"). The exploration depends only on the event, the ontology,
 /// and the bounds — never on the engine — which is what lets the
-/// detached front-end compute it ahead of matching
+/// event-side pass compute it once per publication, ahead of matching
 /// ([`crate::frontend::prepare_event`]).
 ///
 /// Because derivations append (never replace), the set of derived events
@@ -183,7 +183,7 @@ pub fn materialize_closure(
 /// ([`materialize_closure`]) and feed every derived event to the
 /// unmodified engine; `candidates` accumulates the union of the match
 /// sets. The one-call entry point; the matcher itself splits the two
-/// halves so the lattice can be derived in the detached front-end.
+/// halves so the lattice is derived in the event-side pass.
 #[allow(clippy::too_many_arguments)] // strategy entry point, mirrors semantic_closure
 pub fn materialize_match(
     event_raw: &Event,

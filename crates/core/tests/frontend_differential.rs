@@ -1,4 +1,4 @@
-//! Differential suite for the detached semantic front-end.
+//! Differential suite for the stage split of a publication.
 //!
 //! The two-stage publish path rests on one claim: the event-side semantic
 //! pass ([`stopss_core::prepare_event`]) depends only on the event, the
@@ -6,12 +6,12 @@
 //! matcher holds — so preparing an artifact once and matching it is
 //! byte-identical to letting the matcher recompute it per publication.
 //! This suite pins that claim directly in `stopss-core`, across
-//! strategies × stage masks, plus batch ≡ per-event on the inline and
-//! detached paths.
+//! strategies × stage masks, through the `prepare` + `match_prepared`
+//! seam, plus batch ≡ per-event publishing.
 
 use std::sync::Arc;
 
-use stopss_core::{Config, Match, PublishResult, SToPSS, StageMask, Strategy};
+use stopss_core::{Config, Match, PublishResult, SToPSS, StageMask, Strategy, Tolerance};
 use stopss_ontology::{Expr, MappingFunction, Ontology, PatternItem, Production};
 use stopss_types::{
     Event, EventBuilder, Interner, Operator, SharedInterner, SubId, Subscription,
@@ -92,10 +92,24 @@ fn representative_masks() -> [StageMask; 5] {
     ]
 }
 
+/// Tolerances assigned round-robin so a matcher holds a mix of
+/// verify-needing and default-tolerance subscriptions.
+fn tolerance_for(k: usize) -> Option<Tolerance> {
+    match k % 5 {
+        3 => Some(Tolerance::bounded(1)),
+        4 => Some(Tolerance::syntactic()),
+        _ => None,
+    }
+}
+
+/// One matcher holding every subscription, with mixed tolerances.
 fn single_matcher(w: &World, config: Config) -> SToPSS {
     let m = SToPSS::new(config, w.source.clone(), w.interner.clone());
-    for sub in &w.subs {
-        m.subscribe(sub.clone());
+    for (k, sub) in w.subs.iter().enumerate() {
+        match tolerance_for(k) {
+            Some(t) => m.subscribe_with_tolerance(sub.clone(), t),
+            None => m.subscribe(sub.clone()),
+        };
     }
     m
 }
@@ -128,12 +142,12 @@ fn hoisted_artifact_equals_per_shard_recomputation_across_stage_masks() {
         for stages in representative_masks() {
             let config = Config::default().with_strategy(strategy).with_stages(stages);
             for shards in [2usize, 4] {
-                let frontend = SToPSS::new(config, w.source.clone(), w.interner.clone()).frontend();
+                let preparer = SToPSS::new(config, w.source.clone(), w.interner.clone());
                 let mut replicated = replicated_shards(&w, config, shards);
                 let label =
                     format!("strategy={} stages={stages:?} shards={shards}", strategy.name());
                 for event in &w.events {
-                    let prepared = frontend.prepare(event);
+                    let prepared = preparer.prepare(event);
                     // Per-shard full recomputation.
                     let per_shard: Vec<PublishResult> =
                         replicated.iter_mut().map(|s| s.publish_detailed(event)).collect();
@@ -159,54 +173,51 @@ fn hoisted_artifact_equals_per_shard_recomputation_across_stage_masks() {
     }
 }
 
-/// `publish_prepared` is `publish_detailed` split in two: same matches,
-/// same counters, same lifetime stats.
+/// `prepare` + `match_prepared` is `publish_detailed` split in two: same
+/// matches, same event-side counters, and the same subscription-side
+/// stats (the match stage accounts verifications and rejections only).
 #[test]
-fn publish_prepared_equals_publish_detailed() {
+fn prepare_then_match_prepared_equals_publish_detailed() {
     let w = world();
     for strategy in Strategy::ALL {
         let config = Config::default().with_strategy(strategy);
+        let label = strategy.name();
         let direct = single_matcher(&w, config);
         let split = single_matcher(&w, config);
         for event in &w.events {
             let want = direct.publish_detailed(event);
-            let prepared = split.prepare(event);
-            let got = split.publish_prepared(&prepared);
-            assert_eq!(got.matches, want.matches, "strategy={}", strategy.name());
-            assert_eq!(got.derived_events, want.derived_events);
-            assert_eq!(got.closure_pairs, want.closure_pairs);
-            assert_eq!(got.truncated, want.truncated);
+            let got = split.match_prepared(&split.prepare(event));
+            assert_eq!(got.matches, want.matches, "{label}");
+            assert_eq!(got.derived_events, want.derived_events, "{label}");
+            assert_eq!(got.closure_pairs, want.closure_pairs, "{label}");
+            assert_eq!(got.truncated, want.truncated, "{label}");
         }
-        assert_eq!(split.stats(), direct.stats(), "strategy={}", strategy.name());
+        let (got, want) = (split.stats(), direct.stats());
+        assert!(want.verifications > 0, "{label}: the tolerance mix must verify");
+        assert_eq!(got.verifications, want.verifications, "{label}");
+        assert_eq!(got.verify_rejections, want.verify_rejections, "{label}");
     }
 }
 
-/// Batch feeding equals per-event publishing on both batch paths: the
-/// inline `publish_batch`, and the broker's detached one
-/// (`frontend().prepare_batch` + `try_publish_prepared_batch`) — matches
-/// and lifetime stats alike.
+/// `publish_batch` over mixed tolerances equals publishing the same
+/// events one at a time — match sets, provenance, ordering and lifetime
+/// stats — at batch sizes from one event to the whole feed.
 #[test]
-fn batch_equals_per_event_on_inline_and_detached_paths() {
+fn batch_equals_per_event_publish() {
     let w = world();
-    let batch: Vec<Event> = w.events.iter().cycle().take(40).cloned().collect();
+    let feed: Vec<Event> = w.events.iter().cycle().take(40).cloned().collect();
     for strategy in Strategy::ALL {
         let config = Config::default().with_strategy(strategy);
         let label = strategy.name();
         let per_event = single_matcher(&w, config);
-        let want: Vec<Vec<Match>> = batch.iter().map(|e| per_event.publish(e)).collect();
-
-        let inline = single_matcher(&w, config);
-        assert_eq!(inline.publish_batch(&batch), want, "{label}: inline batch");
-        assert_eq!(inline.stats(), per_event.stats(), "{label}: inline stats");
-
-        let detached = single_matcher(&w, config);
-        let frontend = detached.frontend();
-        let prepared = frontend.prepare_batch(&batch);
-        let results = detached
-            .try_publish_prepared_batch(&prepared, frontend.epoch())
-            .expect("no control op ran since the front end was detached");
-        let got: Vec<Vec<Match>> = results.into_iter().map(|r| r.matches).collect();
-        assert_eq!(got, want, "{label}: detached batch");
-        assert_eq!(detached.stats(), per_event.stats(), "{label}: detached stats");
+        let want: Vec<Vec<Match>> = feed.iter().map(|e| per_event.publish(e)).collect();
+        assert!(want.iter().any(|m| !m.is_empty()), "{label}: the feed must produce matches");
+        for batch_size in [1, 7, feed.len()] {
+            let batched = single_matcher(&w, config);
+            let got: Vec<Vec<Match>> =
+                feed.chunks(batch_size).flat_map(|batch| batched.publish_batch(batch)).collect();
+            assert_eq!(got, want, "{label}: batch_size={batch_size}");
+            assert_eq!(batched.stats(), per_event.stats(), "{label}: batch_size={batch_size}");
+        }
     }
 }

@@ -227,21 +227,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn batch_feed_equals_per_event_publish() {
-        use stopss_core::Match;
-        let f = jobfinder_fixture(80, 40, 13);
-        let per_event = f.matcher(Config::default());
-        let want: Vec<Vec<Match>> = f.publications.iter().map(|e| per_event.publish(e)).collect();
-        for batch_size in [1usize, 7, 40] {
-            let batched = f.matcher(Config::default());
-            let got: Vec<Vec<Match>> =
-                f.publications.chunks(batch_size).flat_map(|b| batched.publish_batch(b)).collect();
-            assert_eq!(got, want, "batch_size={batch_size}");
-            assert_eq!(batched.stats(), per_event.stats(), "batch_size={batch_size} stats");
-        }
-    }
-
-    #[test]
     fn jobfinder_fixture_is_complete_and_deterministic() {
         let f1 = jobfinder_fixture(100, 100, 42);
         let f2 = jobfinder_fixture(100, 100, 42);

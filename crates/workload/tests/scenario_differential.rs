@@ -1,15 +1,12 @@
-//! Property test: every generated scenario — all four domains, optionally
-//! pre-churned — round-trips through [`Fixture`] with identical match
-//! sets and matcher stats on both publish paths: the inline one
-//! (`publish_detailed`, the semantic pass recomputed per event) and the
-//! detached one the broker's batch path runs (`frontend().prepare_batch`
-//! then `try_publish_prepared_batch`). The two-stage split must be
-//! invisible to every workload shape, not just the jobfinder the
-//! existing differential covers.
+//! Property test: every generated scenario — all four domains, in both
+//! churn modes — replayed against one live matcher with subscriptions,
+//! unsubscriptions and ontology swaps interleaved between publications
+//! equals the fresh-matcher oracle holding exactly the live set under the
+//! then-current ontology.
 
 use proptest::prelude::*;
 
-use stopss_core::{Config, Match, MatcherStats};
+use stopss_core::Config;
 use stopss_workload::{
     churn_scenario, geo_fixture, iot_fixture, jobfinder_fixture, market_fixture,
     replay_interleaved, replay_sequential, ChurnMode, Fixture,
@@ -24,40 +21,8 @@ fn fixture_for(domain: usize, seed: u64) -> (&'static str, Fixture) {
     }
 }
 
-/// Match sets + final stats on one publish path.
-fn run(fixture: &Fixture, detached: bool) -> (Vec<Vec<Match>>, MatcherStats) {
-    let matcher = fixture.matcher(Config::default());
-    let matches = if detached {
-        let frontend = matcher.frontend();
-        let prepared = frontend.prepare_batch(&fixture.publications);
-        matcher
-            .try_publish_prepared_batch(&prepared, frontend.epoch())
-            .expect("no control op ran since the front end was detached")
-            .into_iter()
-            .map(|r| r.matches)
-            .collect()
-    } else {
-        fixture.publications.iter().map(|e| matcher.publish_detailed(e).matches).collect()
-    };
-    (matches, matcher.stats())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// All domains: the detached path agrees with the inline one on
-    /// matches and stats.
-    #[test]
-    fn every_domain_is_path_invariant(
-        domain in 0usize..4,
-        seed in 0u64..500,
-    ) {
-        let (name, fixture) = fixture_for(domain, seed);
-        let (want_matches, want_stats) = run(&fixture, false);
-        let (matches, stats) = run(&fixture, true);
-        prop_assert_eq!(&matches, &want_matches, "{}: match sets diverged", name);
-        prop_assert_eq!(stats, want_stats, "{}: stats diverged", name);
-    }
 
     /// All domains × churn modes: the interleaved replay matches the
     /// fresh-matcher oracle.

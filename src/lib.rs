@@ -15,10 +15,10 @@
 //! * [`ontology`] — synonyms, concept hierarchies, mapping functions,
 //!   multi-domain registry, the `.sto` text format;
 //! * [`core`] — the semantic stages, strategies, tolerances and the
-//!   [`core::SToPSS`] matcher, plus the detachable event-side
-//!   [`core::SemanticFrontEnd`] (the semantic pass runs once per
-//!   publication into a [`core::PreparedEvent`] artifact, so a batch can
-//!   be prepared ahead of the engine-match + verify stage);
+//!   [`core::SToPSS`] matcher (the semantic pass runs once per
+//!   publication; [`core::SToPSS::prepare`] exposes it as a
+//!   [`core::PreparedEvent`] artifact for the engine-match + verify
+//!   stage);
 //! * [`broker`] — the Figure 2 runtime: dispatcher, notification engine,
 //!   simulated transports, wire protocol, and the networked
 //!   [`broker::NetBroker`] event loop (connection multiplexing with
@@ -73,8 +73,8 @@ pub use stopss_workload as workload;
 pub mod prelude {
     pub use stopss_broker::{Broker, BrokerConfig, DemoServer, TransportKind};
     pub use stopss_core::{
-        semantic_match, Config, Match, MatchOrigin, MatcherStats, PreparedEvent, SToPSS,
-        SemanticFrontEnd, StageMask, Strategy, Tolerance,
+        semantic_match, Config, Match, MatchOrigin, MatcherStats, PreparedEvent, SToPSS, StageMask,
+        Strategy, Tolerance,
     };
     pub use stopss_matching::{EngineKind, MatchingEngine};
     pub use stopss_ontology::{

@@ -16,8 +16,8 @@
 //! byte-identical to a fresh oracle at its epoch, and that a sequential
 //! replay of the linearized stream reproduces the live matcher's final
 //! statistics exactly. At the broker layer, the same race — against
-//! detached two-stage batches — must conserve match accounting: every
-//! match is delivered, failed, or orphaned.
+//! publishers looping over `Broker::publish` — must conserve match
+//! accounting: every match is delivered, failed, or orphaned.
 
 use std::sync::Arc;
 
@@ -98,7 +98,7 @@ fn broker_concurrent_churn_conserves_accounting() {
             std::thread::spawn(move || {
                 let mut matches = 0usize;
                 for _ in 0..5 {
-                    matches += broker.publish_batch(&events);
+                    matches += events.iter().map(|e| broker.publish(e)).sum::<usize>();
                 }
                 matches
             })

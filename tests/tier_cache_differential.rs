@@ -256,35 +256,27 @@ fn multi_path_derivations_report_the_minimal_distance() {
 }
 
 #[test]
-fn detached_fast_path_equals_oracle() {
-    // The broker's batch path: a detached front end prepares the batch —
-    // warming the classifier tiers and every registered verification
-    // class in stage 1 — and the matcher consumes the warmed caches. With
-    // mixed tolerances, against the per-candidate oracle path.
+fn prepared_fast_path_equals_oracle() {
+    // The stage split: `prepare` then `match_prepared`, each artifact
+    // filling its own tier cache in the match stage, against the
+    // per-candidate oracle path with mixed tolerances.
     let fixture = jobfinder_fixture(160, 40, 23);
     for strategy in Strategy::ALL {
         let config = Config::default().with_strategy(strategy);
         let label = strategy.name();
         let fast = matcher_with_mixed_tolerances(&fixture, config);
         let oracle = matcher_with_mixed_tolerances(&fixture, config.with_tier_cache(false));
-        let frontend = fast.frontend();
-        let prepared = frontend.prepare_batch(&fixture.publications);
-        let classes = fast.verify_classes().len();
-        assert!(classes > 1, "{label}: the cycle registers several verify classes");
-        for p in &prepared {
-            assert_eq!(p.tiers.class_count(), classes, "{label}: classes warmed in stage 1");
-            assert!(p.tiers.classifier_tiers_ready(), "{label}: tiers warmed in stage 1");
-        }
-        let got = fast
-            .try_publish_prepared_batch(&prepared, frontend.epoch())
-            .expect("no control op ran since the front end was detached");
-        for (k, (got, event)) in got.iter().zip(&fixture.publications).enumerate() {
+        assert!(fast.verify_classes().len() > 1, "{label}: the cycle registers several classes");
+        for (k, event) in fixture.publications.iter().enumerate() {
+            let got = fast.match_prepared(&fast.prepare(event));
             let want = oracle.publish_detailed(event);
             assert_eq!(got.matches, want.matches, "{label}: event {k} diverged");
             assert_eq!(got.closure_pairs, want.closure_pairs, "{label}: event {k}");
             assert_eq!(got.truncated, want.truncated, "{label}: event {k}");
         }
-        assert_eq!(fast.stats(), oracle.stats(), "{label}: stats diverged");
+        let (got, want) = (fast.stats(), oracle.stats());
+        assert_eq!(got.verifications, want.verifications, "{label}: verifications diverged");
+        assert_eq!(got.verify_rejections, want.verify_rejections, "{label}: rejections diverged");
     }
 }
 
@@ -381,7 +373,7 @@ impl Entry {
         }
     }
 
-    /// Asks `prepared`'s tier cache for the entry.
+    /// Asks a fresh tier cache built from `prepared` for the entry.
     fn get(
         self,
         prepared: &PreparedEvent,
@@ -389,14 +381,15 @@ impl Entry {
         config: &Config,
         i: &Interner,
     ) -> ClosedEvent {
-        let (side, tiers, lim) = (prepared.event_side(), &prepared.tiers, &config.limits.closure);
+        let (side, mut tiers, lim) =
+            (prepared.event_side(), prepared.tier_cache(), &config.limits.closure);
         match self {
             Entry::SynonymTier => tiers.synonym_tier(side, source, config.now_year, i, lim).clone(),
             Entry::HierarchyTier(stages) => {
                 tiers.hierarchy_tier(side, source, stages, config.now_year, i, lim).clone()
             }
             Entry::Class(tolerance) => {
-                (*tiers.tolerance_class(&tolerance, side, source, config.now_year, i, lim)).clone()
+                tiers.tolerance_class(&tolerance, side, source, config.now_year, i, lim).clone()
             }
         }
     }
@@ -434,9 +427,8 @@ fn distance_map(closed: &ClosedEvent) -> FxHashMap<(Symbol, Value), (usize, u32)
     out
 }
 
-/// Prepares `event` with provenance off (so no entry is warmed), asks the
-/// tier cache for `entry`, holds it to a fresh fixpoint, and returns true
-/// if it was read off the main closure.
+/// Asks `prepared`'s tier cache for `entry`, holds it to a fresh fixpoint,
+/// and returns true if it was read off the main closure.
 fn check_entry(
     counting: &Counting,
     prepared: &PreparedEvent,
@@ -472,7 +464,6 @@ fn check_entry(
 /// returns how many publications had all of them read off.
 fn check_entries(fixture: &Fixture, config: Config, entries: &[Entry], label: &str) -> usize {
     let counting = Counting::new(fixture.source.clone());
-    let config = config.with_provenance(false);
     fixture.interner.with(|i| {
         let mut all_read_off = 0;
         for (k, event) in fixture.publications.iter().enumerate() {
@@ -576,7 +567,6 @@ impl World {
     /// if it was read off the main closure.
     fn read_off(&self, config: Config, entry: Entry) -> bool {
         let counting = Counting::new(self.source.clone());
-        let config = config.with_provenance(false);
         let prepared = prepare_event(&self.event, &counting, &config, &self.interner);
         check_entry(&counting, &prepared, &config, &self.interner, entry, &|| format!("{entry:?}"))
     }
@@ -1033,15 +1023,18 @@ fn memoized_classifier_forgets_levels_between_publications() {
 
 #[test]
 fn provenance_levels_are_computed_once_per_distinct_predicate_per_publication() {
-    // With the classifier tiers warmed in stage 1 and no tolerance to
-    // verify, the match stage queries the ontology only to resolve a
-    // predicate's synonyms — the first time the publication meets that
-    // predicate. Resolution asks for the attribute, plus the value of an
-    // `Eq`/`Ne` over a symbol. So the query count of a publication is
-    // exactly what resolving each distinct matched predicate once costs.
+    // With no tolerance to verify, the match stage queries the ontology
+    // for two things only. It fills the classifier tiers when it
+    // classifies a publication's first match. It resolves a predicate's
+    // synonyms the first time the publication meets that predicate.
+    // Resolution asks for the attribute, plus the value of an `Eq`/`Ne`
+    // over a symbol. So the query count of a publication with matches is
+    // exactly what filling the tiers on a fresh cache costs, plus what
+    // resolving each distinct matched predicate once costs.
     let fixture = jobfinder_fixture(300, 24, 17);
+    let config = Config::default();
     let counting = Arc::new(Counting::new(fixture.source.clone()));
-    let matcher = SToPSS::new(Config::default(), counting.clone(), fixture.interner.clone());
+    let matcher = SToPSS::new(config, counting.clone(), fixture.interner.clone());
     for sub in &fixture.subscriptions {
         matcher.subscribe(sub.clone());
     }
@@ -1049,13 +1042,25 @@ fn provenance_levels_are_computed_once_per_distinct_predicate_per_publication() 
         (Operator::Eq | Operator::Ne, Value::Sym(_)) => 2,
         _ => 1,
     };
+    let hier_stages = config.stages.intersect(StageMask::SYNONYM.with(StageMask::HIERARCHY));
     let (mut once, mut per_match) = (0, 0);
     for (k, event) in fixture.publications.iter().enumerate() {
-        let prepared = matcher.frontend().prepare(event);
+        let prepared = matcher.prepare(event);
         assert!(!prepared.truncated, "event {k}: a truncated tier defers to the oracle");
         counting.take();
         let matches = matcher.match_prepared(&prepared).matches;
         let queries = counting.take();
+        let tier_fill = if matches.is_empty() {
+            0
+        } else {
+            let (side, mut tiers, lim) =
+                (prepared.event_side(), prepared.tier_cache(), &config.limits.closure);
+            fixture.interner.with(|i| {
+                tiers.synonym_tier(side, counting.as_ref(), config.now_year, i, lim);
+                tiers.hierarchy_tier(side, counting.as_ref(), hier_stages, config.now_year, i, lim);
+            });
+            counting.take()
+        };
         let mut distinct = FxHashMap::default();
         for m in &matches {
             let sub = matcher.subscription(m.sub).unwrap();
@@ -1065,7 +1070,7 @@ fn provenance_levels_are_computed_once_per_distinct_predicate_per_publication() 
             }
         }
         let want: usize = distinct.values().sum();
-        assert_eq!(queries, want, "event {k}: {} matches", matches.len());
+        assert_eq!(queries, tier_fill + want, "event {k}: {} matches", matches.len());
         once += want;
     }
     assert!(once > 0, "the fixture must produce matches");
