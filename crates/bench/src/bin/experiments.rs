@@ -1,9 +1,9 @@
-//! Regenerates every table of `EXPERIMENTS.md`.
+//! Regenerates every paper-claim table under `results/`.
 //!
 //! The S-ToPSS paper is a demonstration paper: its evaluation artifacts
 //! are Figure 1 (the semantic-stage architecture), Figure 2 (the demo
 //! setup), and a set of qualitative claims. Each experiment below turns
-//! one of them into a measured table. See `DESIGN.md` §4 for the index.
+//! one of them into a measured table.
 //!
 //! Usage:
 //!   experiments [--quick] [--check] [exp ...]
@@ -18,7 +18,8 @@
 //! masked* (latency/rate cells vary run to run; match counts, recall,
 //! delivery conservation and derivation counters are deterministic), and
 //! the process exits non-zero on any drift — guarding the oracle tables
-//! against silent decay.
+//! against silent decay. An unknown argument, and a failed write while
+//! regenerating, also exit non-zero.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -53,30 +54,55 @@ fn scale(quick: bool) -> Scale {
     }
 }
 
+/// Every experiment, in run order.
+const EXPERIMENTS: [&str; 10] = [
+    "fig1",
+    "fig2",
+    "overhead",
+    "ontology",
+    "engines",
+    "tolerance",
+    "multidomain",
+    "strategy",
+    "hierarchy",
+    "scenarios",
+];
+
+/// Prints `message` and exits non-zero.
+fn fail(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
+    // A misspelled flag or name must fail: skipping it would let
+    // `--check` pass without checking anything.
+    let unknown: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| !matches!(*a, "--quick" | "--check" | "all") && !EXPERIMENTS.contains(a))
+        .collect();
+    if !unknown.is_empty() {
+        fail(&format!(
+            "unknown argument(s): {}\nusage: experiments [--quick] [--check] [all | {} ...]",
+            unknown.join(", "),
+            EXPERIMENTS.join(" | ")
+        ));
+    }
     let mut selected: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
     if selected.is_empty() || selected.contains(&"all") {
-        selected = vec![
-            "fig1",
-            "fig2",
-            "overhead",
-            "ontology",
-            "engines",
-            "tolerance",
-            "multidomain",
-            "strategy",
-            "hierarchy",
-            "scenarios",
-        ];
+        selected = EXPERIMENTS.to_vec();
     }
     let s = scale(quick);
     let dir = if quick { "results/quick" } else { "results" };
     if !check {
-        std::fs::create_dir_all(dir).ok();
+        if let Err(err) = std::fs::create_dir_all(dir) {
+            fail(&format!("cannot create {dir}: {err}"));
+        }
     }
 
     let started = Instant::now();
@@ -93,10 +119,7 @@ fn main() {
             "strategy" => exp_strategy(quick),
             "hierarchy" => exp_hierarchy(quick),
             "scenarios" => exp_scenarios(&s, quick),
-            other => {
-                eprintln!("unknown experiment '{other}', skipping");
-                continue;
-            }
+            other => unreachable!("experiment '{other}' was validated above"),
         };
         let mut md = String::new();
         let mut csv = String::new();
@@ -120,8 +143,12 @@ fn main() {
                 }
             }
         } else {
-            std::fs::write(format!("{dir}/{exp}.md"), md).ok();
-            std::fs::write(format!("{dir}/{exp}.csv"), csv).ok();
+            for (ext, text) in [("md", md), ("csv", csv)] {
+                let path = format!("{dir}/{exp}.{ext}");
+                if let Err(err) = std::fs::write(&path, text) {
+                    fail(&format!("cannot write {path}: {err}"));
+                }
+            }
         }
     }
     eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
@@ -129,12 +156,11 @@ fn main() {
         if drifted.is_empty() {
             eprintln!("freshness check passed: regenerated tables match the committed ones");
         } else {
-            eprintln!(
+            fail(&format!(
                 "freshness check FAILED: {} table file(s) drifted: {}",
                 drifted.len(),
                 drifted.join(", ")
-            );
-            std::process::exit(1);
+            ));
         }
     }
 }

@@ -90,8 +90,7 @@ pub struct Config {
     /// for every matched candidate.
     /// Results are byte-identical either way (pinned by
     /// `tests/tier_cache_differential.rs`); the `false` setting keeps the
-    /// oracle path selectable for differential tests and the
-    /// cached-vs-oracle axis of the `semantic_overhead` bench.
+    /// oracle path selectable as the reference side of differential tests.
     pub tier_cache: bool,
 }
 

@@ -70,8 +70,8 @@ fn matcher_with_mixed_tolerances(fixture: &Fixture, config: Config) -> SToPSS {
 
 /// Publishes every event through a tier-cached matcher and an oracle-path
 /// matcher under `config` and asserts byte-identical matches (with
-/// provenance) and lifetime stats.
-fn assert_paths_agree(fixture: &Fixture, config: Config, label: &str) {
+/// provenance) and lifetime stats. Returns the tier-cached matcher.
+fn assert_paths_agree(fixture: &Fixture, config: Config, label: &str) -> SToPSS {
     let fast = matcher_with_mixed_tolerances(fixture, config.with_tier_cache(true));
     let oracle = matcher_with_mixed_tolerances(fixture, config.with_tier_cache(false));
     for (k, event) in fixture.publications.iter().enumerate() {
@@ -83,19 +83,34 @@ fn assert_paths_agree(fixture: &Fixture, config: Config, label: &str) {
         assert_eq!(got.truncated, want.truncated, "{label}: event {k}");
     }
     assert_eq!(fast.stats(), oracle.stats(), "{label}: stats diverged");
+    fast
 }
 
 #[test]
 fn jobfinder_fast_path_equals_oracle_across_engines_and_strategies() {
     let fixture = jobfinder_fixture(120, 30, 7);
+    let default = Config::default();
     for engine in EngineKind::ALL {
         for strategy in Strategy::ALL {
-            let config = Config::default().with_engine(engine).with_strategy(strategy);
-            assert_paths_agree(
+            let config = default.with_engine(engine).with_strategy(strategy);
+            let mixed = assert_paths_agree(
                 &fixture,
                 config,
                 &format!("jobfinder engine={} strategy={}", engine.name(), strategy.name()),
             );
+            if engine == default.engine && strategy == default.strategy {
+                // Non-vacuity: the mixed tolerances really verify candidates,
+                // and they reject some that uniform full tolerance matches.
+                assert!(mixed.stats().verifications > 0, "no candidate was verified");
+                let uniform = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
+                for sub in &fixture.subscriptions {
+                    uniform.subscribe_with_tolerance(sub.clone(), Tolerance::full());
+                }
+                let total = |matcher: &SToPSS| -> usize {
+                    fixture.publications.iter().map(|event| matcher.publish(event).len()).sum()
+                };
+                assert!(total(&mixed) < total(&uniform), "stricter tolerances must drop matches");
+            }
         }
     }
 }
