@@ -314,9 +314,11 @@ pub struct NetChaosReport {
     pub published: u64,
     /// Matches reported by `Published` replies.
     pub matches: u64,
-    /// Matches whose owner was gone at notification time (the event loop
-    /// unregisters a connection's clients when it observes the
-    /// disconnect).
+    /// Matches whose owner was gone at notification time. Zero in this
+    /// single-threaded harness: when the event loop observes a
+    /// disconnect it retires the connection's session, unsubscribing its
+    /// clients' subscriptions before unregistering them, so a dead
+    /// subscriber stops matching instead of orphaning.
     pub orphaned: u64,
     /// Deliveries the engine handed to the
     /// [`NetTransport`](crate::eventloop::NetTransport)s.
@@ -468,7 +470,7 @@ pub fn run_net_chaos(
             client.close();
             report.mid_frame_disconnects += 1;
             // Let the loop observe the disconnect before publishing, so
-            // the victim's subsequent matches orphan deterministically.
+            // the victim's subscription is retired deterministically.
             assert!(server.run_until_quiescent(turn_budget).expect("turn"), "disconnect fence");
         }
 

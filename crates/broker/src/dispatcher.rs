@@ -207,7 +207,11 @@ impl Broker {
     /// matcher (the dropped endpoint may reconnect under a new
     /// registration), so their subsequent matches become unroutable and
     /// are counted in [`Broker::orphaned_matches`] — the accounting the
-    /// chaos harness scores. Returns false for unknown ids.
+    /// in-process chaos harness scores (E10c's "connection drops" row
+    /// depends on it). The networked broker pairs this with
+    /// [`Broker::unsubscribe_all`] when it retires a session, so a served
+    /// connection never leaves orphan-producing subscriptions behind.
+    /// Returns false for unknown ids.
     pub fn unregister_client(&self, client: ClientId) -> bool {
         self.clients.write().remove(&client).is_some()
     }
@@ -326,11 +330,13 @@ impl Broker {
         Ok(existed)
     }
 
-    /// Removes every subscription owned by `client`, returning how many
-    /// were dropped. Same matcher-first ordering (and the same inherent
-    /// already-matched window, counted by [`Broker::orphaned_matches`])
-    /// as [`Broker::unsubscribe`]. This is the session-expiry path of the
-    /// networked broker: a session past its TTL surrenders its
+    /// Removes every subscription owned by `client` in one matcher
+    /// control mutation ([`SToPSS::unsubscribe_batch`]), returning how
+    /// many were dropped. Same matcher-first ordering (and the same
+    /// inherent already-matched window, counted by
+    /// [`Broker::orphaned_matches`]) as [`Broker::unsubscribe`]. This is
+    /// the session-retirement path of the networked broker: a closed
+    /// session-less connection, or a session past its TTL, surrenders its
     /// subscriptions instead of orphaning every future match.
     pub fn unsubscribe_all(&self, client: ClientId) -> usize {
         let owned: Vec<SubId> = self
@@ -339,9 +345,7 @@ impl Broker {
             .iter()
             .filter_map(|(sub, owner)| (*owner == client).then_some(*sub))
             .collect();
-        for sub in &owned {
-            self.matcher.unsubscribe(*sub);
-        }
+        self.matcher.unsubscribe_batch(&owned);
         let mut owners = self.sub_owner.write();
         for sub in &owned {
             owners.remove(sub);
@@ -855,6 +859,27 @@ mod tests {
         assert_eq!(broker.orphaned_matches(), 1);
         let stats = broker.shutdown();
         assert_eq!(stats.get(TransportKind::Tcp).delivered, 0);
+    }
+
+    /// Retiring a client surrenders all its subscriptions in one matcher
+    /// fork, whatever their number, and leaves other owners untouched.
+    #[test]
+    fn unsubscribe_all_forks_the_matcher_once() {
+        let (broker, interner) = jobs_broker(BrokerConfig::default());
+        let company = broker.register_client("acme", TransportKind::Tcp);
+        let other = broker.register_client("globex", TransportKind::Tcp);
+        for _ in 0..3 {
+            broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
+        }
+        broker.subscribe(other, recruiter_predicates(&interner)).unwrap();
+        let before = broker.matcher_control_epoch();
+        assert_eq!(broker.unsubscribe_all(company), 3);
+        assert_eq!(broker.matcher_control_epoch(), before + 1, "one fork per retirement");
+        assert_eq!(broker.subscription_count(), 1);
+        assert_eq!(broker.unsubscribe_all(company), 0);
+        assert_eq!(broker.matcher_control_epoch(), before + 1, "nothing owned, nothing forked");
+        assert_eq!(broker.publish(&candidate_event(&interner)), 1, "the other owner still matches");
+        broker.shutdown();
     }
 
     #[test]

@@ -31,31 +31,36 @@
 //! pipe. Replies always enqueue (they are request-bounded); notification
 //! frames beyond the bound hit the configured [`BackpressurePolicy`]:
 //! either the slow consumer is **disconnected** (its queued notifications
-//! are counted, its clients unregistered so later matches surface as
-//! [`Broker::orphaned_matches`]) or the newest notification is **dropped
-//! with accounting**. Nothing is ever silently lost: every delivery the
-//! engine hands to a [`NetTransport`] ends in exactly one of
-//! [`NetStats::notifications_sent`], [`NetStats::notifications_dropped`]
-//! or [`NetStats::notifications_disconnected`], which is the conservation
+//! are counted and its session retired: subscriptions unsubscribed,
+//! clients unregistered, so nothing it left behind keeps matching) or the
+//! newest notification is **dropped with accounting**. Nothing is ever
+//! silently lost: every delivery the engine hands to a [`NetTransport`]
+//! ends in exactly one of [`NetStats::notifications_sent`],
+//! [`NetStats::notifications_dropped`] or
+//! [`NetStats::notifications_disconnected`], which is the conservation
 //! identity the networked test- and chaos-suites score (see
 //! `tests/netbroker_end_to_end.rs` and `docs/ARCHITECTURE.md`).
 //!
 //! # Sessions
 //!
-//! A connection whose *first* frame is [`ClientMessage::Hello`] opts into
-//! the session layer (see [`crate::session`]): the broker answers
-//! [`ServerMessage::Welcome`] and from then on the connection's clients,
-//! subscriptions and unacknowledged notifications belong to a *session*
-//! that survives the connection. Sessioned notifications carry a
-//! per-session monotone `seq` and are retained in a bounded replay buffer
-//! until the client acknowledges them ([`ClientMessage::Ack`]); a
-//! reconnecting client quotes its token and last seen `seq` in `Hello`
-//! and receives exactly the retained frames above that mark, in order.
-//! Connections that never send `Hello` speak the PR 8 protocol unchanged
-//! (their notifications carry `seq == 0`).
+//! Every connection is accepted with a session (see [`crate::session`])
+//! that owns the clients registered over it and, through them, their
+//! subscriptions; every delivery is routed through its client's session.
+//! A connection that never sends [`ClientMessage::Hello`] keeps a
+//! non-retaining session: its notifications carry `seq == 0`, and
+//! closing the connection retires the session at once.
+//! A connection whose *first* frame is `Hello` gets a *retaining*
+//! session instead: the broker answers [`ServerMessage::Welcome`] and
+//! from then on the connection's clients, subscriptions and
+//! unacknowledged notifications survive the connection. Its
+//! notifications carry a per-session monotone `seq` and are retained in
+//! a bounded replay buffer until the client acknowledges them
+//! ([`ClientMessage::Ack`]); a reconnecting client quotes its token and
+//! last seen `seq` in `Hello` and receives exactly the retained frames
+//! above that mark, in order. Only a retaining session can be resumed.
 //!
-//! For sessioned connections the conservation identity grows — every
-//! notification the engine delivers for a sessioned client terminates in
+//! For retaining sessions the conservation identity grows — every
+//! notification the engine delivers for such a client terminates in
 //! exactly one of [`NetStats::notifications_acked`] (acked, never
 //! retransmitted), [`NetStats::notifications_replayed`] (acked after a
 //! retransmission), [`NetStats::notifications_dropped`] (replay buffer
@@ -79,8 +84,8 @@
 //! `mio-lite` reports readiness in ascending token order and the listener
 //! accepts in connect order, so a single-threaded driver observing the
 //! same client actions produces the same frame order, the same
-//! [`ClientId`]/[`stopss_types::SubId`] assignments and the same reply
-//! sequence on every run. Notifications are delivered synchronously on
+//! [`ClientId`](crate::client::ClientId)/[`stopss_types::SubId`]
+//! assignments and the same reply sequence on every run. Notifications are delivered synchronously on
 //! the loop's own thread, so the served broker has no asynchrony of its
 //! own, and each subscriber's stream of notifications is a subsequence of
 //! the order in which the broker served the publishes. Publishes made
@@ -100,7 +105,6 @@ use stopss_ontology::SemanticSource;
 use stopss_types::sync::{Arc, Mutex};
 use stopss_types::{FxHashMap, SharedInterner};
 
-use crate::client::ClientId;
 use crate::dispatcher::{Broker, BrokerConfig, TransportFactory};
 use crate::notify::DeliveryStats;
 use crate::server::DemoServer;
@@ -120,11 +124,13 @@ const FIRST_CONN: usize = 1;
 /// is already at [`NetBrokerConfig::max_outbound_frames`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackpressurePolicy {
-    /// Disconnect the slow consumer: its queued and in-flight
-    /// notifications are counted in
-    /// [`NetStats::notifications_disconnected`], its clients are
-    /// unregistered from the broker (so later matches are accounted as
-    /// [`Broker::orphaned_matches`]), and its connection is closed.
+    /// Disconnect the slow consumer: its connection is closed and its
+    /// session retired — subscriptions unsubscribed, clients unregistered.
+    /// A session-less consumer's queued notifications and the one that
+    /// overflowed count in [`NetStats::notifications_disconnected`]; a
+    /// retaining session (bounded by its replay buffer instead) counts
+    /// its retained frames and the overflowing one in
+    /// [`NetStats::notifications_expired`].
     Disconnect,
     /// Keep the connection and drop the *newest* notification, counting
     /// it in [`NetStats::notifications_dropped`]. Replies are never
@@ -151,8 +157,10 @@ pub struct NetBrokerConfig {
     /// closed before any allocation happens).
     pub max_frame_len: usize,
     /// Session-layer knobs (replay-buffer bound, TTL, heartbeat). Only
-    /// connections that opt in with [`ClientMessage::Hello`] are
-    /// affected.
+    /// retaining sessions — connections that open with
+    /// [`ClientMessage::Hello`] — are affected; a session-less connection
+    /// is bounded by [`NetBrokerConfig::max_outbound_frames`] and retired
+    /// when it closes.
     pub session: SessionConfig,
 }
 
@@ -172,12 +180,14 @@ impl Default for NetBrokerConfig {
 
 /// Counters of the event loop.
 ///
-/// For *legacy* (session-less) connections, every notification the
-/// engine delivers to a [`NetTransport`] terminates in exactly one of
+/// For *session-less* connections, every notification the engine
+/// delivers to a [`NetTransport`] terminates in exactly one of
 /// `notifications_sent`, `notifications_dropped` or
-/// `notifications_disconnected` once the loop is quiescent.
+/// `notifications_disconnected` once the loop is quiescent. Closing such
+/// a connection retires its clients and their subscriptions, so no match
+/// outlives it.
 ///
-/// For *sessioned* connections the terminal buckets are
+/// For *retaining* sessions the terminal buckets are
 /// `notifications_acked`, `notifications_replayed`,
 /// `notifications_dropped` and `notifications_expired`, with
 /// [`NetBroker::session_in_flight`] covering the retained remainder (see
@@ -206,19 +216,20 @@ pub struct NetStats {
     pub notifications_sent: u64,
     /// Notifications dropped by [`BackpressurePolicy::DropNewest`].
     pub notifications_dropped: u64,
-    /// Notifications for connections that no longer exist: queued frames
-    /// of a disconnected consumer, the notification that triggered a
-    /// [`BackpressurePolicy::Disconnect`], and late deliveries for
-    /// clients whose connection already went away.
+    /// Notifications for session-less connections that no longer exist:
+    /// queued frames of a closed or disconnected consumer, the
+    /// notification that triggered a [`BackpressurePolicy::Disconnect`],
+    /// and late deliveries for clients whose session already retired.
     pub notifications_disconnected: u64,
-    /// Sessions opened by a fresh [`ClientMessage::Hello`] handshake.
+    /// Retaining sessions opened by a fresh [`ClientMessage::Hello`]
+    /// handshake (session-less connections never count).
     pub sessions_created: u64,
     /// Successful resumes (`Welcome { resumed: true }`).
     pub sessions_resumed: u64,
     /// Sessions expired: detached past the TTL, or terminated whole at a
     /// full replay buffer under [`BackpressurePolicy::Disconnect`].
     pub sessions_expired: u64,
-    /// Attached sessioned connections closed for inbound silence past
+    /// Attached retaining sessions' connections closed for inbound silence past
     /// [`SessionConfig::heartbeat_timeout`] logical ticks.
     pub heartbeat_timeouts: u64,
     /// Sessioned notifications acknowledged without ever being
@@ -307,27 +318,23 @@ struct Conn {
     rx: BytesMut,
     /// Outbound frames not yet fully written to the pipe.
     out: VecDeque<OutFrame>,
-    /// Clients registered over this connection (legacy protocol only —
-    /// a sessioned connection's clients belong to its session).
-    clients: Vec<ClientId>,
     /// Notification frames currently in `out`.
     notifications_queued: u64,
-    /// The session this connection is attached to, once it has opted in
-    /// with a `Hello`.
-    session: Option<u64>,
+    /// The session this connection is attached to: its own non-retaining
+    /// one from accept, or the retaining one a `Hello` opened or resumed.
+    session: u64,
     /// Logical tick of the last inbound bytes (heartbeat bookkeeping).
     last_inbound: u64,
 }
 
 impl Conn {
-    fn new(stream: SimStream, now: u64) -> Conn {
+    fn new(stream: SimStream, now: u64, session: u64) -> Conn {
         Conn {
             stream,
             rx: BytesMut::new(),
             out: VecDeque::new(),
-            clients: Vec::new(),
             notifications_queued: 0,
-            session: None,
+            session,
             last_inbound: now,
         }
     }
@@ -358,7 +365,6 @@ pub struct NetBroker {
     listener: SimListener,
     server: DemoServer,
     conns: BTreeMap<Token, Conn>,
-    client_conn: FxHashMap<ClientId, Token>,
     queue: SharedQueue,
     next_token: usize,
     policy: BackpressurePolicy,
@@ -407,7 +413,6 @@ impl NetBroker {
             listener,
             server: DemoServer::new(broker),
             conns: BTreeMap::new(),
-            client_conn: FxHashMap::default(),
             queue,
             next_token: FIRST_CONN,
             policy: config.backpressure,
@@ -505,26 +510,15 @@ impl NetBroker {
                         .next()
                         .expect("invariant: the server returns one reply per served message");
                     match &reply {
-                        ServerMessage::Registered { client } => {
-                            match self.conns.get(&token).and_then(|c| c.session) {
-                                Some(stoken) => self.sessions.bind_client(stoken, *client),
-                                None if self.conns.contains_key(&token) => {
-                                    self.client_conn.insert(*client, token);
-                                    self.conns
-                                        .get_mut(&token)
-                                        .expect("invariant: conn checked live in this arm")
-                                        .clients
-                                        .push(*client);
-                                }
-                                None => {
-                                    // Registered over a connection that
-                                    // died this turn: retract the
-                                    // registration so its matches cannot
-                                    // dangle unaccounted.
-                                    self.server.broker().unregister_client(*client);
-                                }
+                        ServerMessage::Registered { client } => match self.conns.get(&token) {
+                            Some(conn) => self.sessions.bind_client(conn.session, *client),
+                            None => {
+                                // Registered over a connection that died
+                                // this turn: retract the registration so
+                                // its matches cannot dangle unaccounted.
+                                self.server.broker().unregister_client(*client);
                             }
-                        }
+                        },
                         ServerMessage::Published { matches } => {
                             self.stats.matches_seen += u64::from(*matches);
                         }
@@ -557,45 +551,7 @@ impl NetBroker {
             queue.drain(..).collect()
         };
         for delivery in deliveries {
-            if let Some(stoken) = self.sessions.session_of(delivery.client) {
-                self.route_session_notification(stoken, delivery, &mut flushable);
-                continue;
-            }
-            let Some(&token) = self.client_conn.get(&delivery.client) else {
-                self.stats.notifications_disconnected += 1;
-                continue;
-            };
-            let over = {
-                let conn = self
-                    .conns
-                    .get(&token)
-                    .expect("invariant: client_conn only maps to live connections");
-                conn.out.len() >= self.max_outbound_frames
-            };
-            if over {
-                // conservation: delivered == notifications_sent + notifications_dropped + notifications_disconnected
-                match self.policy {
-                    BackpressurePolicy::DropNewest => {
-                        self.stats.notifications_dropped += 1;
-                    }
-                    BackpressurePolicy::Disconnect => {
-                        self.stats.notifications_disconnected += 1;
-                        self.close_conn(token);
-                        flushable.remove(&token);
-                    }
-                }
-                continue;
-            }
-            let conn = self
-                .conns
-                .get_mut(&token)
-                .expect("invariant: conn was live at the backpressure check");
-            conn.out.push_back(OutFrame::new(
-                &ServerMessage::Notification { seq: 0, payload: delivery.payload },
-                FrameKind::Notification,
-            ));
-            conn.notifications_queued += 1;
-            flushable.insert(token);
+            self.route(delivery, &mut flushable);
         }
 
         // Flush phase: write until each touched pipe pushes back.
@@ -631,7 +587,7 @@ impl NetBroker {
     }
 
     /// Advances the logical session clock by `ticks`, then enforces the
-    /// two time-based policies: attached sessioned connections silent for
+    /// two time-based policies: attached retaining sessions' connections silent for
     /// [`SessionConfig::heartbeat_timeout`] ticks are closed (their
     /// sessions detach and start the TTL countdown), and detached
     /// sessions past [`SessionConfig::session_ttl`] are expired — their
@@ -648,7 +604,7 @@ impl NetBroker {
                 .conns
                 .iter()
                 .filter(|(_, conn)| {
-                    conn.session.is_some()
+                    self.sessions.get(conn.session).is_some_and(|s| s.retains)
                         && self.clock.saturating_sub(conn.last_inbound)
                             >= self.session_cfg.heartbeat_timeout
                 })
@@ -660,7 +616,7 @@ impl NetBroker {
             }
         }
         for stoken in self.sessions.expired(self.clock, self.session_cfg.session_ttl) {
-            self.expire_session(stoken);
+            self.retire(stoken);
         }
     }
 
@@ -681,8 +637,9 @@ impl NetBroker {
             return false;
         }
         let broker = self.server.broker();
-        self.stats.matches_seen
-            == broker.orphaned_matches() + broker.delivery_stats().total_delivered()
+        let delivered = broker.delivery_stats().total_delivered();
+        // conservation: matches_seen == orphaned_matches + delivered
+        self.stats.matches_seen == broker.orphaned_matches() + delivered
     }
 
     /// True when every connection that *can* make write progress has an
@@ -692,8 +649,8 @@ impl NetBroker {
         self.conns.values().all(|conn| conn.out.is_empty() || conn.stream.partitioned())
     }
 
-    /// Retained (unacknowledged) frame count of session `token`, if it
-    /// is live.
+    /// Retained (unacknowledged) frame count of retaining session
+    /// `token`, if it is live.
     pub fn session_retained(&self, token: u64) -> Option<u64> {
         self.sessions.retained(token)
     }
@@ -704,15 +661,17 @@ impl NetBroker {
         self.sessions.in_flight()
     }
 
-    /// Number of live sessions (attached or detached).
+    /// Number of live retaining sessions (attached or detached);
+    /// session-less connections do not count.
     pub fn session_count(&self) -> usize {
         self.sessions.len()
     }
 
     /// Closes every live connection at once — the chaos harness's
-    /// broker-front-end bounce. Sessions detach (their state survives in
-    /// memory and their TTL countdown starts); legacy connections lose
-    /// their clients as usual. Pair with
+    /// broker-front-end bounce. Retaining sessions detach (their state
+    /// survives in memory and their TTL countdown starts); session-less
+    /// connections are retired as on any close — their clients
+    /// unregistered and their subscriptions unsubscribed. Pair with
     /// [`Broker::restart_notifier`](crate::dispatcher::Broker::restart_notifier)
     /// to model a full restart of the serving tier.
     pub fn kill_all_connections(&mut self) {
@@ -732,11 +691,12 @@ impl NetBroker {
         Ok(())
     }
 
-    /// Handles a `Hello`: opens a fresh session, or — when `requested`
-    /// names a live one — resumes it: the session is stolen from any
-    /// zombie connection still attached, `last_seen_seq` acts as a
-    /// cumulative ack, and every still-retained frame is queued for
-    /// retransmission (in seq order, right after the `Welcome`).
+    /// Handles a `Hello`: turns the connection's own session into a
+    /// retaining one, or — when `requested` names a live retaining
+    /// session — drops it to attach that session instead: the session is
+    /// stolen from any zombie connection still attached, `last_seen_seq`
+    /// acts as a cumulative ack, and every still-retained frame is queued
+    /// for retransmission (in seq order, right after the `Welcome`).
     fn handle_hello(
         &mut self,
         token: Token,
@@ -746,119 +706,114 @@ impl NetBroker {
         let Some(conn) = self.conns.get(&token) else {
             return Vec::new(); // the connection died earlier this turn
         };
-        if conn.session.is_some() {
+        let own = conn.session;
+        let session = self.sessions.get(own).expect("invariant: a live conn's session is live");
+        if session.retains {
             let message = "duplicate Hello on an established session".into();
             return vec![(ServerMessage::Error { message }, FrameKind::Reply)];
         }
-        if !conn.clients.is_empty() {
+        if !session.clients.is_empty() {
             let message = "Hello must be the first frame of a connection".into();
             return vec![(ServerMessage::Error { message }, FrameKind::Reply)];
         }
-        if requested != 0 && self.sessions.contains(requested) {
-            let old = self
-                .sessions
-                .get_mut(requested)
-                .expect("invariant: contains(requested) checked")
-                .conn
-                .take();
-            if let Some(old_token) = old {
-                if old_token != token {
-                    self.close_conn(old_token);
-                }
-            }
-            let session =
-                self.sessions.get_mut(requested).expect("invariant: contains(requested) checked");
-            session.conn = Some(token);
-            session.detached_at = None;
-            let (fresh, replayed) = session.ack(last_seen_seq);
-            let mut frames = vec![(
-                ServerMessage::Welcome { session: requested, resumed: true },
-                FrameKind::Reply,
-            )];
-            for frame in session.replay.iter_mut() {
-                frame.retransmitted = true;
-                frames.push((
-                    ServerMessage::Notification { seq: frame.seq, payload: frame.payload.clone() },
-                    FrameKind::Replay,
-                ));
-            }
-            // conservation: delivered == notifications_acked + notifications_replayed + notifications_dropped + notifications_expired
-            self.stats.notifications_acked += fresh;
-            self.stats.notifications_replayed += replayed;
-            self.stats.sessions_resumed += 1;
-            self.conns.get_mut(&token).expect("invariant: hello arrives on a live conn").session =
-                Some(requested);
-            frames
-        } else {
+        if !self.sessions.get(requested).is_some_and(|s| s.retains) {
             // Unknown (or zero) token: grant a fresh session. A client
             // whose old session expired learns it here — `resumed: false`
             // tells it to re-register and re-subscribe from scratch.
-            let stoken = self.sessions.create(token);
-            self.conns.get_mut(&token).expect("invariant: hello arrives on a live conn").session =
-                Some(stoken);
+            self.sessions.get_mut(own).expect("invariant: checked live above").retains = true;
             self.stats.sessions_created += 1;
-            vec![(ServerMessage::Welcome { session: stoken, resumed: false }, FrameKind::Reply)]
+            return vec![(
+                ServerMessage::Welcome { session: own, resumed: false },
+                FrameKind::Reply,
+            )];
         }
+        self.sessions.remove(own);
+        self.conns.get_mut(&token).expect("invariant: checked live above").session = requested;
+        if let Some(zombie) = self.sessions.get(requested).and_then(|s| s.conn) {
+            self.close_conn(zombie);
+        }
+        let session = self.sessions.get_mut(requested).expect("invariant: retaining, checked");
+        session.conn = Some(token);
+        session.detached_at = None;
+        let (fresh, replayed) = session.ack(last_seen_seq);
+        let mut frames =
+            vec![(ServerMessage::Welcome { session: requested, resumed: true }, FrameKind::Reply)];
+        for frame in session.replay.iter_mut() {
+            frame.retransmitted = true;
+            frames.push((
+                ServerMessage::Notification { seq: frame.seq, payload: frame.payload.clone() },
+                FrameKind::Replay,
+            ));
+        }
+        // conservation: delivered == notifications_acked + notifications_replayed + notifications_dropped + notifications_expired
+        self.stats.notifications_acked += fresh;
+        self.stats.notifications_replayed += replayed;
+        self.stats.sessions_resumed += 1;
+        frames
     }
 
     /// Handles an `Ack`: trims the session's replay buffer up to `seq`,
     /// crediting each trimmed frame to its terminal bucket. Acks elicit
     /// no reply — the one documented exception to one-reply-per-request.
     fn handle_ack(&mut self, token: Token, seq: u64) -> Vec<(ServerMessage, FrameKind)> {
-        let Some(stoken) = self.conns.get(&token).and_then(|c| c.session) else {
+        let session = self.conns.get(&token).and_then(|c| self.sessions.get_mut(c.session));
+        let Some(session) = session.filter(|s| s.retains) else {
             let message = "Ack outside a session".into();
             return vec![(ServerMessage::Error { message }, FrameKind::Reply)];
         };
-        if let Some(session) = self.sessions.get_mut(stoken) {
-            let (fresh, replayed) = session.ack(seq);
-            self.stats.notifications_acked += fresh;
-            self.stats.notifications_replayed += replayed;
-        }
+        let (fresh, replayed) = session.ack(seq);
+        self.stats.notifications_acked += fresh;
+        self.stats.notifications_replayed += replayed;
         Vec::new()
     }
 
-    /// Routes one engine delivery to a sessioned client: assign the next
-    /// seq, retain the frame in the replay buffer, and — if the session
-    /// is attached — queue the frame on its connection. The replay bound
-    /// supersedes `max_outbound_frames` for sessioned traffic: at the
-    /// bound, `DropNewest` drops the delivery *before* a seq is assigned
-    /// (so received seqs stay contiguous) and `Disconnect` expires the
-    /// session whole — it can no longer keep its no-loss promise, and
-    /// the triggering delivery joins its retained frames in
-    /// [`NetStats::notifications_expired`].
-    fn route_session_notification(
-        &mut self,
-        stoken: u64,
-        delivery: Delivery,
-        flushable: &mut BTreeSet<Token>,
-    ) {
-        let Some(session) = self.sessions.get_mut(stoken) else {
+    /// Routes one engine delivery through its client's session onto the
+    /// attached connection. The two kinds of session differ only in data:
+    /// a retaining session numbers the frame and retains it, bounded by
+    /// [`SessionConfig::replay_buffer_frames`] (and, detached, only
+    /// retains it for replay on resume); a non-retaining one sends `seq 0`,
+    /// bounded by [`NetBrokerConfig::max_outbound_frames`]. At the bound,
+    /// `DropNewest` drops the delivery — before a seq is assigned, so
+    /// received seqs stay contiguous — and `Disconnect` retires the
+    /// session, the overflowing delivery counting `expired` for a
+    /// retaining session (it can no longer keep its no-loss promise) and
+    /// `disconnected` for a non-retaining one.
+    fn route(&mut self, delivery: Delivery, flushable: &mut BTreeSet<Token>) {
+        let Some(stoken) = self.sessions.session_of(delivery.client) else {
             self.stats.notifications_disconnected += 1;
             return;
         };
-        let Some(seq) =
+        let session =
+            self.sessions.get_mut(stoken).expect("invariant: bound clients have live sessions");
+        let conn = session.conn.map(|token| {
+            let conn = self.conns.get_mut(&token);
+            (token, conn.expect("invariant: session.conn only points at live connections"))
+        });
+        let admitted = if session.retains {
             session.try_retain(delivery.payload.clone(), self.session_cfg.replay_buffer_frames)
-        else {
+        } else {
+            conn.as_ref().is_some_and(|(_, c)| c.out.len() < self.max_outbound_frames).then_some(0)
+        };
+        let Some(seq) = admitted else {
+            let retains = session.retains;
+            // conservation: delivered == notifications_sent + notifications_dropped + notifications_disconnected
             match self.policy {
-                BackpressurePolicy::DropNewest => {
-                    self.stats.notifications_dropped += 1;
-                }
+                BackpressurePolicy::DropNewest => self.stats.notifications_dropped += 1,
                 BackpressurePolicy::Disconnect => {
-                    self.stats.notifications_expired += 1;
-                    let conn = session.conn;
-                    self.expire_session(stoken);
-                    if let Some(token) = conn {
+                    if retains {
+                        self.stats.notifications_expired += 1;
+                    } else {
+                        self.stats.notifications_disconnected += 1;
+                    }
+                    if let Some((token, _)) = conn {
                         flushable.remove(&token);
                     }
+                    self.retire(stoken);
                 }
             }
             return;
         };
-        if let Some(token) = session.conn {
-            let conn = self
-                .conns
-                .get_mut(&token)
-                .expect("invariant: session.conn only points at live connections");
+        if let Some((token, conn)) = conn {
             conn.out.push_back(OutFrame::new(
                 &ServerMessage::Notification { seq, payload: delivery.payload },
                 FrameKind::Notification,
@@ -866,64 +821,49 @@ impl NetBroker {
             conn.notifications_queued += 1;
             flushable.insert(token);
         }
-        // Detached: the frame is retained only, to be replayed on resume.
     }
 
-    /// Expires a session terminally: closes its attached connection (if
-    /// any), unsubscribes and unregisters its clients (so later matches
-    /// surface as [`Broker::orphaned_matches`] rather than dangling), and
-    /// counts every retained frame in
-    /// [`NetStats::notifications_expired`].
-    fn expire_session(&mut self, stoken: u64) {
+    /// Retires a session terminally: closes its attached connection (if
+    /// any), unsubscribes and unregisters its clients (so nothing it owned
+    /// keeps matching), and accounts what it held. A retaining session's
+    /// retained frames — its queued frames among them — count
+    /// [`NetStats::notifications_expired`]; a session-less connection's
+    /// queued frames count [`NetStats::notifications_disconnected`].
+    fn retire(&mut self, stoken: u64) {
         let Some(session) = self.sessions.remove(stoken) else {
             return;
         };
-        if let Some(token) = session.conn {
-            if let Some(mut conn) = self.conns.remove(&token) {
-                let _ = self.registry.deregister(&mut conn.stream);
-                if !conn.rx.is_empty() {
-                    self.stats.truncated_frames += 1;
-                }
-                self.stats.connections_closed += 1;
-                // Queued-but-unwritten notification frames on this
-                // connection are exactly the retained frames counted
-                // below — no `disconnected` accounting, or they would be
-                // counted twice.
-            }
+        if let Some(conn) = session.conn.and_then(|token| self.conns.remove(&token)) {
+            self.drop_conn(conn, session.retains);
         }
+        let broker = self.server.broker();
         for client in &session.clients {
-            self.server.broker().unsubscribe_all(*client);
-            self.server.broker().unregister_client(*client);
+            broker.unsubscribe_all(*client);
+            broker.unregister_client(*client);
         }
-        self.stats.notifications_expired += session.replay.len() as u64;
-        self.stats.sessions_expired += 1;
+        if session.retains {
+            self.stats.notifications_expired += session.replay.len() as u64;
+            self.stats.sessions_expired += 1;
+        }
     }
 
     /// True if every produced match is terminally accounted and nothing
     /// is queued anywhere in the loop.
     fn settled(&self) -> bool {
-        if !self.queue.lock().is_empty() {
-            return false;
-        }
-        if self.conns.values().any(|c| !c.out.is_empty()) {
-            return false;
-        }
-        let broker = self.server.broker();
-        let delivered = broker.delivery_stats().total_delivered();
-        // conservation: matches_seen == orphaned_matches + delivered
-        self.stats.matches_seen == broker.orphaned_matches() + delivered
+        self.deliveries_drained() && self.conns.values().all(|c| c.out.is_empty())
     }
 
-    /// Shuts the loop down: drops every connection (closing the pipes)
+    /// Shuts the loop down: drops every connection (closing the pipes,
+    /// counting session-less connections' queued frames as disconnected)
     /// and stops the broker, returning the loop's counters and the final
-    /// engine delivery statistics.
+    /// engine delivery statistics. Nothing is retired — the matcher is
+    /// about to stop, so unsubscribing would be work for nothing.
     pub fn shutdown(mut self) -> (NetStats, DeliveryStats) {
-        let tokens: Vec<Token> = self.conns.keys().copied().collect();
-        for token in tokens {
-            self.close_conn(token);
+        for conn in std::mem::take(&mut self.conns).into_values() {
+            let retains = self.sessions.get(conn.session).is_some_and(|s| s.retains);
+            self.drop_conn(conn, retains);
         }
-        let stats = self.stats;
-        (stats, self.server.shutdown())
+        (self.stats, self.server.shutdown())
     }
 
     fn accept_all(&mut self) -> io::Result<()> {
@@ -937,7 +877,8 @@ impl NetBroker {
                         token,
                         Interest::READABLE | Interest::WRITABLE,
                     )?;
-                    self.conns.insert(token, Conn::new(stream, self.clock));
+                    let session = self.sessions.create(token);
+                    self.conns.insert(token, Conn::new(stream, self.clock, session));
                     self.stats.connections_accepted += 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
@@ -1037,38 +978,39 @@ impl NetBroker {
         }
     }
 
-    /// Tears a connection down. A *legacy* connection loses its clients
-    /// (unregistered from the broker, so future matches become orphans,
-    /// which the conservation identity counts) and its queued
-    /// notifications are accounted as disconnected. A *sessioned*
-    /// connection merely detaches: its session keeps its clients,
-    /// subscriptions and retained frames, and the TTL countdown starts —
-    /// queued-but-unwritten notification frames are not lost, every one
-    /// of them is still in the replay buffer. Either way the stream is
-    /// dropped — closing both pipes and waking the peer.
+    /// Tears a connection down. A *session-less* connection's session is
+    /// retired with it (`retire`). A *retaining* session
+    /// merely detaches: it keeps its clients, subscriptions and retained
+    /// frames, and the TTL countdown starts — queued-but-unwritten
+    /// notification frames are not lost, every one of them is still in
+    /// the replay buffer.
     fn close_conn(&mut self, token: Token) {
-        let Some(mut conn) = self.conns.remove(&token) else {
+        let Some(stoken) = self.conns.get(&token).map(|c| c.session) else {
             return;
         };
+        let session =
+            self.sessions.get_mut(stoken).expect("invariant: a live conn's session is live");
+        if !session.retains {
+            self.retire(stoken);
+            return;
+        }
+        session.conn = None;
+        session.detached_at = Some(self.clock);
+        let conn = self.conns.remove(&token).expect("invariant: checked live above");
+        self.drop_conn(conn, true);
+    }
+
+    /// Drops a removed connection's stream — closing both pipes and
+    /// waking the peer — and counts the close. Queued notification frames
+    /// count as disconnected unless its session `retained` them.
+    fn drop_conn(&mut self, mut conn: Conn, retained: bool) {
         let _ = self.registry.deregister(&mut conn.stream);
         if !conn.rx.is_empty() {
             self.stats.truncated_frames += 1;
         }
         self.stats.connections_closed += 1;
-        match conn.session {
-            Some(stoken) if self.sessions.contains(stoken) => {
-                let session =
-                    self.sessions.get_mut(stoken).expect("invariant: contains(stoken) checked");
-                session.conn = None;
-                session.detached_at = Some(self.clock);
-            }
-            _ => {
-                for client in &conn.clients {
-                    self.client_conn.remove(client);
-                    self.server.broker().unregister_client(*client);
-                }
-                self.stats.notifications_disconnected += conn.notifications_queued;
-            }
+        if !retained {
+            self.stats.notifications_disconnected += conn.notifications_queued;
         }
     }
 }
@@ -1175,6 +1117,7 @@ impl NetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::ClientId;
     use crate::wire::WireValue;
     use stopss_types::Interner;
     use stopss_workload::JobFinderDomain;

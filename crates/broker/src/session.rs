@@ -1,11 +1,17 @@
-//! The session layer of the networked broker: state that survives the
-//! connection.
+//! The session layer of the networked broker: who owns a connection's
+//! clients, subscriptions and notifications.
 //!
-//! PR 8's event loop treated every disconnect as terminal — subscriptions
-//! torn down, queued notifications written off as `disconnected`. This
-//! module adds the recovery half: a connection opens (or resumes) a
-//! *session* with [`ClientMessage::Hello`], and from then on the broker
-//! side keeps per-session state in a `SessionTable` entry that outlives
+//! Every connection gets a `Session` in the `SessionTable` when it is
+//! accepted; the session owns the clients registered over it, and through
+//! them their subscriptions. A connection that never sends
+//! [`ClientMessage::Hello`] (a legacy connection) keeps a
+//! *non-retaining* session: its notifications carry `seq == 0`, and when
+//! the connection closes the session is retired with it — subscriptions
+//! unsubscribed, clients unregistered, queued notifications counted
+//! `disconnected`.
+//! A first-frame `Hello` turns the connection's session into a
+//! *retaining* one (or, quoting a live retaining session's token,
+//! attaches that session instead), and from then on the state outlives
 //! the connection:
 //!
 //! * the session's registered clients (and through them its
@@ -92,8 +98,12 @@ pub struct RetainedFrame {
 /// Broker-side state of one session (see the module docs).
 #[derive(Debug)]
 pub struct Session {
-    /// The attached connection, if any.
+    /// The attached connection, if any. Only a retaining session is ever
+    /// detached: a non-retaining session retires with its connection.
     pub conn: Option<Token>,
+    /// Whether the session retains its notifications for replay and
+    /// survives its connection — set by a `Hello` handshake.
+    pub retains: bool,
     /// Clients registered under this session.
     pub clients: Vec<ClientId>,
     /// Next sequence number to assign (starts at 1).
@@ -107,10 +117,11 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens a fresh session attached to `conn`.
+    /// Opens a fresh non-retaining session attached to `conn`.
     pub fn new(conn: Token) -> Session {
         Session {
             conn: Some(conn),
+            retains: false,
             clients: Vec::new(),
             next_seq: 1,
             acked: 0,
@@ -169,7 +180,8 @@ pub struct SessionTable {
 }
 
 impl SessionTable {
-    /// Opens a fresh session attached to `conn`, returning its token.
+    /// Opens a fresh non-retaining session attached to `conn`, returning
+    /// its token.
     pub fn create(&mut self, conn: Token) -> u64 {
         self.next_token += 1;
         let token = self.next_token;
@@ -178,13 +190,13 @@ impl SessionTable {
     }
 
     /// The session behind `token`, if it is still live.
-    pub fn get_mut(&mut self, token: u64) -> Option<&mut Session> {
-        self.sessions.get_mut(&token)
+    pub fn get(&self, token: u64) -> Option<&Session> {
+        self.sessions.get(&token)
     }
 
-    /// Whether `token` names a live session.
-    pub fn contains(&self, token: u64) -> bool {
-        self.sessions.contains_key(&token)
+    /// The session behind `token`, if it is still live.
+    pub fn get_mut(&mut self, token: u64) -> Option<&mut Session> {
+        self.sessions.get_mut(&token)
     }
 
     /// Binds a freshly registered client to its session.
@@ -210,14 +222,15 @@ impl SessionTable {
         Some(session)
     }
 
-    /// Number of live sessions.
+    /// Number of live retaining sessions (session-less connections do
+    /// not count).
     pub fn len(&self) -> usize {
-        self.sessions.len()
+        self.sessions.values().filter(|s| s.retains).count()
     }
 
-    /// True when no session is live (attached or detached).
+    /// True when no retaining session is live (attached or detached).
     pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
+        self.len() == 0
     }
 
     /// Total retained unacknowledged frames across live sessions — the
@@ -226,9 +239,9 @@ impl SessionTable {
         self.sessions.values().map(|s| s.replay.len() as u64).sum()
     }
 
-    /// Retained frame count of one session, if it is live.
+    /// Retained frame count of one retaining session, if it is live.
     pub fn retained(&self, token: u64) -> Option<u64> {
-        self.sessions.get(&token).map(|s| s.replay.len() as u64)
+        self.sessions.get(&token).filter(|s| s.retains).map(|s| s.replay.len() as u64)
     }
 
     /// Tokens of detached sessions whose TTL has lapsed at `now`

@@ -798,13 +798,25 @@ impl SToPSS {
     /// or `None` if no such subscription existed (no snapshot is
     /// published in that case).
     pub fn unsubscribe(&self, id: SubId) -> Option<u64> {
+        self.unsubscribe_batch(&[id])
+    }
+
+    /// Removes a whole batch of subscriptions as **one** control
+    /// mutation — the removal twin of [`SToPSS::subscribe_batch`]: one
+    /// fork, one snapshot swap, one epoch bump however many ids the batch
+    /// names. Ids that name no subscription are skipped; returns the
+    /// control epoch of the removal, or `None` (publishing nothing) when
+    /// none of them existed.
+    pub fn unsubscribe_batch(&self, ids: &[SubId]) -> Option<u64> {
         let _control = self.control.lock();
         let cur = self.resolve();
-        if !cur.contains(id) {
+        if !ids.iter().any(|id| cur.contains(*id)) {
             return None;
         }
         let mut next = cur.fork();
-        next.remove_entry(id);
+        for id in ids {
+            next.remove_entry(*id);
+        }
         let epoch = next.control_epoch;
         *self.snapshot.write() = Arc::new(next);
         Some(epoch)
@@ -1013,6 +1025,23 @@ mod tests {
         assert_eq!(batched.len(), sequential.len());
         assert_eq!(batched.publish(&w.event), sequential.publish(&w.event));
         assert_eq!(batched.publish(&w.phd_event), sequential.publish(&w.phd_event));
+    }
+
+    #[test]
+    fn unsubscribe_batch_is_one_control_mutation() {
+        let w = world();
+        let matcher = SToPSS::new(Config::default(), w.source, w.interner);
+        let strict = w.sub.with_id(SubId(200));
+        matcher.subscribe_batch(vec![(w.sub, None), (strict, None), (w.degree_sub, None)]);
+        let before = matcher.control_epoch();
+        assert_eq!(matcher.unsubscribe_batch(&[SubId(999)]), None, "nothing to remove");
+        assert_eq!(matcher.unsubscribe_batch(&[]), None);
+        assert_eq!(matcher.control_epoch(), before, "a no-op batch must not publish");
+        let epoch = matcher.unsubscribe_batch(&[SubId(100), SubId(999), SubId(200)]);
+        assert_eq!(epoch, Some(before + 1), "one batch, one control-epoch bump");
+        assert_eq!(matcher.len(), 1, "only the named subscriptions leave");
+        assert!(matcher.publish(&w.event).is_empty());
+        assert_eq!(matcher.publish(&w.phd_event).len(), 1, "the degree subscription stays");
     }
 
     #[test]

@@ -301,26 +301,40 @@ fn backpressure_drop_newest_accounts_every_drop() {
 }
 
 /// Disconnect: the slow consumer is cut off, its queued notifications are
-/// accounted as disconnected, its client is unregistered so later matches
-/// orphan — and the conservation identity still closes exactly.
+/// accounted as disconnected, and its session is retired with it — its
+/// subscription leaves the matcher and its client is unregistered, so
+/// later publishes no longer match it — while both conservation
+/// identities still close exactly.
 #[test]
 fn backpressure_disconnect_conserves_accounting() {
     let (mut server, slow, mut publisher, publisher_id) =
         slow_consumer_setup(BackpressurePolicy::Disconnect);
+    let subscriptions_before = server.broker().subscription_count();
     publish_matching(&mut server, &mut publisher, publisher_id, 40);
     assert!(server.run_until_quiescent(2_000).unwrap());
 
     assert!(slow.peer_closed(), "the slow consumer must be disconnected");
     assert_eq!(server.connection_count(), 1, "only the publisher remains");
+    assert_eq!(server.broker().client_count(), 1, "only the publisher stays registered");
+    assert_eq!(
+        server.broker().subscription_count(),
+        subscriptions_before - 1,
+        "the cut consumer's subscription must leave the matcher"
+    );
     let stats = server.stats();
     assert!(stats.notifications_disconnected > 0);
     assert_eq!(stats.notifications_dropped, 0, "Disconnect never silently drops");
+    assert!(stats.matches_seen < 40, "publishes after the cut must not match: {stats:?}");
+
+    // One more matching publish: nobody is subscribed any more.
+    publish_matching(&mut server, &mut publisher, publisher_id, 1);
+    assert!(server.run_until_quiescent(2_000).unwrap());
+    assert_eq!(server.stats().matches_seen, stats.matches_seen, "a retired subscription matches");
+
     let orphaned = server.broker().orphaned_matches();
-    assert!(orphaned > 0, "post-disconnect matches must orphan");
     let (net_stats, delivery) = server.shutdown();
-    assert_eq!(stats.matches_seen, 40);
     assert_eq!(
-        stats.matches_seen,
+        net_stats.matches_seen,
         orphaned + delivery.total_delivered(),
         "match conservation across the disconnect"
     );
@@ -331,6 +345,34 @@ fn backpressure_disconnect_conserves_accounting() {
             + net_stats.notifications_disconnected,
     );
     drop(slow);
+}
+
+/// A session-less connection owns its clients and their subscriptions
+/// only while it lives: five cycles of connect → `Register` →
+/// `Subscribe` → close leave no connection, no registered client and no
+/// subscription behind.
+#[test]
+fn legacy_disconnects_leave_no_clients_or_subscriptions() {
+    let (mut server, _interner, _domain) = net_broker(NetBrokerConfig::default());
+    let baseline = server.broker().subscription_count();
+    for cycle in 0..5 {
+        let pred = wire_pred("skill", Operator::Eq, WireValue::Term("programming".into()));
+        let mut client = subscriber(&mut server, &format!("cycle-{cycle}"), pred);
+        assert_eq!(server.broker().subscription_count(), baseline + 1);
+        client.close();
+        assert!(server.run_until_quiescent(2_000).unwrap());
+    }
+    assert_eq!(server.connection_count(), 0);
+    assert_eq!(server.broker().client_count(), 0, "every client left with its connection");
+    assert_eq!(
+        server.broker().subscription_count(),
+        baseline,
+        "every subscription left with its connection"
+    );
+    let stats = server.stats();
+    assert_eq!(stats.connections_closed, 5);
+    assert_eq!(stats.sessions_created, 0, "session-less connections are not sessions");
+    assert_eq!(server.session_count(), 0);
 }
 
 /// The networked chaos mode: seeded mid-frame disconnects over a real
@@ -345,24 +387,34 @@ fn mid_frame_disconnects_conserve_and_are_deterministic() {
         &domain,
         &WorkloadConfig { subscriptions: 24, publications: 40, seed: 17, ..Default::default() },
     );
-    let run = |seed: u64, policy: BackpressurePolicy| {
+    let run_with = |seed: u64, mid_frame_disconnect: f64, policy: BackpressurePolicy| {
         run_net_chaos(
             NetBrokerConfig::default(),
-            &NetChaosConfig { seed, mid_frame_disconnect: 0.2, backpressure: policy },
+            &NetChaosConfig { seed, mid_frame_disconnect, backpressure: policy },
             Arc::new(domain.ontology.clone()),
             shared.clone(),
             &workload.subscriptions,
             &workload.publications,
         )
     };
+    let run = |seed: u64, policy: BackpressurePolicy| run_with(seed, 0.2, policy);
     let report = run(2003, BackpressurePolicy::Disconnect);
     report.assert_invariants();
     assert!(report.mid_frame_disconnects > 0, "0.2 over 40 events must fire: {report:?}");
     assert!(report.matches > 0);
-    assert!(report.orphaned > 0, "disconnected subscribers' matches must orphan");
+    assert_eq!(report.orphaned, 0, "a disconnect retires its subscriptions: nothing orphans");
 
     let again = run(2003, BackpressurePolicy::Disconnect);
     assert_eq!(report, again, "same seed, same report — bit for bit");
+
+    let fault_free = run_with(2003, 0.0, BackpressurePolicy::Disconnect);
+    fault_free.assert_invariants();
+    assert!(
+        report.matches < fault_free.matches,
+        "disconnected subscribers stop matching: {} vs {} fault-free",
+        report.matches,
+        fault_free.matches
+    );
 
     let dropping = run(7, BackpressurePolicy::DropNewest);
     dropping.assert_invariants();

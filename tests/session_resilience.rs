@@ -394,6 +394,84 @@ fn set_ontology_delta_changes_matching_over_the_wire() {
     assert_eq!(publish(&mut server, &mut publisher), 1, "the delta must be live for matching");
 }
 
+/// The next reply on `client`, which must be an `Error`; returns its text.
+fn expect_error(server: &mut NetBroker, client: &mut NetClient) -> String {
+    match recv(server, client, 1).remove(0) {
+        ServerMessage::Error { message } => message,
+        other => panic!("expected Error, got {other:?}"),
+    }
+}
+
+/// Session-protocol edge cases: an `Ack` on a connection that never
+/// opened a session, a `Hello` after `Register`, and a second `Hello`
+/// are each answered with an `Error` — and the connection stays up.
+#[test]
+fn misplaced_session_frames_get_error_replies() {
+    let (mut server, _interner, _domain) = net_broker(NetBrokerConfig::default());
+
+    let mut legacy = NetClient::connect(&server.connector()).unwrap();
+    legacy.send(&ClientMessage::Ack { seq: 1 }).unwrap();
+    assert_eq!(expect_error(&mut server, &mut legacy), "Ack outside a session");
+
+    let _ = register(&mut server, &mut legacy, "late-hello");
+    legacy.send(&ClientMessage::Hello { session: 0, last_seen_seq: 0 }).unwrap();
+    let message = expect_error(&mut server, &mut legacy);
+    assert!(message.contains("first frame"), "Hello after Register: {message}");
+
+    let mut sessioned = NetClient::connect(&server.connector()).unwrap();
+    let session = open_session(&mut server, &mut sessioned);
+    sessioned.send(&ClientMessage::Hello { session, last_seen_seq: 0 }).unwrap();
+    let message = expect_error(&mut server, &mut sessioned);
+    assert!(message.contains("duplicate Hello"), "second Hello: {message}");
+
+    assert!(!legacy.peer_closed() && !sessioned.peer_closed());
+    assert_eq!(server.connection_count(), 2);
+    assert_eq!(server.stats().sessions_created, 1, "error replies open no session");
+    assert_eq!(server.session_count(), 1);
+}
+
+/// A `Hello` quoting a token that names no retaining session opens a
+/// fresh session (`resumed: false`) — whatever the token — and never
+/// takes over a live session-less connection: that subscriber keeps
+/// receiving its notifications. Each probe's own session is expired
+/// before the next probe, so no quoted token can name one.
+#[test]
+fn hello_with_unknown_token_opens_fresh_session_and_spares_legacy_connections() {
+    let (mut server, _interner, _domain) = net_broker(NetBrokerConfig::default());
+    let mut legacy = NetClient::connect(&server.connector()).unwrap();
+    let id = register(&mut server, &mut legacy, "legacy-sub");
+    subscribe_skill(&mut server, &mut legacy, id);
+    let mut publisher = NetClient::connect(&server.connector()).unwrap();
+    let publisher_id = register(&mut server, &mut publisher, "legacy-pub");
+
+    for token in 1..=8u64 {
+        let mut probe = NetClient::connect(&server.connector()).unwrap();
+        probe.send(&ClientMessage::Hello { session: token, last_seen_seq: 0 }).unwrap();
+        match recv(&mut server, &mut probe, 1).remove(0) {
+            ServerMessage::Welcome { resumed, .. } => {
+                assert!(!resumed, "token {token} names no retaining session")
+            }
+            other => panic!("expected Welcome, got {other:?}"),
+        }
+        probe.close();
+        server.run_turns(5).unwrap();
+        server.advance_clock(SessionConfig::default().session_ttl);
+        assert_eq!(server.session_count(), 0, "the probe's session expired");
+    }
+    let stats = server.stats();
+    assert_eq!((stats.sessions_created, stats.sessions_resumed), (8, 0));
+    assert_eq!(stats.sessions_expired, 8);
+    assert_eq!(server.connection_count(), 2, "no probe closed another connection");
+
+    publish_matching(&mut server, &mut publisher, publisher_id, 2);
+    let received = recv(&mut server, &mut legacy, 2);
+    assert!(
+        received.iter().all(|m| matches!(m, ServerMessage::Notification { seq: 0, .. })),
+        "the legacy subscriber keeps its seq-0 stream: {received:?}"
+    );
+    assert!(!legacy.peer_closed());
+}
+
 fn differential_chaos() -> SessionChaosConfig {
     SessionChaosConfig {
         seed: 2003,
