@@ -9,13 +9,15 @@
 //!
 //! The matcher is a **plain [`SToPSS`] field** — no broker-side lock at
 //! all. It keeps its ontology, configuration and subscription index
-//! behind epoch-swapped immutable snapshots: every control-plane
-//! operation (`subscribe`, `unsubscribe`, `set_stages`, `reconfigure`,
-//! ontology replacement) forks the current snapshot aside, mutates the
-//! fork, and publishes it with one atomic pointer swap. Publishers
-//! resolve a snapshot, match against it, and are **never blocked** by
-//! control traffic; an in-flight publication simply finishes against the
-//! snapshot it started under.
+//! behind epoch-swapped snapshots. A control-plane operation
+//! (`subscribe`, `unsubscribe`, `set_stages`, `reconfigure`, ontology
+//! replacement) mutates the current snapshot in place when no publisher
+//! holds it, and otherwise forks it aside, mutates the fork and publishes
+//! it with one atomic pointer swap. An in-flight publication is never
+//! disturbed: it finishes against the snapshot it started under. A
+//! publication that starts during an in-place operation waits for it —
+//! microseconds for a subscription change, a whole rebuild for an
+//! ontology replacement.
 
 use stopss_types::sync::atomic::{AtomicU64, Ordering};
 use stopss_types::sync::{Arc, Mutex, RwLock};
@@ -85,9 +87,9 @@ pub type TransportFactory = Box<dyn Fn(u64) -> Vec<Box<dyn Transport>> + Send + 
 
 /// The publish/subscribe broker of the demonstration setup.
 pub struct Broker {
-    /// No lock: the matcher swaps immutable snapshots internally, so the
-    /// publish path and every control op are `&self` and publishers never
-    /// wait on subscription or configuration mutations.
+    /// No lock: the matcher serializes its own control ops and forks or
+    /// swaps snapshots internally, so the publish path and every control
+    /// op are `&self`.
     matcher: SToPSS,
     clients: RwLock<FxHashMap<ClientId, ClientInfo>>,
     sub_owner: RwLock<FxHashMap<SubId, ClientId>>,
@@ -223,8 +225,9 @@ impl Broker {
 
     /// The matcher's control epoch: bumped once per control mutation
     /// (including once per whole [`Broker::subscribe_batch`]), so the
-    /// delta across a window counts snapshot forks — the coalescing
-    /// metric the networked event loop's subscribe-storm tests pin.
+    /// delta across a window counts control mutations, whether they
+    /// forked or ran in place — the coalescing metric the networked
+    /// event loop's subscribe-storm tests pin.
     pub fn matcher_control_epoch(&self) -> u64 {
         self.matcher.control_epoch()
     }
@@ -267,9 +270,10 @@ impl Broker {
 
     /// Registers a batch of subscriptions as **one** matcher control
     /// mutation: ownership is recorded per request, then every accepted
-    /// subscription lands in the matcher through a single fork-and-swap
-    /// ([`SToPSS::subscribe_batch`]) instead of one copy-on-write fork per
-    /// subscription. Results are positional: the
+    /// subscription lands in the matcher through a single control mutation
+    /// ([`SToPSS::subscribe_batch`]) instead of one per subscription, so a
+    /// fork, when a publisher holds the snapshot, is paid once per batch.
+    /// Results are positional: the
     /// `k`-th entry answers the `k`-th request, and rejected requests
     /// (unknown client) consume neither a [`SubId`] nor matcher work. The
     /// networked event loop coalesces Subscribe frames per poll turn into
@@ -862,7 +866,8 @@ mod tests {
     }
 
     /// Retiring a client surrenders all its subscriptions in one matcher
-    /// fork, whatever their number, and leaves other owners untouched.
+    /// control mutation, whatever their number, and leaves other owners
+    /// untouched.
     #[test]
     fn unsubscribe_all_forks_the_matcher_once() {
         let (broker, interner) = jobs_broker(BrokerConfig::default());
@@ -874,11 +879,28 @@ mod tests {
         broker.subscribe(other, recruiter_predicates(&interner)).unwrap();
         let before = broker.matcher_control_epoch();
         assert_eq!(broker.unsubscribe_all(company), 3);
-        assert_eq!(broker.matcher_control_epoch(), before + 1, "one fork per retirement");
+        assert_eq!(broker.matcher_control_epoch(), before + 1, "one mutation per retirement");
         assert_eq!(broker.subscription_count(), 1);
         assert_eq!(broker.unsubscribe_all(company), 0);
-        assert_eq!(broker.matcher_control_epoch(), before + 1, "nothing owned, nothing forked");
+        assert_eq!(broker.matcher_control_epoch(), before + 1, "nothing owned, nothing mutated");
         assert_eq!(broker.publish(&candidate_event(&interner)), 1, "the other owner still matches");
+        broker.shutdown();
+    }
+
+    /// With no publisher holding the matcher's snapshot — the served
+    /// broker's case, one thread — a batched subscribe and a retirement
+    /// mutate it in place: two control mutations, no fork.
+    #[test]
+    fn batch_subscribe_and_retire_run_in_place() {
+        let (broker, interner) = jobs_broker(BrokerConfig::default());
+        let company = broker.register_client("acme", TransportKind::Tcp);
+        let before = broker.matcher_control_epoch();
+        let requests = (0..3).map(|_| (company, recruiter_predicates(&interner), None)).collect();
+        assert!(broker.subscribe_batch(requests).iter().all(Result::is_ok));
+        assert_eq!(broker.publish(&candidate_event(&interner)), 3);
+        assert_eq!(broker.unsubscribe_all(company), 3);
+        assert_eq!(broker.matcher_control_epoch(), before + 2, "one mutation per call");
+        assert_eq!(broker.matcher.snapshot_forks(), 0, "nothing held the snapshot");
         broker.shutdown();
     }
 

@@ -13,7 +13,7 @@
 //!    [`DemoServer::handle_batch`] — consecutive `Subscribe` frames (from
 //!    any mix of connections) coalesce into one
 //!    [`Broker::subscribe_batch`] control mutation, so a connection storm
-//!    of N subscriptions costs one matcher fork, not N. Each `Publish`
+//!    of N subscriptions runs one matcher mutation, not N. Each `Publish`
 //!    delivers its notifications on this thread, before `handle_batch`
 //!    returns: the broker's notification engine hands them to the
 //!    [`NetTransport`]s, which push them onto a shared delivery queue.

@@ -99,8 +99,8 @@ impl DemoServer {
 
     /// Handles a batch of decoded commands in arrival order, coalescing
     /// every **run of consecutive `Subscribe` messages** into one
-    /// [`Broker::subscribe_batch`] call (one matcher fork-and-swap for the
-    /// whole run). Any other message acts as a barrier: the pending run is
+    /// [`Broker::subscribe_batch`] call (one matcher control mutation for
+    /// the whole run). Any other message acts as a barrier: the pending run is
     /// flushed first, so a `Publish` after a `Subscribe` observes the
     /// subscription exactly as it would under one-at-a-time handling.
     /// Replies are positional — the `k`-th reply answers the `k`-th

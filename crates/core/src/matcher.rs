@@ -8,15 +8,23 @@
 //!
 //! # Epoch-snapshot control plane
 //!
-//! The matcher is split into an immutable snapshot (`MatcherCore`: the
+//! The matcher is split into a snapshot (`MatcherCore`: the
 //! configuration, ontology handle, subscription table, and syntactic
 //! engine) behind an atomically swapped `Arc`, plus shared lifetime
 //! counters. The publish path resolves one snapshot `Arc` per publication
-//! and never takes a write lock; control-plane mutations (`subscribe`,
+//! and never takes a write lock. Control-plane mutations (`subscribe`,
 //! `unsubscribe`, `set_stages`, `reconfigure`, `set_source`) serialize on
-//! a control mutex, *fork* the current snapshot off to the side, mutate
-//! the fork, and publish it with one pointer swap. In-flight publications
-//! finish against the epoch they started under.
+//! a control mutex and *fork only when the snapshot is shared*:
+//!
+//! - if no publisher holds the current snapshot, the mutation runs on it
+//!   in place under the snapshot write lock — a publisher that arrives
+//!   meanwhile waits for it (microseconds for a subscribe or unsubscribe,
+//!   a whole rebuild for `set_source`, `set_stages` and `reconfigure`);
+//! - if a publisher holds it, the mutation forks it off to the side,
+//!   mutates the fork and publishes it with one pointer swap, so the
+//!   holder finishes undisturbed against the epoch it started under.
+//!
+//! [`SToPSS::snapshot_forks`] counts the second branch.
 //!
 //! Every snapshot carries its `control_epoch`, so a reader resolves state
 //! and version in a single `Arc`. It is bumped by **every** control
@@ -281,18 +289,20 @@ impl Classifier<'_> {
 /// `&mut self`) and the candidate scratch vectors. Bundled behind one
 /// `Mutex` so [`MatcherCore::match_inner`] can run under `&self`
 /// — the matching stage locks once per artifact. This is the *data-plane*
-/// mutex; control-plane mutations never touch it except to fork the
-/// engine.
+/// mutex; control-plane mutations reach the engine through `get_mut` (they
+/// own the core exclusively) or lock it once to fork it.
 struct MatchState {
     engine: Box<dyn MatchingEngine>,
     scratch: MatchScratch,
 }
 
-/// One immutable incarnation of the matcher: configuration, ontology
-/// handle, subscription table, engine, and the control epoch. Snapshots are
-/// never mutated after publication — control ops [`MatcherCore::fork`] a
-/// copy, mutate it exclusively, and swap it in. Readers that hold an
-/// `Arc<MatcherCore>` observe a frozen, internally consistent matcher.
+/// One incarnation of the matcher: configuration, ontology handle,
+/// subscription table, engine, and the control epoch. A control op mutates
+/// a snapshot only while it owns it exclusively: in place when no reader
+/// holds the published `Arc` (the snapshot write lock keeps new readers
+/// out meanwhile), else on a [`MatcherCore::fork`] that it swaps in.
+/// Readers that hold an `Arc<MatcherCore>` therefore observe a frozen,
+/// internally consistent matcher.
 pub(crate) struct MatcherCore {
     pub(crate) config: Config,
     pub(crate) source: Arc<dyn SemanticSource>,
@@ -329,11 +339,12 @@ impl MatcherCore {
         }
     }
 
-    /// Copy-on-write step of a control mutation: clone every index (the
-    /// engine via [`MatchingEngine::boxed_clone`], subscription entries by
-    /// `Arc`) into a free-standing core the caller may mutate exclusively
-    /// before swapping it in. The fork shares the lifetime counters with
-    /// its parent, and starts with `control_epoch` already bumped.
+    /// Copy-on-write step of a control mutation on a shared snapshot: clone
+    /// every index (the engine via [`MatchingEngine::boxed_clone`],
+    /// subscription entries by `Arc`) into a free-standing core the caller
+    /// may mutate exclusively before swapping it in. The fork shares the
+    /// lifetime counters with its parent, and starts with `control_epoch`
+    /// already bumped.
     pub(crate) fn fork(&self) -> MatcherCore {
         MatcherCore {
             state: Mutex::new(MatchState {
@@ -650,25 +661,32 @@ impl MatcherCore {
 /// The semantic publish/subscribe matcher.
 ///
 /// The whole publish path ([`SToPSS::publish`], [`SToPSS::match_prepared`],
-/// …) takes `&self` and never blocks on control-plane mutations: each
-/// publication resolves one immutable snapshot (`MatcherCore`) and
-/// matches against it. Control ops (`subscribe`, `unsubscribe`,
-/// `set_stages`, `reconfigure`, `set_source`) also take `&self`: they
-/// serialize among themselves on a control mutex, build the next snapshot
-/// off to the side, and swap it in atomically — publishers racing a
-/// mutation finish against whichever epoch they resolved. Every control
-/// op returns the `control_epoch` it created (see [`PublishResult::epoch`]
-/// for the read side of the linearization token).
+/// …) takes `&self`: each publication resolves one snapshot (`MatcherCore`)
+/// and matches against it. Control ops (`subscribe`, `unsubscribe`,
+/// `set_stages`, `reconfigure`, `set_source`) also take `&self` and
+/// serialize among themselves on a control mutex. A publisher that holds a
+/// snapshot is never disturbed: a control op that finds the snapshot
+/// shared forks it and swaps the fork in, and the holder finishes against
+/// the epoch it resolved. When no publisher holds it, the op mutates it in
+/// place instead, and a publisher that arrives meanwhile waits for the op
+/// to finish — microseconds for a subscribe or unsubscribe, a whole
+/// rebuild of every subscription for `set_stages`, `reconfigure` and
+/// `set_source`. Every control op returns the `control_epoch` it created
+/// (see [`PublishResult::epoch`] for the read side of the linearization
+/// token).
 pub struct SToPSS {
     interner: SharedInterner,
     stats: Arc<AtomicStats>,
-    /// The current snapshot. The lock is held only long enough to clone
-    /// (readers) or store (the control plane) the `Arc` — never across
-    /// matching or snapshot construction.
+    /// The current snapshot. Readers hold the lock only long enough to
+    /// clone the `Arc`, never across matching. The control plane holds
+    /// the write lock across an in-place mutation, and only to store the
+    /// `Arc` after a fork.
     snapshot: RwLock<Arc<MatcherCore>>,
     /// Serializes control-plane mutations; the publish path never touches
     /// it.
     control: Mutex<()>,
+    /// Control mutations that found the snapshot shared and forked it.
+    forks: AtomicU64,
 }
 
 impl SToPSS {
@@ -676,7 +694,13 @@ impl SToPSS {
     pub fn new(config: Config, source: Arc<dyn SemanticSource>, interner: SharedInterner) -> Self {
         let stats = Arc::new(AtomicStats::default());
         let core = MatcherCore::new(config, source, interner.clone(), stats.clone());
-        SToPSS { interner, stats, snapshot: RwLock::new(Arc::new(core)), control: Mutex::new(()) }
+        SToPSS {
+            interner,
+            stats,
+            snapshot: RwLock::new(Arc::new(core)),
+            control: Mutex::new(()),
+            forks: AtomicU64::new(0),
+        }
     }
 
     /// Resolves the current snapshot (one brief read lock, one `Arc`
@@ -685,15 +709,52 @@ impl SToPSS {
         self.snapshot.read().clone()
     }
 
-    /// Runs one control mutation: serialize, fork the current snapshot,
-    /// mutate the fork, swap. Returns the new control epoch.
-    fn mutate(&self, f: impl FnOnce(&mut MatcherCore)) -> u64 {
+    /// Runs one control mutation that always applies. Returns the new
+    /// control epoch.
+    fn mutate(&self, op: impl FnOnce(&mut MatcherCore)) -> u64 {
+        self.mutate_if(|_| true, op).expect("invariant: an unconditional mutation always applies")
+    }
+
+    /// Runs one control mutation, and is the one place that chooses
+    /// between mutating in place and forking. Under the control mutex it
+    /// takes the snapshot write lock and asks `applies` about the current
+    /// snapshot; `false` publishes nothing and returns `None`. Then:
+    ///
+    /// - if no reader holds the snapshot (`Arc::get_mut` succeeds), it
+    ///   bumps the epoch and runs `op` on the live core with the write
+    ///   lock held, so a publisher that arrives meanwhile waits for `op`;
+    /// - otherwise it releases the lock, forks the shared snapshot, runs
+    ///   `op` on the fork and swaps the fork in. The holders keep their
+    ///   frozen snapshot.
+    ///
+    /// Returns the new control epoch. An `op` that panicked in place would
+    /// leave the live core half-mutated; control ops only panic on a
+    /// broken invariant.
+    fn mutate_if(
+        &self,
+        applies: impl FnOnce(&MatcherCore) -> bool,
+        op: impl FnOnce(&mut MatcherCore),
+    ) -> Option<u64> {
         let _control = self.control.lock();
-        let mut next = self.resolve().fork();
-        f(&mut next);
+        let mut slot = self.snapshot.write();
+        if !applies(&slot) {
+            return None;
+        }
+        if let Some(core) = Arc::get_mut(&mut slot) {
+            core.control_epoch += 1;
+            op(core);
+            return Some(core.control_epoch);
+        }
+        let shared = Arc::clone(&slot);
+        drop(slot);
+        // ordering: monotone counter, bumped under the control mutex; no
+        // reader pairs it with other state.
+        self.forks.fetch_add(1, Ordering::Relaxed);
+        let mut next = shared.fork();
+        op(&mut next);
         let epoch = next.control_epoch;
         *self.snapshot.write() = Arc::new(next);
-        epoch
+        Some(epoch)
     }
 
     /// The interner shared with publishers/subscribers.
@@ -720,6 +781,14 @@ impl SToPSS {
     /// mutation).
     pub fn control_epoch(&self) -> u64 {
         self.resolve().control_epoch
+    }
+
+    /// How many control mutations found the snapshot held by a publisher
+    /// and forked it, over the matcher's lifetime. Every other mutation
+    /// ran in place, so with no concurrent publisher this stays 0.
+    pub fn snapshot_forks(&self) -> u64 {
+        // ordering: monotone counter (see `mutate_if`).
+        self.forks.load(Ordering::Relaxed)
     }
 
     /// The distinct verification classes ([`Tolerance::verify_class`])
@@ -772,14 +841,13 @@ impl SToPSS {
     }
 
     /// Registers a whole batch of subscriptions (each with an optional
-    /// subscriber tolerance) as **one** control mutation: one fork, one
-    /// snapshot swap, one epoch bump — the per-subscription cost of the
-    /// copy-on-write control plane is paid once per batch instead of once
-    /// per subscription. Connection-scale subscribers (the networked
-    /// broker's event loop coalesces Subscribe frames per poll turn) would
-    /// otherwise pay a full engine clone per subscription, making N
-    /// subscriptions O(N²). An empty batch publishes nothing and returns
-    /// the current control epoch.
+    /// subscriber tolerance) as **one** control mutation: one epoch bump,
+    /// and at most one fork and snapshot swap — the per-mutation cost of a
+    /// fork, paid only when a publisher holds the snapshot, falls once per
+    /// batch instead of once per subscription. The networked broker's
+    /// event loop coalesces Subscribe frames per poll turn into this call.
+    /// An empty batch publishes nothing and returns the current control
+    /// epoch.
     pub fn subscribe_batch(&self, subs: Vec<(Subscription, Option<Tolerance>)>) -> u64 {
         if subs.is_empty() {
             return self.control_epoch();
@@ -803,23 +871,19 @@ impl SToPSS {
 
     /// Removes a whole batch of subscriptions as **one** control
     /// mutation — the removal twin of [`SToPSS::subscribe_batch`]: one
-    /// fork, one snapshot swap, one epoch bump however many ids the batch
+    /// epoch bump, and at most one fork, however many ids the batch
     /// names. Ids that name no subscription are skipped; returns the
     /// control epoch of the removal, or `None` (publishing nothing) when
     /// none of them existed.
     pub fn unsubscribe_batch(&self, ids: &[SubId]) -> Option<u64> {
-        let _control = self.control.lock();
-        let cur = self.resolve();
-        if !ids.iter().any(|id| cur.contains(*id)) {
-            return None;
-        }
-        let mut next = cur.fork();
-        for id in ids {
-            next.remove_entry(*id);
-        }
-        let epoch = next.control_epoch;
-        *self.snapshot.write() = Arc::new(next);
-        Some(epoch)
+        self.mutate_if(
+            |core| ids.iter().any(|id| core.contains(*id)),
+            |core| {
+                for id in ids {
+                    core.remove_entry(*id);
+                }
+            },
+        )
     }
 
     /// Switches the enabled stages (the demo's semantic/syntactic mode
@@ -839,8 +903,10 @@ impl SToPSS {
     /// Swaps the semantic knowledge source — live ontology evolution: new
     /// synonyms, taxonomy growth, or mapping changes take effect for every
     /// publication that starts after the swap, while in-flight
-    /// publications finish against the ontology they resolved. Returns
-    /// the control epoch of the swap.
+    /// publications finish against the ontology they resolved. The swap
+    /// rebuilds every subscription; done in place, it makes a publisher
+    /// that arrives meanwhile wait for the whole rebuild. Returns the
+    /// control epoch of the swap.
     pub fn set_source(&self, source: Arc<dyn SemanticSource>) -> u64 {
         self.mutate(|core| core.set_source(source))
     }
@@ -1193,8 +1259,8 @@ mod tests {
     }
 
     /// A publisher that resolved its snapshot before a control op finishes
-    /// against that snapshot: the op's swap does not block or corrupt the
-    /// in-flight match.
+    /// against that snapshot: holding it forces the op to fork, so the
+    /// swap does not block or corrupt the in-flight match.
     #[test]
     fn in_flight_publication_finishes_against_its_epoch() {
         let w = world();
@@ -1202,12 +1268,118 @@ mod tests {
         matcher.subscribe(w.sub.clone());
         let before = matcher.resolve();
         matcher.set_stages(StageMask::syntactic());
+        assert_eq!(matcher.snapshot_forks(), 1, "a held snapshot forces exactly one fork");
         // The retired snapshot still matches semantically.
         let result = matcher.interner.with(|i| before.publish_inner(&w.event, i));
         assert_eq!(result.matches.len(), 1);
         assert_eq!(result.epoch, 1);
         // The current snapshot is syntactic.
         assert!(matcher.publish(&w.event).is_empty());
+    }
+
+    /// With no publisher holding the snapshot, every kind of control op
+    /// runs in place: N sequential ops fork nothing and move the epoch by
+    /// exactly N. Publications in between have let go of their snapshot by
+    /// the time the next op runs.
+    #[test]
+    fn sequential_control_ops_mutate_in_place() {
+        let w = world();
+        let matcher = SToPSS::new(Config::default(), w.source.clone(), w.interner);
+        let before = matcher.control_epoch();
+        let ops: [&dyn Fn() -> Option<u64>; 8] = [
+            &|| Some(matcher.subscribe(w.sub.clone())),
+            &|| Some(matcher.subscribe_with_tolerance(w.degree_sub.clone(), Tolerance::bounded(1))),
+            &|| Some(matcher.subscribe_batch(vec![(w.sub.with_id(SubId(200)), None)])),
+            &|| matcher.unsubscribe(SubId(200)),
+            &|| Some(matcher.set_stages(StageMask::syntactic())),
+            &|| Some(matcher.reconfigure(Config::default().with_engine(EngineKind::Trie))),
+            &|| Some(matcher.set_source(w.source.clone())),
+            &|| matcher.unsubscribe_batch(&[SubId(100), SubId(1)]),
+        ];
+        for (k, op) in ops.iter().enumerate() {
+            assert_eq!(op(), Some(before + k as u64 + 1), "op {k} bumps the epoch once");
+            matcher.publish(&w.event);
+        }
+        assert_eq!(matcher.control_epoch(), before + ops.len() as u64);
+        assert_eq!(matcher.snapshot_forks(), 0, "no reader held a snapshot, so nothing forked");
+        assert!(matcher.is_empty());
+    }
+
+    /// An in-place control op keeps the engine's scratch and epoch stamps,
+    /// which a fork starts afresh: publish, unsubscribe (freeing a
+    /// slot and its predicates), subscribe a different predicate set (which
+    /// reuses them), rebuild in place under a new source, publish again.
+    /// The final matches equal a fresh matcher's over the live set.
+    fn in_place_ops_keep_engine_scratch_valid(engine: EngineKind) {
+        let mut i = Interner::new();
+        let mut o = Ontology::new("jobs");
+        let keep = [
+            SubscriptionBuilder::new(&mut i).term_eq("city", "toronto").build(SubId(1)),
+            SubscriptionBuilder::new(&mut i)
+                .term_eq("city", "toronto")
+                .term_eq("role", "engineer")
+                .build(SubId(2)),
+        ];
+        let dropped = SubscriptionBuilder::new(&mut i).term_eq("role", "manager").build(SubId(3));
+        let added = SubscriptionBuilder::new(&mut i)
+            .term_eq("city", "ottawa")
+            .pred("level", Operator::Ge, 3i64)
+            .build(SubId(4));
+        let events = [
+            EventBuilder::new(&mut i).term("city", "toronto").term("role", "engineer").build(),
+            EventBuilder::new(&mut i)
+                .term("city", "ottawa")
+                .term("role", "manager")
+                .pair("level", 4i64)
+                .build(),
+            EventBuilder::new(&mut i).term("town", "ottawa").pair("level", 5i64).build(),
+        ];
+        let (city, town) = (i.intern("city"), i.intern("town"));
+        let interner = SharedInterner::from_interner(i);
+        let config = Config::default().with_engine(engine);
+        let matcher = SToPSS::new(config, Arc::new(o.clone()), interner.clone());
+        for sub in keep.iter().chain([&dropped]) {
+            matcher.subscribe(sub.clone());
+        }
+        for event in events.iter().chain(&events) {
+            matcher.publish(event);
+        }
+        matcher.unsubscribe(dropped.id()).expect("live id");
+        matcher.subscribe(added.clone());
+        interner.with(|i| o.synonyms.add_synonym(city, town, i)).unwrap();
+        let evolved = Arc::new(o);
+        matcher.set_source(evolved.clone());
+        assert_eq!(matcher.snapshot_forks(), 0, "{}: every op ran in place", engine.name());
+
+        let fresh = SToPSS::new(config, evolved, interner);
+        for sub in keep.iter().chain([&added]) {
+            fresh.subscribe(sub.clone());
+        }
+        for (k, event) in events.iter().enumerate() {
+            let got = matcher.publish(event);
+            assert!(!got.is_empty(), "{}: event {k} must match something", engine.name());
+            assert_eq!(got, fresh.publish(event), "{}: event {k} diverged", engine.name());
+        }
+    }
+
+    #[test]
+    fn in_place_ops_keep_engine_scratch_valid_naive() {
+        in_place_ops_keep_engine_scratch_valid(EngineKind::Naive);
+    }
+
+    #[test]
+    fn in_place_ops_keep_engine_scratch_valid_counting() {
+        in_place_ops_keep_engine_scratch_valid(EngineKind::Counting);
+    }
+
+    #[test]
+    fn in_place_ops_keep_engine_scratch_valid_cluster() {
+        in_place_ops_keep_engine_scratch_valid(EngineKind::Cluster);
+    }
+
+    #[test]
+    fn in_place_ops_keep_engine_scratch_valid_trie() {
+        in_place_ops_keep_engine_scratch_valid(EngineKind::Trie);
     }
 
     #[test]

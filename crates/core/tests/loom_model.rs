@@ -10,12 +10,18 @@
 //!
 //! Each test explores every thread interleaving of the instrumented
 //! lock/atomic operations within a preemption bound (2 unless noted),
-//! asserting its invariants on all of them. The `_caught` test is the
-//! negative control: it seeds the *unserialized* variant of the
-//! snapshot swap — the bug class `SToPSS::mutate`'s control mutex
-//! exists to prevent — and proves the checker both finds the lost
-//! update and replays the failing schedule deterministically.
+//! asserting its invariants on all of them. Two models cover the two
+//! branches of `SToPSS::mutate_if` — a control op forks a snapshot that a
+//! publisher holds, and mutates one that no publisher holds in place —
+//! and count via `SToPSS::snapshot_forks` that the explored schedules of
+//! each reach both branches. The `_caught` test is the negative control:
+//! it seeds the *unserialized* variant of the snapshot swap — the bug
+//! class `SToPSS::mutate_if`'s control mutex exists to prevent — and
+//! proves the checker both finds the lost update and replays the failing
+//! schedule deterministically.
 #![cfg(feature = "loom")]
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use loom_lite::sync::{Arc, Mutex, RwLock};
 use loom_lite::{replay, thread, Builder};
@@ -76,6 +82,103 @@ fn epoch_snapshot_swap_is_linearized() {
     assert!(report.schedules >= 2, "expected real interleaving, ran {report:?}");
 }
 
+/// Tallies, across the explored schedules of one model, how many forked
+/// and how many ran in place. The counters are plain `std` atomics outside
+/// the model's instrumented state, so they add no scheduling points.
+#[derive(Default)]
+struct BranchTally {
+    forked: AtomicUsize,
+    in_place: AtomicUsize,
+}
+
+impl BranchTally {
+    fn record(&self, forks: u64) {
+        let branch = if forks == 0 { &self.in_place } else { &self.forked };
+        // ordering: monotone counter; read only after the exploration ends.
+        branch.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn counts(&self) -> (usize, usize) {
+        // ordering: read after every model thread has been joined.
+        (self.forked.load(Ordering::Relaxed), self.in_place.load(Ordering::Relaxed))
+    }
+}
+
+/// The fork branch: a publisher that holds its snapshot across a control
+/// op (an unsubscribe) forces the op to fork, and keeps matching against
+/// the frozen pre-op snapshot. The epoch witness holds on every schedule:
+/// epoch 1 still serves the subscription, epoch 2 does not, and a schedule
+/// that forked can only have stamped the publication with epoch 1.
+#[test]
+fn held_snapshot_forces_the_fork_and_stays_frozen() {
+    let tally = Arc::new(BranchTally::default());
+    let seen = tally.clone();
+    let report = Builder::default().check(move || {
+        let (matcher, sub, event) = small_world();
+        assert_eq!(matcher.subscribe(sub), 1);
+        let matcher = Arc::new(matcher);
+        let publisher = {
+            let matcher = matcher.clone();
+            thread::spawn(move || matcher.publish_detailed(&event))
+        };
+        let removed = matcher.unsubscribe(SubId(1));
+        let result = publisher.join().expect("publisher thread must not panic");
+        assert_eq!(removed, Some(2), "one mutation bumps the control epoch once");
+        match result.epoch {
+            1 => assert_eq!(result.matches.len(), 1, "epoch 1 must still serve the sub"),
+            2 => assert!(result.matches.is_empty(), "epoch 2 must not serve the sub"),
+            other => panic!("publisher saw epoch {other}, which no mutation created"),
+        }
+        let forks = matcher.snapshot_forks();
+        assert!(forks <= 1, "one control op forks at most once");
+        if forks == 1 {
+            assert_eq!(result.epoch, 1, "only the holder of the epoch-1 snapshot forces a fork");
+        }
+        seen.record(forks);
+    });
+    assert!(report.complete, "fork-branch space must be exhausted, ran {report:?}");
+    let (forked, in_place) = tally.counts();
+    assert!(forked > 0, "no schedule held a snapshot across the op ({forked}/{in_place})");
+    assert!(in_place > 0, "no schedule ran the op in place ({forked}/{in_place})");
+}
+
+/// The in-place branch: a control op that finds no publisher holding the
+/// snapshot mutates it in place under the write lock, and a publisher
+/// arriving meanwhile waits rather than see a half-built core. The op is
+/// a two-subscription batch, so a torn in-place state would show as one
+/// match: the witness demands 0 matches at epoch 0 and both at epoch 1.
+#[test]
+fn unheld_snapshot_mutates_in_place_untorn() {
+    let tally = Arc::new(BranchTally::default());
+    let seen = tally.clone();
+    let report = Builder::default().check(move || {
+        let (matcher, sub, event) = small_world();
+        let matcher = Arc::new(matcher);
+        let publisher = {
+            let matcher = matcher.clone();
+            thread::spawn(move || matcher.publish_detailed(&event))
+        };
+        let batch = vec![(sub.with_id(SubId(2)), None), (sub, None)];
+        let epoch = matcher.subscribe_batch(batch);
+        let result = publisher.join().expect("publisher thread must not panic");
+        assert_eq!(epoch, 1, "one batch bumps the control epoch once");
+        match result.epoch {
+            0 => assert!(result.matches.is_empty(), "epoch 0 has no subscriptions"),
+            1 => assert_eq!(result.matches.len(), 2, "epoch 1 holds the whole batch"),
+            other => panic!("publisher saw epoch {other}, which no mutation created"),
+        }
+        let forks = matcher.snapshot_forks();
+        if forks == 1 {
+            assert_eq!(result.epoch, 0, "only the holder of the epoch-0 snapshot forces a fork");
+        }
+        seen.record(forks);
+    });
+    assert!(report.complete, "in-place-branch space must be exhausted, ran {report:?}");
+    let (forked, in_place) = tally.counts();
+    assert!(in_place > 0, "no schedule ran the op in place ({forked}/{in_place})");
+    assert!(forked > 0, "no schedule held a snapshot across the op ({forked}/{in_place})");
+}
+
 /// Two concurrent publishers bump the shared `AtomicStats` counters;
 /// the per-counter sums are exact under every interleaving (they are
 /// monotone relaxed counters — this is the claim the `// ordering:`
@@ -101,7 +204,7 @@ fn atomic_stats_merge_conserves_counts() {
 
 /// The unserialized read–fork–swap this toy performs: both threads fork
 /// the *same* parent snapshot, so one fork overwrites the other.
-/// `SToPSS::mutate` holds the control mutex across fork+swap exactly to
+/// `SToPSS::mutate_if` holds the control mutex across fork+swap exactly to
 /// rule this out; `serialize` reproduces that discipline.
 fn fork_push_swap(slot: &RwLock<Arc<Vec<u32>>>, value: u32, serialize: Option<&Mutex<()>>) {
     let _control = serialize.map(|m| m.lock());
@@ -138,7 +241,7 @@ fn unserialized_snapshot_swap_lost_update_caught() {
 }
 
 /// The serialized version of the same mutation — the discipline
-/// `SToPSS::mutate` implements — survives exhaustive exploration.
+/// `SToPSS::mutate_if` implements — survives exhaustive exploration.
 #[test]
 fn serialized_snapshot_swap_conserves_updates() {
     let report = Builder::default().check(|| {

@@ -44,7 +44,8 @@ pub trait MatchingEngine: Send {
 
     /// Clones the engine (index, live subscriptions, scratch) into a new
     /// boxed instance. The copy-on-write step of the snapshot control
-    /// plane: control ops fork the engine aside and publish the fork.
+    /// plane: a control op on a snapshot that a publisher still holds
+    /// forks the engine aside and publishes the fork.
     fn boxed_clone(&self) -> Box<dyn MatchingEngine>;
 }
 

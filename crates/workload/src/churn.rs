@@ -292,6 +292,12 @@ pub struct ConcurrentChurnSummary {
     /// evidence the run really interleaved rather than degenerating into
     /// publish-everything-then-mutate (or the reverse).
     pub mid_stream_publishes: usize,
+    /// Control ops that found a publisher holding the snapshot and forked
+    /// it ([`SToPSS::snapshot_forks`]).
+    pub forks: usize,
+    /// Control ops that mutated the snapshot in place; with `forks` they
+    /// account for every control op.
+    pub in_place: usize,
 }
 
 /// Runs the scenario's control ops on one thread racing `publishers`
@@ -450,10 +456,18 @@ pub fn replay_concurrent(
         "linearized replay must reproduce the live matcher's statistics exactly"
     );
 
+    // Every control op took exactly one of the two branches.
+    let forks = live.snapshot_forks() as usize;
+    let mutations = (live.control_epoch() - initial) as usize;
+    let in_place = mutations.checked_sub(forks).expect("more forks than control mutations");
+    assert_eq!(forks + in_place, control_ops.len(), "a control op neither forked nor ran in place");
+
     ConcurrentChurnSummary {
         publishes: records.len(),
         control_ops: control_ops.len(),
         mid_stream_publishes: mid_stream,
+        forks,
+        in_place,
     }
 }
 

@@ -155,7 +155,7 @@ fn networked_delivery_equals_in_process_broker() {
 }
 
 /// A storm of Subscribe frames arriving together coalesces into a few
-/// batched control mutations instead of one snapshot fork per
+/// batched control mutations instead of one control mutation per
 /// subscription — the control-plane cost model the event loop exists to
 /// fix. The (barriered) publish right after still observes every
 /// subscription.
@@ -182,15 +182,15 @@ fn subscribe_storm_coalesces_control_mutations() {
     }
     assert!(server.run_until_quiescent(2_000).unwrap());
     let epoch_after = server.broker().matcher_control_epoch();
-    let forks = epoch_after - epoch_before;
+    let mutations = epoch_after - epoch_before;
     assert_eq!(
         server.broker().subscription_count(),
         workload.subscriptions.len(),
         "every subscription of the storm must land"
     );
     assert!(
-        (forks as usize) < workload.subscriptions.len() / 4,
-        "200 subscriptions must coalesce into far fewer control mutations, got {forks}"
+        (mutations as usize) < workload.subscriptions.len() / 4,
+        "200 subscriptions must coalesce into far fewer control mutations, got {mutations}"
     );
     let replies = client.poll_recv().unwrap();
     assert_eq!(replies.len(), workload.subscriptions.len(), "one positional reply per subscribe");
