@@ -16,8 +16,10 @@
 //! it with one atomic pointer swap. An in-flight publication is never
 //! disturbed: it finishes against the snapshot it started under. A
 //! publication that starts during an in-place operation waits for it —
-//! microseconds for a subscription change, a whole rebuild for an
-//! ontology replacement.
+//! microseconds for a subscription change, a scan of the subscription
+//! index that re-indexes the subscriptions whose synonym-resolved form
+//! changed for an ontology replacement, a whole rebuild for a stage or
+//! configuration switch.
 
 use stopss_types::sync::atomic::{AtomicU64, Ordering};
 use stopss_types::sync::{Arc, Mutex, RwLock};

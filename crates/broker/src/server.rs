@@ -73,10 +73,13 @@ impl DemoServer {
         }
     }
 
-    /// Applies a live synonym delta: clones the running ontology, adds
-    /// the pairs, swaps the fork in via [`Broker::set_ontology`]. Fails
-    /// as an `Error` reply when the active source is not a single plain
-    /// ontology (nothing is mutated in that case).
+    /// Applies a live synonym delta: clones the running ontology, adds the
+    /// pairs, swaps the fork in via [`Broker::set_ontology`]. Under the
+    /// event-side strategies the swap re-indexes only the subscriptions
+    /// that name a term whose synonym root changed (see
+    /// [`stopss_core::SToPSS::set_source`]). Fails as an `Error` reply
+    /// when the active source is not a single plain ontology (nothing is
+    /// mutated in that case).
     fn apply_ontology_delta(&self, synonyms: Vec<(String, String)>) -> ServerMessage {
         let source = self.broker.semantic_source();
         let Some(base) = source.as_ontology() else {

@@ -19,7 +19,9 @@
 //! - if no publisher holds the current snapshot, the mutation runs on it
 //!   in place under the snapshot write lock — a publisher that arrives
 //!   meanwhile waits for it (microseconds for a subscribe or unsubscribe,
-//!   a whole rebuild for `set_source`, `set_stages` and `reconfigure`);
+//!   one scan of the subscription table plus the re-indexing of the
+//!   subscriptions whose synonym-resolved form changed for `set_source`,
+//!   a whole rebuild for `set_stages` and `reconfigure`);
 //! - if a publisher holds it, the mutation forks it off to the side,
 //!   mutates the fork and publishes it with one pointer swap, so the
 //!   holder finishes undisturbed against the epoch it started under.
@@ -488,11 +490,54 @@ impl MatcherCore {
     }
 
     /// Swaps the semantic knowledge source (live ontology evolution) and
-    /// rebuilds every engine subscription: canonical forms and rewrite
-    /// expansions depend on the ontology.
-    pub(crate) fn set_source(&mut self, source: Arc<dyn SemanticSource>) {
+    /// returns how many subscriptions it re-indexed.
+    ///
+    /// Under the event-side strategies the only thing an indexed
+    /// subscription reads from the ontology is its synonym-resolved form:
+    /// tolerances depend on the configuration alone, and hierarchy and
+    /// mappings are applied to the event. So one pass re-resolves each
+    /// entry's predicates against the new source and re-indexes only the
+    /// entries whose form changed; every other entry keeps its engine ids
+    /// and slots. `SubscriptionRewrite` expansions read the taxonomy, so
+    /// that strategy rebuilds every subscription.
+    pub(crate) fn set_source(&mut self, source: Arc<dyn SemanticSource>) -> usize {
         self.source = source;
-        self.rebuild();
+        if self.config.strategy == Strategy::SubscriptionRewrite {
+            self.rebuild();
+            return self.subs.len();
+        }
+        if !self.config.stages.synonym() {
+            // Every entry is indexed in its original form.
+            return 0;
+        }
+        let source = self.source.as_ref();
+        // The scan is bound by memory latency: in hash order every entry
+        // and its predicate buffer is a cache miss. Visiting them in
+        // address order turns most of those misses into forward reads;
+        // the gain is largest for entries subscribed together, which sit
+        // together on the heap, and smaller where other allocations
+        // interleave with them.
+        let mut entries: Vec<&SubEntry> = self.subs.values().map(|e| &**e).collect();
+        entries.sort_unstable_by_key(|e| *e as *const SubEntry as usize);
+        let mut stale: Vec<(Subscription, Tolerance)> = entries
+            .into_iter()
+            .filter(|e| {
+                let indexed = e.canonical.as_ref().unwrap_or(&e.original);
+                e.original
+                    .predicates()
+                    .iter()
+                    .zip(indexed.predicates())
+                    .any(|(p, q)| synonym_resolve_predicate(p, source) != *q)
+            })
+            .map(|e| (e.original.clone(), e.requested))
+            .collect();
+        // Re-index in id order, so engine ids do not depend on addresses.
+        stale.sort_unstable_by_key(|(sub, _)| sub.id());
+        let reindexed = stale.len();
+        for (sub, requested) in stale {
+            self.subscribe_with_tolerance(sub, requested);
+        }
+        reindexed
     }
 
     fn rebuild(&mut self) {
@@ -669,11 +714,12 @@ impl MatcherCore {
 /// shared forks it and swaps the fork in, and the holder finishes against
 /// the epoch it resolved. When no publisher holds it, the op mutates it in
 /// place instead, and a publisher that arrives meanwhile waits for the op
-/// to finish — microseconds for a subscribe or unsubscribe, a whole
-/// rebuild of every subscription for `set_stages`, `reconfigure` and
-/// `set_source`. Every control op returns the `control_epoch` it created
-/// (see [`PublishResult::epoch`] for the read side of the linearization
-/// token).
+/// to finish — microseconds for a subscribe or unsubscribe, a scan that
+/// re-indexes only the subscriptions whose synonym-resolved form changed
+/// for `set_source`, a whole rebuild of every subscription for
+/// `set_stages` and `reconfigure`. Every control op returns the
+/// `control_epoch` it created (see [`PublishResult::epoch`] for the read
+/// side of the linearization token).
 pub struct SToPSS {
     interner: SharedInterner,
     stats: Arc<AtomicStats>,
@@ -903,12 +949,17 @@ impl SToPSS {
     /// Swaps the semantic knowledge source — live ontology evolution: new
     /// synonyms, taxonomy growth, or mapping changes take effect for every
     /// publication that starts after the swap, while in-flight
-    /// publications finish against the ontology they resolved. The swap
-    /// rebuilds every subscription; done in place, it makes a publisher
-    /// that arrives meanwhile wait for the whole rebuild. Returns the
-    /// control epoch of the swap.
+    /// publications finish against the ontology they resolved. Under the
+    /// event-side strategies the swap is one scan of the subscription
+    /// table that re-indexes only the subscriptions whose synonym-resolved
+    /// form changed, so an is-a or mapping edit re-indexes none; under
+    /// `SubscriptionRewrite` it rebuilds every subscription. Done in
+    /// place, it makes a publisher that arrives meanwhile wait for that
+    /// work. Returns the control epoch of the swap.
     pub fn set_source(&self, source: Arc<dyn SemanticSource>) -> u64 {
-        self.mutate(|core| core.set_source(source))
+        self.mutate(|core| {
+            core.set_source(source);
+        })
     }
 
     /// Publishes an event, returning the matched subscriptions.
@@ -1258,13 +1309,22 @@ mod tests {
         assert_eq!(matcher.publish(&event).len(), 1, "new synonym is live");
     }
 
+    /// `SToPSS::set_source`, returning how many subscriptions the swap
+    /// re-indexed.
+    fn set_source_counted(matcher: &SToPSS, source: Arc<dyn SemanticSource>) -> usize {
+        let mut reindexed = 0;
+        matcher.mutate(|core| reindexed = core.set_source(source));
+        reindexed
+    }
+
     /// A publisher that resolved its snapshot before a control op finishes
     /// against that snapshot: holding it forces the op to fork, so the
-    /// swap does not block or corrupt the in-flight match.
+    /// swap does not block or corrupt the in-flight match. An ontology
+    /// edit on a held snapshot re-indexes on the fork's cloned engine.
     #[test]
     fn in_flight_publication_finishes_against_its_epoch() {
         let w = world();
-        let matcher = SToPSS::new(Config::default(), w.source, w.interner);
+        let matcher = SToPSS::new(Config::default(), w.source.clone(), w.interner.clone());
         matcher.subscribe(w.sub.clone());
         let before = matcher.resolve();
         matcher.set_stages(StageMask::syntactic());
@@ -1275,6 +1335,35 @@ mod tests {
         assert_eq!(result.epoch, 1);
         // The current snapshot is syntactic.
         assert!(matcher.publish(&w.event).is_empty());
+
+        // `university` (and with it its alias `school`) becomes an alias
+        // of `institution`: the subscription naming it changes form.
+        let matcher = SToPSS::new(Config::default(), w.source.clone(), w.interner.clone());
+        matcher.subscribe(w.sub.clone());
+        let [university, school, institution] =
+            ["university", "school", "institution"].map(|s| w.interner.intern(s));
+        let mut evolved = (*w.source).clone();
+        w.interner.with(|i| evolved.synonyms.add_synonym(institution, university, i)).unwrap();
+        let evolved = Arc::new(evolved);
+        let institution_event: Event = w
+            .event
+            .pairs()
+            .iter()
+            .map(|&(attr, value)| (if attr == school { institution } else { attr }, value))
+            .collect();
+        let before = matcher.resolve();
+        assert_eq!(set_source_counted(&matcher, evolved.clone()), 1, "one form changed");
+        assert_eq!(matcher.snapshot_forks(), 1, "a held snapshot forces exactly one fork");
+        let retired = |event: &Event| matcher.interner.with(|i| before.publish_inner(event, i));
+        assert_eq!(retired(&w.event).matches.len(), 1, "retired: school is university");
+        assert!(retired(&institution_event).matches.is_empty(), "retired: no institution");
+        let fresh = SToPSS::new(Config::default(), evolved, w.interner.clone());
+        fresh.subscribe(w.sub.clone());
+        for event in [&w.event, &institution_event] {
+            let got = matcher.publish(event);
+            assert_eq!(got.len(), 1, "current: both terms are institution");
+            assert_eq!(got, fresh.publish(event));
+        }
     }
 
     /// With no publisher holding the snapshot, every kind of control op
@@ -1306,13 +1395,16 @@ mod tests {
     }
 
     /// An in-place control op keeps the engine's scratch and epoch stamps,
-    /// which a fork starts afresh: publish, unsubscribe (freeing a
-    /// slot and its predicates), subscribe a different predicate set (which
-    /// reuses them), rebuild in place under a new source, publish again.
-    /// The final matches equal a fresh matcher's over the live set.
+    /// which a fork starts afresh: publish, unsubscribe (freeing a slot and
+    /// its predicates), subscribe a different predicate set (which reuses
+    /// them), then swap a sequence of sources in place. Each swap
+    /// re-indexes exactly the subscriptions whose synonym-resolved form it
+    /// changes, and afterwards every event's matches, provenance included,
+    /// equal a fresh matcher's on that source. Runs under both event-side
+    /// strategies, and with the synonym stage off, where no swap re-indexes
+    /// anything.
     fn in_place_ops_keep_engine_scratch_valid(engine: EngineKind) {
         let mut i = Interner::new();
-        let mut o = Ontology::new("jobs");
         let keep = [
             SubscriptionBuilder::new(&mut i).term_eq("city", "toronto").build(SubId(1)),
             SubscriptionBuilder::new(&mut i)
@@ -1333,32 +1425,71 @@ mod tests {
                 .pair("level", 4i64)
                 .build(),
             EventBuilder::new(&mut i).term("town", "ottawa").pair("level", 5i64).build(),
+            EventBuilder::new(&mut i).term("city", "toronto").term("role", "developer").build(),
+            EventBuilder::new(&mut i).term("city", "ottawa").pair("rank", 4i64).build(),
         ];
-        let (city, town) = (i.intern("city"), i.intern("town"));
+        let mut town_alias = Ontology::new("jobs");
+        town_alias.synonyms.add_synonym(i.intern("city"), i.intern("town"), &i).unwrap();
+        // An alias on a subscribed attribute (`level`, named by sub 4) and
+        // on a subscribed value (`engineer`, named by sub 2).
+        let mut aliased = town_alias.clone();
+        aliased.synonyms.add_synonym(i.intern("rank"), i.intern("level"), &i).unwrap();
+        aliased.synonyms.add_synonym(i.intern("developer"), i.intern("engineer"), &i).unwrap();
+        // An is-a edit changes what matches (event 3 reaches sub 2) without
+        // changing any subscription's form.
+        let mut isa = town_alias.clone();
+        isa.taxonomy.add_isa(i.intern("developer"), i.intern("engineer"), &i).unwrap();
+        let mut unnamed = isa.clone();
+        unnamed.synonyms.add_synonym(i.intern("nation"), i.intern("country"), &i).unwrap();
+        // (source, subscriptions it re-indexes when the synonym stage runs)
+        let swaps = [
+            // A new alias of a subscribed root leaves every form as it was.
+            (Arc::new(town_alias.clone()), 0),
+            (Arc::new(aliased), 2),
+            // The swap back removes both aliases.
+            (Arc::new(town_alias), 2),
+            (Arc::new(isa), 0),
+            (Arc::new(unnamed), 0),
+        ];
         let interner = SharedInterner::from_interner(i);
-        let config = Config::default().with_engine(engine);
-        let matcher = SToPSS::new(config, Arc::new(o.clone()), interner.clone());
-        for sub in keep.iter().chain([&dropped]) {
-            matcher.subscribe(sub.clone());
-        }
-        for event in events.iter().chain(&events) {
-            matcher.publish(event);
-        }
-        matcher.unsubscribe(dropped.id()).expect("live id");
-        matcher.subscribe(added.clone());
-        interner.with(|i| o.synonyms.add_synonym(city, town, i)).unwrap();
-        let evolved = Arc::new(o);
-        matcher.set_source(evolved.clone());
-        assert_eq!(matcher.snapshot_forks(), 0, "{}: every op ran in place", engine.name());
-
-        let fresh = SToPSS::new(config, evolved, interner);
-        for sub in keep.iter().chain([&added]) {
-            fresh.subscribe(sub.clone());
-        }
-        for (k, event) in events.iter().enumerate() {
-            let got = matcher.publish(event);
-            assert!(!got.is_empty(), "{}: event {k} must match something", engine.name());
-            assert_eq!(got, fresh.publish(event), "{}: event {k} diverged", engine.name());
+        let base = Config::default().with_engine(engine);
+        let configs = [
+            base,
+            base.with_strategy(Strategy::MaterializeEvents),
+            base.with_stages(StageMask::all().without(StageMask::SYNONYM)),
+        ];
+        for config in configs {
+            let name = format!("{} {:?} {:?}", engine.name(), config.strategy, config.stages);
+            let matcher = SToPSS::new(config, Arc::new(Ontology::new("jobs")), interner.clone());
+            for sub in keep.iter().chain([&dropped]) {
+                matcher.subscribe(sub.clone());
+            }
+            for event in events.iter().chain(&events) {
+                matcher.publish(event);
+            }
+            matcher.unsubscribe(dropped.id()).expect("live id");
+            matcher.subscribe(added.clone());
+            for (k, (source, reindexed)) in swaps.iter().enumerate() {
+                let want = if config.stages.synonym() { *reindexed } else { 0 };
+                assert_eq!(set_source_counted(&matcher, source.clone()), want, "{name}: swap {k}");
+                let fresh = SToPSS::new(config, source.clone(), interner.clone());
+                for sub in keep.iter().chain([&added]) {
+                    fresh.subscribe(sub.clone());
+                }
+                let mut matched = 0;
+                for (e, event) in events.iter().enumerate() {
+                    let got = matcher.publish(event);
+                    // The first three events match under every source
+                    // while the synonym stage runs.
+                    if config.stages.synonym() && e < 3 {
+                        assert!(!got.is_empty(), "{name}: swap {k}, event {e} matched nothing");
+                    }
+                    matched += got.len();
+                    assert_eq!(got, fresh.publish(event), "{name}: swap {k}, event {e} diverged");
+                }
+                assert!(matched > 0, "{name}: swap {k} must match something");
+            }
+            assert_eq!(matcher.snapshot_forks(), 0, "{name}: every op ran in place");
         }
     }
 
