@@ -1003,7 +1003,6 @@ fn exp_scenarios(s: &Scale, quick: bool) -> Vec<Table> {
             "rate-dropped",
             "orphaned",
             "retried",
-            "restarts",
             "clients dropped",
             "conserved",
             "order",
@@ -1013,7 +1012,6 @@ fn exp_scenarios(s: &Scale, quick: bool) -> Vec<Table> {
         seed: 2003,
         drop_client: 0.0,
         slow_consumer: 0.0,
-        restart_every: 0,
         udp_loss: 0.0,
         sms_budget: 1_000_000,
     };
@@ -1021,7 +1019,6 @@ fn exp_scenarios(s: &Scale, quick: bool) -> Vec<Table> {
         ("none", quiet),
         ("connection drops", ChaosConfig { drop_client: 0.15, ..quiet }),
         ("slow consumers", ChaosConfig { slow_consumer: 0.3, ..quiet }),
-        ("engine restarts", ChaosConfig { restart_every: 25, ..quiet }),
         ("all faults", ChaosConfig::default()),
     ];
     let fixture = jobfinder_fixture(48, if quick { 150 } else { 400 }, 9);
@@ -1043,7 +1040,6 @@ fn exp_scenarios(s: &Scale, quick: bool) -> Vec<Table> {
             report.rate_dropped.to_string(),
             report.orphaned.to_string(),
             report.retried.to_string(),
-            report.restarts.to_string(),
             report.dropped_clients.to_string(),
             if report.matches == report.accounted() { "yes" } else { "NO" }.into(),
             if report.ordering_violations.is_empty() { "intact" } else { "VIOLATED" }.into(),

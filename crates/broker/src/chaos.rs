@@ -1,13 +1,12 @@
 //! Deterministic fault injection for the broker, scored on delivery
 //! invariants.
 //!
-//! A [`ChaosConfig`] seeds three fault families — dropped client
-//! connections, slowed (rate-limited) consumers, and notification-engine
-//! restarts mid-stream — on top of the transports' own loss/rate
-//! behaviours. [`run_chaos`] drives a subscription/event workload through
-//! a faulted [`Broker`] and returns a [`ChaosReport`] whose
-//! [`ChaosReport::assert_invariants`] checks the two properties the
-//! harness exists to pin:
+//! A [`ChaosConfig`] seeds two fault families — dropped client
+//! connections and slowed (rate-limited) consumers — on top of the
+//! transports' own loss/rate behaviours. [`run_chaos`] drives a
+//! subscription/event workload through a faulted [`Broker`] and returns
+//! a [`ChaosReport`] whose [`ChaosReport::assert_invariants`] checks the
+//! two properties the harness exists to pin:
 //!
 //! 1. **No silent loss** — every match is delivered or shows up in an
 //!    explicit failure counter (lost / rate-dropped / orphaned);
@@ -16,7 +15,7 @@
 //!    the checker parses back out of delivered payloads).
 //!
 //! Everything is deterministic under a fixed seed: the chaos control
-//! stream, the per-incarnation transport streams, and the single-threaded
+//! stream, the per-transport streams, and the single-threaded
 //! publish loop (the engine delivers on the publishing thread, so
 //! transport RNG draws happen in match order). Same seed ⇒ same faults ⇒
 //! same report.
@@ -47,9 +46,6 @@ pub struct ChaosConfig {
     /// Per-delivery-attempt probability that a consumer is too slow and
     /// the attempt comes back rate-limited (retried by the engine).
     pub slow_consumer: f64,
-    /// Restart the notification engine before every `restart_every`-th
-    /// publication (0 = never).
-    pub restart_every: usize,
     /// UDP loss probability for the simulated datagram transport.
     pub udp_loss: f64,
     /// SMS messages allowed per rate window.
@@ -62,7 +58,6 @@ impl Default for ChaosConfig {
             seed: 2003,
             drop_client: 0.05,
             slow_consumer: 0.1,
-            restart_every: 64,
             udp_loss: 0.1,
             sms_budget: 16,
         }
@@ -125,8 +120,6 @@ pub struct ChaosReport {
     pub rate_dropped: u64,
     /// Retry attempts performed (slow consumers + SMS windows).
     pub retried: u64,
-    /// Notification-engine restarts injected.
-    pub restarts: u64,
     /// Client connections dropped.
     pub dropped_clients: u64,
     /// Per-subscriber ordering violations (empty = order preserved).
@@ -200,9 +193,6 @@ pub fn run_chaos(
     let mut report = ChaosReport::default();
 
     for (k, event) in events.iter().enumerate() {
-        if chaos.restart_every > 0 && k > 0 && k % chaos.restart_every == 0 {
-            broker.restart_notifier();
-        }
         if !connected.is_empty() && control.chance(chaos.drop_client) {
             let victim = connected.swap_remove(control.index(connected.len()));
             if broker.unregister_client(victim) {
@@ -219,7 +209,6 @@ pub fn run_chaos(
         report.published += 1;
     }
 
-    report.restarts = broker.notifier_restarts();
     report.orphaned = broker.orphaned_matches();
     let inboxes: Vec<(TransportKind, Inbox)> = TransportKind::ALL
         .iter()
@@ -237,8 +226,8 @@ pub fn run_chaos(
 }
 
 /// Builds a broker whose every transport is wrapped in a seeded
-/// [`FlakyTransport`] (slow-consumer stalls) and rebuilt per restart
-/// epoch over shared inboxes.
+/// [`FlakyTransport`] (slow-consumer stalls) over inboxes the report
+/// reads back.
 fn chaos_broker(
     config: BrokerConfig,
     chaos: &ChaosConfig,
@@ -251,12 +240,12 @@ fn chaos_broker(
     }
     let factory_inboxes = inboxes.clone();
     let chaos = *chaos;
-    let factory: TransportFactory = Box::new(move |epoch| {
+    let factory: TransportFactory = Box::new(move |_| {
         let bare: Vec<Box<dyn Transport>> = vec![
             Box::new(TcpSim::with_inbox(factory_inboxes[&TransportKind::Tcp].clone())),
             Box::new(UdpSim::with_inbox(
                 config.udp_loss,
-                config.seed.wrapping_add(epoch),
+                config.seed,
                 factory_inboxes[&TransportKind::Udp].clone(),
             )),
             Box::new(SmtpSim::with_inbox(factory_inboxes[&TransportKind::Smtp].clone())),
@@ -268,7 +257,7 @@ fn chaos_broker(
         bare.into_iter()
             .enumerate()
             .map(|(k, t)| {
-                let seed = chaos.seed ^ (epoch << 8) ^ k as u64;
+                let seed = chaos.seed ^ k as u64;
                 Box::new(FlakyTransport::new(t, chaos.slow_consumer, seed)) as Box<dyn Transport>
             })
             .collect()
@@ -547,10 +536,9 @@ pub struct SessionChaosConfig {
     pub partition: f64,
     /// Logical ticks a partition lasts before the harness heals it.
     pub partition_ticks: u64,
-    /// Bounce the whole serving front end (every connection killed, the
-    /// notification engine restarted) before every `restart_every`-th
-    /// publication (0 = never). Sessions survive in memory; clients
-    /// reconnect-with-resume.
+    /// Bounce the whole serving front end (every connection killed at
+    /// once) before every `restart_every`-th publication (0 = never).
+    /// Sessions survive in memory; clients reconnect-with-resume.
     pub restart_every: usize,
     /// Per-publication probability that one subscriber unsubscribes and
     /// immediately resubscribes over the wire (control-plane churn).
@@ -929,7 +917,6 @@ pub fn run_session_chaos(
         // leaving nondeterministic half-resumed states behind.
         if chaos.restart_every > 0 && k > 0 && k % chaos.restart_every == 0 {
             server.kill_all_connections();
-            server.broker().restart_notifier();
             report.restarts += 1;
             fence!("restart recovery");
         }

@@ -80,11 +80,10 @@ impl std::fmt::Display for BrokerError {
 
 impl std::error::Error for BrokerError {}
 
-/// Builds the transport set for one notification-engine incarnation.
-/// Called with the restart epoch (0 for the initial engine, then 1, 2, …)
-/// so seeded transports can derive a fresh-but-deterministic stream per
-/// incarnation. Transports should write into long-lived inboxes (the
-/// `with_inbox` constructors) so receivers survive restarts.
+/// Builds the notification engine's transport set. The broker calls it
+/// exactly once, with `0`, at construction and does not keep it. The
+/// `u64` argument is vestigial: it once numbered engine incarnations, and
+/// it stays only so existing callers keep compiling.
 pub type TransportFactory = Box<dyn Fn(u64) -> Vec<Box<dyn Transport>> + Send + Sync>;
 
 /// The publish/subscribe broker of the demonstration setup.
@@ -95,29 +94,17 @@ pub struct Broker {
     matcher: SToPSS,
     clients: RwLock<FxHashMap<ClientId, ClientInfo>>,
     sub_owner: RwLock<FxHashMap<SubId, ClientId>>,
-    /// Read lock to deliver a publication's notifications; write lock only
-    /// for the engine swap in [`Broker::restart_notifier`].
-    notifier: RwLock<NotificationEngine>,
-    /// Counters of engines retired by restarts, folded together so
-    /// [`Broker::delivery_stats`] spans every incarnation.
-    retired_delivery: Mutex<DeliveryStats>,
-    /// Serializes notification-engine restarts and snapshots of the
-    /// delivery accounting. A restart moves counters from the live engine
-    /// into the retired total; holding this lock across the move (and
-    /// across [`Broker::delivery_stats`]' two reads) keeps the sum
-    /// conserved — no interleaving can observe, or lose, a retired
-    /// engine's counters mid-transfer.
-    restart: Mutex<()>,
-    /// Rebuilds transports for each engine incarnation.
-    transport_factory: TransportFactory,
-    notifier_restarts: AtomicU64,
+    /// No lock either: the engine serializes its transports on its own
+    /// mutex.
+    notifier: NotificationEngine,
     inboxes: FxHashMap<TransportKind, Inbox>,
     interner: SharedInterner,
-    /// Stage mask used in semantic mode (restored by `set_semantic_mode`,
-    /// updated when [`Broker::reconfigure_matcher`] installs a semantic
-    /// configuration).
-    semantic_stages: RwLock<StageMask>,
-    semantic: RwLock<bool>,
+    /// Stage mask that [`Broker::set_semantic_mode`] restores, updated
+    /// when [`Broker::reconfigure_matcher`] installs a semantic
+    /// configuration. Both hold this lock across their matcher call, so
+    /// the two serialize. Whether the broker is semantic right now is
+    /// read off the matcher itself ([`Broker::is_semantic`]).
+    semantic_stages: Mutex<StageMask>,
     /// Matches whose owner lookup missed in `notify_matches` — a
     /// subscription matched by an in-flight publish and unsubscribed
     /// before its notification was delivered. Counted (not silently
@@ -139,13 +126,12 @@ impl Broker {
             inboxes.insert(kind, Inbox::default());
         }
         let factory_inboxes = inboxes.clone();
-        let factory: TransportFactory = Box::new(move |epoch| {
+        let factory: TransportFactory = Box::new(move |_| {
             vec![
                 Box::new(TcpSim::with_inbox(factory_inboxes[&TransportKind::Tcp].clone())),
                 Box::new(UdpSim::with_inbox(
                     config.udp_loss,
-                    // Each incarnation draws a fresh deterministic stream.
-                    config.seed.wrapping_add(epoch),
+                    config.seed,
                     factory_inboxes[&TransportKind::Udp].clone(),
                 )),
                 Box::new(SmtpSim::with_inbox(factory_inboxes[&TransportKind::Smtp].clone())),
@@ -158,10 +144,9 @@ impl Broker {
         Broker::with_transport_factory(config, source, interner, inboxes, factory)
     }
 
-    /// Builds a broker over custom transports. `factory` is invoked with
-    /// epoch 0 for the initial notification engine and with 1, 2, … on
-    /// each [`Broker::restart_notifier`]; `inboxes` are the receiving
-    /// ends exposed through [`Broker::inbox`].
+    /// Builds a broker over custom transports. `factory` is called once,
+    /// with `0`, to build the notification engine's transports; `inboxes`
+    /// are the receiving ends exposed through [`Broker::inbox`].
     pub fn with_transport_factory(
         config: BrokerConfig,
         source: Arc<dyn SemanticSource>,
@@ -173,15 +158,10 @@ impl Broker {
             matcher: SToPSS::new(config.matcher, source, interner.clone()),
             clients: RwLock::new(FxHashMap::default()),
             sub_owner: RwLock::new(FxHashMap::default()),
-            notifier: RwLock::new(NotificationEngine::start(factory(0))),
-            retired_delivery: Mutex::new(DeliveryStats::default()),
-            restart: Mutex::new(()),
-            transport_factory: factory,
-            notifier_restarts: AtomicU64::new(0),
+            notifier: NotificationEngine::start(factory(0)),
             inboxes,
             interner,
-            semantic_stages: RwLock::new(config.matcher.stages),
-            semantic: RwLock::new(!config.matcher.stages.is_syntactic()),
+            semantic_stages: Mutex::new(config.matcher.stages),
             orphaned_matches: AtomicU64::new(0),
             next_client: AtomicU64::new(1),
             next_sub: AtomicU64::new(1),
@@ -374,9 +354,8 @@ impl Broker {
     }
 
     /// Hands one publication's notifications to the notification engine:
-    /// one engine read lock and one transport lock for the whole
-    /// publication, every delivery finished (and the batchers flushed)
-    /// before this returns.
+    /// one transport lock for the whole publication, every delivery
+    /// finished (and the batchers flushed) before this returns.
     fn notify_matches(&self, event: &Event, matches: &[Match]) {
         if matches.is_empty() {
             return;
@@ -402,7 +381,7 @@ impl Broker {
             );
             Some((info.transport, Delivery { client: *owner, payload }))
         });
-        self.notifier.read().deliver_all(deliveries);
+        self.notifier.deliver_all(deliveries);
     }
 
     /// Matches whose notification was dropped because the owning
@@ -417,33 +396,32 @@ impl Broker {
     /// Switches between semantic and syntactic mode ("the application can
     /// run in two different modes", §4). The stage switch is a snapshot
     /// swap inside the matcher; publications in flight finish under the
-    /// old mode.
+    /// old mode. Semantic mode restores the last semantic stage mask, so a
+    /// broker that has only ever been configured syntactically stays
+    /// syntactic.
     pub fn set_semantic_mode(&self, semantic: bool) {
-        let mut flag = self.semantic.write();
-        if *flag == semantic {
-            return;
+        let restore = self.semantic_stages.lock();
+        let stages = if semantic { *restore } else { StageMask::syntactic() };
+        if self.matcher.config().stages != stages {
+            self.matcher.set_stages(stages);
         }
-        *flag = semantic;
-        let stages = if semantic { *self.semantic_stages.read() } else { StageMask::syntactic() };
-        self.matcher.set_stages(stages);
     }
 
-    /// True if the broker currently matches semantically.
+    /// True if the broker currently matches semantically: read off the
+    /// matcher's own stage mask.
     pub fn is_semantic(&self) -> bool {
-        *self.semantic.read()
+        !self.matcher.config().stages.is_syntactic()
     }
 
     /// Reconfigures the live matcher (engine, strategy, stages, …) between
     /// publications — subscriptions survive and are re-indexed inside one
-    /// snapshot swap. The broker's semantic flag and restore mask track
-    /// the new configuration.
+    /// snapshot swap. A semantic configuration also becomes the mask that
+    /// [`Broker::set_semantic_mode`] restores.
     pub fn reconfigure_matcher(&self, config: Config) {
-        let mut flag = self.semantic.write();
-        let semantic = !config.stages.is_syntactic();
-        if semantic {
-            *self.semantic_stages.write() = config.stages;
+        let mut restore = self.semantic_stages.lock();
+        if !config.stages.is_syntactic() {
+            *restore = config.stages;
         }
-        *flag = semantic;
         self.matcher.reconfigure(config);
     }
 
@@ -469,50 +447,9 @@ impl Broker {
         self.matcher.stats()
     }
 
-    /// Notification counters: retired incarnations folded with a live
-    /// snapshot of the current engine. Serialized against
-    /// [`Broker::restart_notifier`] so the two reads (retired total +
-    /// live engine) form a consistent cut — a concurrent restart can
-    /// never move counters between them and make the sum dip.
+    /// Notification counters: a live snapshot of the engine's.
     pub fn delivery_stats(&self) -> DeliveryStats {
-        let _restart = self.restart.lock();
-        let mut stats = self.retired_delivery.lock().clone();
-        stats.merge(&self.notifier.read().stats());
-        stats
-    }
-
-    /// Restarts the notification engine mid-stream: a fresh engine is
-    /// built from the transport factory and swapped in, the old one's
-    /// transports are flushed, and its final counters are folded into the
-    /// retired total. Restarts are serialized on a dedicated lock — the
-    /// epoch draw, the engine swap, and the retired-counter merge happen
-    /// atomically with respect to other restarts, so racing restarts can
-    /// neither reuse an epoch nor lose a retired engine's `DeliveryStats`
-    /// from the merge. The swap waits for publications delivering through
-    /// the old engine to finish, so every notification lands in exactly
-    /// one incarnation. Returns the retired engine's final stats.
-    pub fn restart_notifier(&self) -> DeliveryStats {
-        let _restart = self.restart.lock();
-        // ordering: read and write of the epoch are serialized by the
-        // restart mutex; the atomic only lets `notifier_restarts()`
-        // observe it without the lock.
-        let epoch = self.notifier_restarts.load(Ordering::Relaxed) + 1;
-        let fresh = NotificationEngine::start((self.transport_factory)(epoch));
-        // The notifier write lock covers only the swap; the old engine
-        // is flushed after it is released.
-        let old = std::mem::replace(&mut *self.notifier.write(), fresh);
-        // ordering: serialized by the restart mutex, as above.
-        self.notifier_restarts.store(epoch, Ordering::Relaxed);
-        let final_stats = old.shutdown();
-        self.retired_delivery.lock().merge(&final_stats);
-        final_stats
-    }
-
-    /// Number of notification-engine restarts performed.
-    pub fn notifier_restarts(&self) -> u64 {
-        // ordering: monotone epoch snapshot; writers are serialized by
-        // the restart mutex.
-        self.notifier_restarts.load(Ordering::Relaxed)
+        self.notifier.stats()
     }
 
     /// Receiving-end inbox of a simulated transport.
@@ -521,11 +458,9 @@ impl Broker {
     }
 
     /// Stops the notification engine and returns the final delivery
-    /// statistics across every engine incarnation.
+    /// statistics.
     pub fn shutdown(self) -> DeliveryStats {
-        let mut stats = self.retired_delivery.into_inner();
-        stats.merge(&self.notifier.into_inner().shutdown());
-        stats
+        self.notifier.shutdown()
     }
 }
 
@@ -607,6 +542,26 @@ mod tests {
         assert_eq!(broker.publish(&candidate_event(&interner)), 0);
         broker.set_semantic_mode(true);
         assert_eq!(broker.publish(&candidate_event(&interner)), 1);
+    }
+
+    /// A broker configured syntactic has no semantic mask to restore:
+    /// semantic mode leaves it syntactic, and `is_semantic` says so.
+    #[test]
+    fn semantic_mode_without_a_semantic_mask_stays_syntactic() {
+        let matcher = Config::default().with_stages(StageMask::syntactic());
+        let (broker, interner) = jobs_broker(BrokerConfig { matcher, ..Default::default() });
+        let company = broker.register_client("acme", TransportKind::Tcp);
+        broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
+        assert!(!broker.is_semantic());
+        broker.set_semantic_mode(true);
+        assert!(!broker.is_semantic(), "there is no semantic mask to restore");
+        assert_eq!(broker.publish(&candidate_event(&interner)), 0, "matching stays syntactic");
+        broker.reconfigure_matcher(Config::default());
+        assert!(broker.is_semantic(), "a semantic configuration switches it on");
+        broker.set_semantic_mode(false);
+        assert!(!broker.is_semantic());
+        broker.set_semantic_mode(true);
+        assert!(broker.is_semantic(), "and becomes the mask semantic mode restores");
     }
 
     #[test]
@@ -740,26 +695,6 @@ mod tests {
         let _ = broker.shutdown();
     }
 
-    /// Counters survive a notification-engine restart: deliveries before
-    /// and after the swap are both visible in `delivery_stats`/`shutdown`,
-    /// and the inbox keeps accumulating across incarnations.
-    #[test]
-    fn restart_notifier_carries_accounting_across_incarnations() {
-        let (broker, interner) = jobs_broker(BrokerConfig::default());
-        let company = broker.register_client("acme", TransportKind::Tcp);
-        broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
-        let event = candidate_event(&interner);
-        assert_eq!(broker.publish(&event), 1);
-        let retired = broker.restart_notifier();
-        assert_eq!(retired.get(TransportKind::Tcp).delivered, 1, "delivered before the swap");
-        assert_eq!(broker.notifier_restarts(), 1);
-        assert_eq!(broker.publish(&event), 1);
-        let inbox = broker.inbox(TransportKind::Tcp).unwrap();
-        let stats = broker.shutdown();
-        assert_eq!(stats.get(TransportKind::Tcp).delivered, 2, "both incarnations counted");
-        assert_eq!(inbox.lock().len(), 2, "inbox survives the restart");
-    }
-
     /// Delivery runs inside `publish`: the moment it returns `n`, the
     /// engine has attempted exactly `n` more deliveries — no shutdown, no
     /// waiting.
@@ -781,75 +716,6 @@ mod tests {
             assert_eq!(mail.lock().len() as u64, round, "the batcher flushed per publication");
         }
         let _ = broker.shutdown();
-    }
-
-    /// The racing-restart regression: pre-fix, `restart_notifier` held
-    /// the notifier write lock across the drain and took the retired lock
-    /// inside it, while `delivery_stats` took the two locks in the
-    /// opposite order — racing them could deadlock, and a stats snapshot
-    /// taken between the engine swap and the retired-counter merge
-    /// dropped the retired engine's deliveries (a transient undercount).
-    /// Post-fix both serialize on the restart lock: totals observed by a
-    /// concurrent poller are monotone, and the final accounting conserves
-    /// `matches == delivered + lost + rate-dropped + orphaned`.
-    #[test]
-    fn racing_restarts_conserve_delivery_accounting() {
-        let (broker, interner) = jobs_broker(BrokerConfig { udp_loss: 0.0, ..Default::default() });
-        let company = broker.register_client("acme", TransportKind::Tcp);
-        broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
-        let broker = Arc::new(broker);
-        let event = candidate_event(&interner);
-
-        let publishers: Vec<_> = (0..2)
-            .map(|_| {
-                let broker = broker.clone();
-                let event = event.clone();
-                std::thread::spawn(move || (0..50).map(|_| broker.publish(&event)).sum::<usize>())
-            })
-            .collect();
-        let restarters: Vec<_> = (0..2)
-            .map(|_| {
-                let broker = broker.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..10 {
-                        broker.restart_notifier();
-                    }
-                })
-            })
-            .collect();
-        let poller = {
-            let broker = broker.clone();
-            std::thread::spawn(move || {
-                let mut prev = 0u64;
-                for _ in 0..200 {
-                    let seen = broker.delivery_stats().total_attempted();
-                    assert!(
-                        seen >= prev,
-                        "attempted deliveries went backwards ({prev} -> {seen}): \
-                         a restart lost a retired engine's counters"
-                    );
-                    prev = seen;
-                }
-            })
-        };
-
-        let matches: usize = publishers.into_iter().map(|h| h.join().unwrap()).sum();
-        for h in restarters {
-            h.join().unwrap();
-        }
-        poller.join().unwrap();
-        assert_eq!(matches, 100);
-        assert_eq!(broker.notifier_restarts(), 20, "every racing restart got its own epoch");
-
-        let orphaned = broker.orphaned_matches();
-        let broker = Arc::try_unwrap(broker).ok().expect("sole owner");
-        let stats = broker.shutdown();
-        assert_eq!(
-            stats.total_delivered() + stats.total_failures() + orphaned,
-            matches as u64,
-            "every match is delivered, failed, or orphaned — none lost to a restart race"
-        );
-        assert_eq!(stats.get(TransportKind::Tcp).delivered, 100, "TCP is lossless here");
     }
 
     /// Dropping a client leaves its subscriptions matching, and their
@@ -931,7 +797,9 @@ mod tests {
     /// Control ops run concurrently with publishers — no broker-side
     /// matcher lock exists to stall them. Publishers race a
     /// subscribe/unsubscribe churn thread; every match produced must be
-    /// either delivered or orphaned — never silently lost.
+    /// either delivered, failed or orphaned — never silently lost — and a
+    /// concurrent poller never sees the attempted-delivery total go
+    /// backwards.
     #[test]
     fn control_ops_run_concurrently_with_publishers() {
         let (broker, interner) = jobs_broker(BrokerConfig { udp_loss: 0.0, ..Default::default() });
@@ -958,9 +826,21 @@ mod tests {
                 }
             })
         };
+        let poller = {
+            let broker = broker.clone();
+            std::thread::spawn(move || {
+                let mut prev = 0u64;
+                for _ in 0..200 {
+                    let seen = broker.delivery_stats().total_attempted();
+                    assert!(seen >= prev, "attempted deliveries went backwards ({prev} -> {seen})");
+                    prev = seen;
+                }
+            })
+        };
 
         let matches: usize = publishers.into_iter().map(|h| h.join().unwrap()).sum();
         churner.join().unwrap();
+        poller.join().unwrap();
         assert!(matches >= 80, "the anchor matches every publish");
         let orphaned = broker.orphaned_matches();
         let broker = Arc::try_unwrap(broker).ok().expect("sole owner");

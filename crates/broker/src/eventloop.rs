@@ -671,9 +671,7 @@ impl NetBroker {
     /// broker-front-end bounce. Retaining sessions detach (their state
     /// survives in memory and their TTL countdown starts); session-less
     /// connections are retired as on any close — their clients
-    /// unregistered and their subscriptions unsubscribed. Pair with
-    /// [`Broker::restart_notifier`](crate::dispatcher::Broker::restart_notifier)
-    /// to model a full restart of the serving tier.
+    /// unregistered and their subscriptions unsubscribed.
     pub fn kill_all_connections(&mut self) {
         let tokens: Vec<Token> = self.conns.keys().copied().collect();
         for token in tokens {

@@ -11,7 +11,8 @@
 //! * [`transport`] — simulated TCP / UDP / SMTP / SMS with their
 //!   characteristic behaviours (loss, batching, rate limits, truncation);
 //! * [`chaos`] — seeded fault injection (dropped connections, slow
-//!   consumers, engine restarts) scored on delivery/ordering invariants;
+//!   consumers, mid-frame disconnects, session kills and partitions)
+//!   scored on delivery/ordering invariants;
 //! * [`wire`] — the length-framed binary protocol of the demo front-end
 //!   (normative spec: `docs/WIRE_PROTOCOL.md` at the repository root);
 //! * [`DemoServer`] — the command surface standing in for the paper's web

@@ -64,26 +64,6 @@ impl DeliveryStats {
     pub fn total_failures(&self) -> u64 {
         self.per_transport.iter().map(|(_, s)| s.lost + s.rate_dropped).sum()
     }
-
-    /// Folds another snapshot into this one (summing per-transport
-    /// counters), keeping [`TransportKind::ALL`] order. Used to carry
-    /// counters across notification-engine restarts.
-    pub fn merge(&mut self, other: &DeliveryStats) {
-        for (kind, stats) in &other.per_transport {
-            match self.per_transport.iter_mut().find(|(k, _)| k == kind) {
-                Some((_, mine)) => {
-                    mine.attempted += stats.attempted;
-                    mine.delivered += stats.delivered;
-                    mine.lost += stats.lost;
-                    mine.retried += stats.retried;
-                    mine.rate_dropped += stats.rate_dropped;
-                }
-                None => self.per_transport.push((*kind, *stats)),
-            }
-        }
-        self.per_transport
-            .sort_by_key(|(kind, _)| TransportKind::ALL.iter().position(|k| k == kind));
-    }
 }
 
 /// How many rate-limit retries before a delivery is abandoned.
@@ -317,36 +297,6 @@ mod tests {
         assert_eq!(s.rate_dropped, N, "every delivery exhausts its retries");
         assert_eq!(s.retried, N * MAX_RETRIES as u64);
         assert_eq!(stats.total_attempted(), stats.total_delivered() + stats.total_failures());
-    }
-
-    #[test]
-    fn merge_sums_counters_and_keeps_kind_order() {
-        let mut a = DeliveryStats {
-            per_transport: vec![(
-                TransportKind::Udp,
-                TransportStats { attempted: 3, delivered: 2, lost: 1, ..Default::default() },
-            )],
-        };
-        let b = DeliveryStats {
-            per_transport: vec![
-                (
-                    TransportKind::Tcp,
-                    TransportStats { attempted: 5, delivered: 5, ..Default::default() },
-                ),
-                (
-                    TransportKind::Udp,
-                    TransportStats { attempted: 4, delivered: 4, ..Default::default() },
-                ),
-            ],
-        };
-        a.merge(&b);
-        assert_eq!(a.get(TransportKind::Udp).attempted, 7);
-        assert_eq!(a.get(TransportKind::Udp).delivered, 6);
-        assert_eq!(a.get(TransportKind::Udp).lost, 1);
-        assert_eq!(a.get(TransportKind::Tcp).delivered, 5);
-        let kinds: Vec<_> = a.per_transport.iter().map(|(k, _)| *k).collect();
-        assert_eq!(kinds, vec![TransportKind::Tcp, TransportKind::Udp], "ALL order");
-        assert_eq!(a.total_attempted(), a.total_delivered() + a.total_failures());
     }
 
     #[test]

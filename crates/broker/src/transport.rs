@@ -110,8 +110,8 @@ impl TcpSim {
         (TcpSim::with_inbox(inbox.clone()), inbox)
     }
 
-    /// Creates the transport over an existing inbox — restarted engines
-    /// keep appending to the same receiving end.
+    /// Creates the transport over an existing inbox, so the receiving
+    /// end can be built, and handed out, before the transport.
     pub fn with_inbox(inbox: Inbox) -> Self {
         TcpSim { inbox }
     }

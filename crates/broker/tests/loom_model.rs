@@ -8,7 +8,7 @@
 //! cargo test -p stopss-broker --features loom --test loom_model
 //! ```
 //!
-//! Three surfaces are explored:
+//! Two surfaces are explored:
 //!
 //! * [`Session::try_retain`] racing a cumulative [`Session::ack`] — the
 //!   replay buffer never overruns its bound and every retained frame
@@ -19,21 +19,16 @@
 //!   bounded producer — produced frames are conserved across
 //!   drop/drain/remain. The loop's own publishes fill the queue on its
 //!   thread; in-process publishers on other threads still race the
-//!   drain;
-//! * the restart stats merge: the seeded `_caught` test reproduces the
-//!   historical racing-restart bug class (a delivering thread's counter
-//!   increment landing between a restarter's read and reset is silently
-//!   dropped) and proves loom-lite finds it and replays its schedule;
-//!   the swap-based merge survives exhaustively. Delivery now runs on
-//!   the publishing threads, so a restart's merge still races every
-//!   concurrent in-process publisher.
+//!   drain.
+//!
+//! The seeded negative control proving that loom-lite finds a race and
+//! replays its schedule lives in `crates/core/tests/loom_model.rs`.
 #![cfg(feature = "loom")]
 
 use std::collections::VecDeque;
 
-use loom_lite::sync::atomic::{AtomicU64, Ordering};
 use loom_lite::sync::{Arc, Mutex};
-use loom_lite::{replay, thread, Builder};
+use loom_lite::{thread, Builder};
 use mio_lite::Token;
 use stopss_broker::session::Session;
 
@@ -127,70 +122,4 @@ fn shared_queue_backpressure_accounting_conserves() {
         assert_eq!(3, dropped + drained + remaining, "a queued delivery vanished");
     });
     assert!(report.complete, "queue space must be exhausted, ran {report:?}");
-}
-
-/// One restart-style stats merge: read the worker-local counter and
-/// fold it into the global total. `swap_reset` chooses between the
-/// atomic `swap(0)` the dispatcher's restart path uses and the buggy
-/// load-then-store it replaced.
-fn merge_local_into_total(local: &AtomicU64, total: &AtomicU64, swap_reset: bool) {
-    // ordering: counters are monotone and independently merged; the
-    // model checker runs at seq-cst anyway (loom-lite fidelity bound).
-    let drained = if swap_reset {
-        local.swap(0, Ordering::Relaxed)
-    } else {
-        let seen = local.load(Ordering::Relaxed);
-        local.store(0, Ordering::Relaxed);
-        seen
-    };
-    total.fetch_add(drained, Ordering::Relaxed);
-}
-
-/// Negative control, seeding the racing-restart bug class: a worker's
-/// increment lands between the restarter's load and its store-zero, so
-/// the count is neither in the local counter nor in the merged total.
-/// loom-lite finds the drop within the preemption bound and the
-/// recorded schedule replays it deterministically.
-#[test]
-fn racing_restart_stats_drop_caught() {
-    let run = || {
-        let local = Arc::new(AtomicU64::new(1));
-        let total = Arc::new(AtomicU64::new(0));
-        let worker = {
-            let local = local.clone();
-            thread::spawn(move || {
-                local.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        merge_local_into_total(&local, &total, false);
-        worker.join().expect("worker must not panic");
-        let accounted = total.load(Ordering::Relaxed) + local.load(Ordering::Relaxed);
-        assert_eq!(accounted, 2, "restart stats drop: a delivery count vanished in the merge");
-    };
-    let outcome = Builder::default().check_outcome(run);
-    let (message, schedule) =
-        outcome.failure.expect("bounded exploration must find the dropped count");
-    assert!(message.contains("restart stats drop"), "unexpected failure: {message}");
-    let replayed = replay(&schedule, run).expect("replaying the schedule must fail again");
-    assert!(replayed.contains("restart stats drop"), "replay diverged: {replayed}");
-}
-
-/// The swap-based merge the restart path actually uses: exhaustive
-/// within the bound, and every interleaving conserves the count.
-#[test]
-fn swap_based_restart_merge_conserves() {
-    let report = Builder::default().check(|| {
-        let local = Arc::new(AtomicU64::new(1));
-        let total = Arc::new(AtomicU64::new(0));
-        let worker = {
-            let local = local.clone();
-            thread::spawn(move || {
-                local.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        merge_local_into_total(&local, &total, true);
-        worker.join().expect("worker must not panic");
-        assert_eq!(total.load(Ordering::Relaxed) + local.load(Ordering::Relaxed), 2);
-    });
-    assert!(report.complete, "restart-merge space must be exhausted, ran {report:?}");
 }

@@ -1,6 +1,5 @@
 //! Broker fault injection scored on delivery invariants: under dropped
-//! connections, slow consumers, notification-engine restarts, UDP loss
-//! and SMS rate limiting — alone and combined — every match must be
+//! connections, slow consumers, UDP loss and SMS rate limiting — alone and combined — every match must be
 //! delivered or explicitly accounted (no silent loss), per-subscriber
 //! notification order must hold, and the whole run must be a pure
 //! function of its seeds.
@@ -24,7 +23,6 @@ fn quiet() -> ChaosConfig {
     ChaosConfig {
         drop_client: 0.0,
         slow_consumer: 0.0,
-        restart_every: 0,
         udp_loss: 0.0,
         sms_budget: 1_000_000,
         ..ChaosConfig::default()
@@ -69,17 +67,6 @@ fn slow_consumers_cost_retries_not_silence() {
     assert!(report.retried > 0, "stalls must trigger the retry path");
 }
 
-/// Engine restarts mid-stream: the old incarnation drains before the
-/// swap, so nothing enqueued is lost and order still holds per client.
-#[test]
-fn restarts_drain_without_losing_matches() {
-    let fixture = jobfinder_fixture(24, 60, 5);
-    let report = run(&fixture, &ChaosConfig { restart_every: 10, ..quiet() });
-    report.assert_invariants();
-    assert_eq!(report.restarts, 5, "60 publications, restart before every 10th");
-    assert_eq!(report.delivered, report.matches, "restarts alone lose nothing");
-}
-
 /// Everything at once, on the event-heavy IoT domain: the full
 /// conservation law and ordering invariant under combined faults.
 #[test]
@@ -88,7 +75,6 @@ fn combined_chaos_holds_the_invariants() {
     let chaos = ChaosConfig {
         drop_client: 0.05,
         slow_consumer: 0.2,
-        restart_every: 64,
         udp_loss: 0.2,
         sms_budget: 4,
         ..ChaosConfig::default()
@@ -97,7 +83,6 @@ fn combined_chaos_holds_the_invariants() {
     report.assert_invariants();
     assert!(report.matches > 0);
     assert!(report.dropped_clients > 0, "drops fired");
-    assert!(report.restarts > 0, "restarts fired");
     assert!(report.lost > 0, "UDP loss fired");
     assert!(report.delivered > 0, "the system still delivers under fire");
 }
@@ -110,7 +95,6 @@ fn chaos_runs_are_deterministic_in_the_seed() {
     let chaos = ChaosConfig {
         drop_client: 0.1,
         slow_consumer: 0.2,
-        restart_every: 50,
         udp_loss: 0.2,
         sms_budget: 4,
         seed: 77,
