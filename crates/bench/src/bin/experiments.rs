@@ -18,22 +18,30 @@
 //! masked* (latency/rate cells vary run to run; match counts, recall,
 //! delivery conservation and derivation counters are deterministic), and
 //! the process exits non-zero on any drift — guarding the oracle tables
-//! against silent decay. An unknown argument, and a failed write while
-//! regenerating, also exit non-zero.
+//! against silent decay. It also asserts exact laws on the regenerated
+//! tables themselves (today E8's, see `e8_law`), so a regression fails
+//! even if the committed tables were regenerated along with it. An
+//! unknown argument, and a failed write while regenerating, also exit
+//! non-zero.
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use stopss_types::sync::Arc;
 
 use stopss_bench::{match_sets, matcher_for, recall, timed_sweep, total_matches};
 use stopss_broker::{run_chaos, Broker, BrokerConfig, ChaosConfig, TransportKind};
-use stopss_core::{Config, OriginCounts, StageMask, Strategy, Tolerance};
+use stopss_core::{
+    expand_subscription, materialize_match, semantic_closure, synonym_resolve_subscription, Config,
+    OriginCounts, StageMask, Tolerance,
+};
 use stopss_matching::EngineKind;
 use stopss_ontology::{
     DomainRegistry, Expr, MappingFunction, Ontology, PatternItem, Production, SemanticSource,
 };
-use stopss_types::{Interner, Predicate, SharedInterner, SubId, Value};
+use stopss_types::{
+    Event, FxHashSet, Interner, Predicate, SharedInterner, SubId, Subscription, Value,
+};
 use stopss_workload::{
     build_synthetic, churn_scenario, fmt_f64, fmt_nanos, geo_fixture, iot_fixture,
     jobfinder_fixture, market_fixture, replay_interleaved, replay_sequential, synthetic_fixture,
@@ -107,6 +115,7 @@ fn main() {
 
     let started = Instant::now();
     let mut drifted: Vec<String> = Vec::new();
+    let mut broken_laws: Vec<String> = Vec::new();
     for exp in selected {
         let tables = match exp {
             "fig1" => exp_fig1(&s),
@@ -129,6 +138,9 @@ fn main() {
             writeln!(csv, "# {}\n{}", table.title, table.to_csv()).unwrap();
         }
         if check {
+            if exp == "strategy" {
+                broken_laws.extend(e8_law(&tables[0]));
+            }
             let path = format!("{dir}/{exp}.csv");
             match std::fs::read_to_string(&path) {
                 Ok(committed) => {
@@ -153,13 +165,17 @@ fn main() {
     }
     eprintln!("done in {:.1}s", started.elapsed().as_secs_f64());
     if check {
-        if drifted.is_empty() {
+        for law in &broken_laws {
+            eprintln!("{law}");
+        }
+        if drifted.is_empty() && broken_laws.is_empty() {
             eprintln!("freshness check passed: regenerated tables match the committed ones");
         } else {
             fail(&format!(
-                "freshness check FAILED: {} table file(s) drifted: {}",
+                "freshness check FAILED: {} table file(s) drifted{}, {} law violation(s)",
                 drifted.len(),
-                drifted.join(", ")
+                drifted.iter().map(|d| format!(" {d}")).collect::<String>(),
+                broken_laws.len()
             ));
         }
     }
@@ -438,7 +454,7 @@ fn exp_overhead(s: &Scale) -> Vec<Table> {
 /// E3b — where does publish time go? The closure (semantic stage) and the
 /// engine match are both public APIs, so they can be timed separately.
 fn exp_overhead_breakdown(s: &Scale) -> Table {
-    use stopss_core::{semantic_closure, ClosureLimits};
+    use stopss_core::ClosureLimits;
     let mut table = Table::new(
         "E3b: publish-time breakdown — semantic closure vs engine match",
         &["subscriptions", "closure time", "engine time", "closure share"],
@@ -708,12 +724,12 @@ fn exp_multidomain(s: &Scale) -> Vec<Table> {
         let generals = domain_a.level(0, 1).to_vec();
         for k in 0..n {
             if k % 2 == 0 {
-                subs.push(stopss_types::Subscription::new(
+                subs.push(Subscription::new(
                     SubId(k as u64),
                     vec![Predicate::eq(a0, *rng.pick(&generals))],
                 ));
             } else {
-                subs.push(stopss_types::Subscription::new(
+                subs.push(Subscription::new(
                     SubId(k as u64),
                     vec![Predicate::eq(b_flag, Value::Bool(true))],
                 ));
@@ -760,8 +776,16 @@ fn exp_multidomain(s: &Scale) -> Vec<Table> {
     vec![table]
 }
 
-/// E8 — strategy ablation: materialize vs generalized vs sub-rewrite
-/// across taxonomy depth, with the subscribe-time cost rewriting pays.
+/// E8 — strategy ablation across taxonomy depth, with the subscribe-time
+/// cost rewriting pays. `generalized` is the matcher: one flattened
+/// closure per publication, matched once. The other two rows drive the
+/// same engine through the cold references in `stopss_core::strategy`, as
+/// the matcher once did: `materialize` (Figure 1 verbatim) matches every
+/// event of the derivation lattice, at most 256 per publication;
+/// `sub-rewrite` expands each subscription over taxonomy descendants, at
+/// most 1 024 engine entries each, and skips the hierarchy stage at
+/// publish time. Recall is against the closure semantics computed with no
+/// engine; `--check` holds the `generalized` rows to [`e8_law`].
 fn exp_strategy(quick: bool) -> Vec<Table> {
     let mut table = Table::new(
         "E8: strategy ablation across taxonomy depth",
@@ -792,54 +816,130 @@ fn exp_strategy(quick: bool) -> Vec<Table> {
             ..Default::default()
         };
         let fixture = synthetic_fixture(&shape, &workload);
+        let config = Config { track_provenance: false, ..Config::default() };
+        let (source, pubs) = (fixture.source.as_ref(), fixture.publications.len());
+        let closure = |event: &Event, stages: StageMask, i: &Interner| {
+            let limits = &config.limits.closure;
+            semantic_closure(event, source, stages, None, config.now_year, i, limits).event
+        };
+        // The subscriptions synonym-resolved, as the matcher indexes them.
+        let resolved: Vec<Subscription> = fixture
+            .subscriptions
+            .iter()
+            .map(|sub| synonym_resolve_subscription(sub, source).into_owned())
+            .collect();
+        let (_, reference) = sweep(&fixture, |event, i| {
+            let closed = closure(event, config.stages, i);
+            resolved.iter().filter(|sub| sub.matches(&closed, i)).map(Subscription::id).collect()
+        });
+        // (strategy, subscribe time, publish time, engine events, engine
+        // entries, match sets)
+        let mut rows = Vec::new();
 
-        // Reference match sets from the exact flattened strategy.
-        let reference_matcher =
-            matcher_for(&fixture, Config { track_provenance: false, ..Config::default() });
-        let reference = match_sets(&reference_matcher, &fixture.publications);
+        let start = Instant::now();
+        let mut engine = config.engine.build();
+        resolved.iter().for_each(|sub| engine.insert(sub.clone()));
+        let subscribe = start.elapsed();
+        let mut events = 0;
+        let (publish, sets) = sweep(&fixture, |event, i| {
+            let mut candidates = FxHashSet::default();
+            let (stages, year) = (config.stages, config.now_year);
+            let (engine, found) = (engine.as_mut(), &mut candidates);
+            events += materialize_match(event, source, stages, None, year, i, 256, engine, found)
+                .derived_events;
+            candidates.into_iter().collect()
+        });
+        rows.push(("materialize", subscribe, publish, events, engine.len(), sets));
 
-        for strategy in Strategy::ALL {
-            let config = Config { strategy, track_provenance: false, ..Config::default() };
-            let sub_start = Instant::now();
-            let matcher = matcher_for(&fixture, config);
-            let subscribe_time = sub_start.elapsed();
-            let engine_subs = match strategy {
-                Strategy::SubscriptionRewrite => count_engine_subs(&fixture, config).to_string(),
-                _ => fixture.subscriptions.len().to_string(),
-            };
-            let start = Instant::now();
-            let sets = match_sets(&matcher, &fixture.publications);
-            let elapsed = start.elapsed();
-            let stats = matcher.stats();
+        let start = Instant::now();
+        let matcher = matcher_for(&fixture, config);
+        let subscribe = start.elapsed();
+        let start = Instant::now();
+        let sets = match_sets(&matcher, &fixture.publications);
+        let publish = start.elapsed();
+        let events = matcher.stats().derived_events as usize;
+        rows.push(("generalized", subscribe, publish, events, matcher.len(), sets));
+
+        let start = Instant::now();
+        let mut engine = config.engine.build();
+        // Engine entry k belongs to subscription `owner[k]`.
+        let mut owner: Vec<SubId> = Vec::new();
+        for sub in &resolved {
+            let hierarchy = config.stages.hierarchy();
+            for combo in expand_subscription(sub, source, hierarchy, None, 1024).combos {
+                engine.insert(Subscription::new(SubId(owner.len() as u64), combo));
+                owner.push(sub.id());
+            }
+        }
+        let subscribe = start.elapsed();
+        let (mut out, stages) = (Vec::new(), config.stages.without(StageMask::HIERARCHY));
+        let (publish, sets) = sweep(&fixture, |event, i| {
+            out.clear();
+            engine.match_event(&closure(event, stages, i), i, &mut out);
+            out.iter().map(|k| owner[k.0 as usize]).collect()
+        });
+        rows.push(("sub-rewrite", subscribe, publish, pubs, owner.len(), sets));
+
+        for (name, subscribe, publish, events, engine_subs, sets) in rows {
             table.push_row(vec![
                 depth.to_string(),
-                strategy.name().into(),
-                fmt_nanos(elapsed.as_nanos() as f64 / fixture.publications.len() as f64),
-                format!("{:.1}", stats.derived_events as f64 / stats.published.max(1) as f64),
-                engine_subs,
+                name.into(),
+                fmt_nanos(publish.as_nanos() as f64 / pubs as f64),
+                format!("{:.1}", events as f64 / pubs.max(1) as f64),
+                engine_subs.to_string(),
                 format!("{:.3}", recall(&sets, &reference)),
-                fmt_nanos(subscribe_time.as_nanos() as f64),
+                fmt_nanos(subscribe.as_nanos() as f64),
             ]);
         }
     }
     vec![table]
 }
 
-fn count_engine_subs(fixture: &stopss_workload::Fixture, config: Config) -> usize {
-    // Rewrite fan-out: expand each subscription the way the matcher does.
-    let mut total = 0usize;
-    for sub in &fixture.subscriptions {
-        let canonical = stopss_core::synonym_resolve_subscription(sub, fixture.source.as_ref());
-        let expansion = stopss_core::expand_subscription(
-            &canonical,
-            fixture.source.as_ref(),
-            config.stages.hierarchy(),
-            config.max_distance,
-            config.limits.max_rewrites,
-        );
-        total += expansion.combos.len();
+/// Runs `matches` over every publication of `fixture`; returns the time it
+/// took and each publication's matched ids, sorted and deduplicated.
+fn sweep(
+    fixture: &Fixture,
+    mut matches: impl FnMut(&Event, &Interner) -> Vec<SubId>,
+) -> (Duration, Vec<Vec<SubId>>) {
+    let start = Instant::now();
+    let sets = fixture.interner.with(|i| {
+        let sets = fixture.publications.iter().map(|event| {
+            let mut ids = matches(event, i);
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        });
+        sets.collect()
+    });
+    (start.elapsed(), sets)
+}
+
+/// The E8 law: at every depth the matcher (`generalized`) finds every
+/// match the closure semantics defines (recall `1.000`) and feeds the
+/// engine one event per publication (`1.0`). Returns each violation.
+fn e8_law(table: &Table) -> Vec<String> {
+    let column = |name: &str| {
+        table.headers.iter().position(|h| h == name).expect("E8 has the column the law reads")
+    };
+    let (strategy, events, recall) =
+        (column("strategy"), column("derived events/pub"), column("recall"));
+    let rows: Vec<&Vec<String>> =
+        table.rows.iter().filter(|row| row[strategy] == "generalized").collect();
+    if rows.is_empty() {
+        return vec!["E8 law: no generalized row".to_owned()];
     }
-    total
+    let mut violations = Vec::new();
+    for row in rows {
+        for (k, want) in [(recall, "1.000"), (events, "1.0")] {
+            if row[k] != want {
+                violations.push(format!(
+                    "E8 law: generalized at depth {} reads {} = {}, not {want}",
+                    row[0], table.headers[k], row[k]
+                ));
+            }
+        }
+    }
+    violations
 }
 
 /// E9 — hierarchy scaling: publish cost vs taxonomy depth and fanout.

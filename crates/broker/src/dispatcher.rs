@@ -37,7 +37,7 @@ use crate::transport::{
 /// Broker construction parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct BrokerConfig {
-    /// Matcher configuration (engine, strategy, stages, …).
+    /// Matcher configuration (engine, stages, …).
     pub matcher: Config,
     /// UDP loss probability for the simulated datagram transport.
     pub udp_loss: f64,
@@ -413,7 +413,7 @@ impl Broker {
         !self.matcher.config().stages.is_syntactic()
     }
 
-    /// Reconfigures the live matcher (engine, strategy, stages, …) between
+    /// Reconfigures the live matcher (engine, stages, …) between
     /// publications — subscriptions survive and are re-indexed inside one
     /// snapshot swap. A semantic configuration also becomes the mask that
     /// [`Broker::set_semantic_mode`] restores.
@@ -544,6 +544,19 @@ mod tests {
         assert_eq!(broker.publish(&candidate_event(&interner)), 1);
     }
 
+    /// A subscription made in syntactic mode names no tolerance of its own,
+    /// so it matches semantically again once semantic mode returns.
+    #[test]
+    fn subscription_made_in_syntactic_mode_matches_in_semantic_mode() {
+        let (broker, interner) = jobs_broker(BrokerConfig::default());
+        let company = broker.register_client("acme", TransportKind::Tcp);
+        broker.set_semantic_mode(false);
+        broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
+        assert_eq!(broker.publish(&candidate_event(&interner)), 0);
+        broker.set_semantic_mode(true);
+        assert_eq!(broker.publish(&candidate_event(&interner)), 1, "the paper flow matches");
+    }
+
     /// A broker configured syntactic has no semantic mask to restore:
     /// semantic mode leaves it syntactic, and `is_semantic` says so.
     #[test]
@@ -643,7 +656,8 @@ mod tests {
         let _ = broker.shutdown();
     }
 
-    /// A live strategy switch through the broker preserves the
+    /// A live reconfiguration through the broker (here: the tier cache off,
+    /// so every candidate takes the oracle path) preserves the
     /// subscription set and keeps matching.
     #[test]
     fn reconfigure_matcher_preserves_subscriptions() {
@@ -651,9 +665,8 @@ mod tests {
         let company = broker.register_client("acme", TransportKind::Tcp);
         broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
         assert_eq!(broker.publish(&candidate_event(&interner)), 1);
-        let rewrite = Config::default().with_strategy(stopss_core::Strategy::SubscriptionRewrite);
-        broker.reconfigure_matcher(rewrite);
-        assert_eq!(broker.matcher.config().strategy, rewrite.strategy);
+        broker.reconfigure_matcher(Config::default().with_tier_cache(false));
+        assert!(!broker.matcher.config().tier_cache);
         assert_eq!(broker.subscription_count(), 1, "subscriptions survive the re-index");
         assert_eq!(broker.publish(&candidate_event(&interner)), 1, "and still match");
         let stats = broker.shutdown();

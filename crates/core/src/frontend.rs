@@ -1,12 +1,15 @@
 //! The event-side semantic pass of one publication.
 //!
-//! Everything Figure 1 does to a *publication* — synonym canonicalization,
-//! the bounded hierarchy/mapping closure, event materialization — depends
-//! only on the event, the ontology, and the configuration; never on which
-//! subscriptions are registered. The companion paper "I know what you
-//! mean" frames exactly this split: semantic enrichment is a
-//! per-publication transform, matching is the per-subscription fan-out.
-//! This module computes that transform once per publication.
+//! Everything Figure 1 does to a *publication* — synonym canonicalization
+//! and the bounded hierarchy/mapping closure, flattened into one
+//! multi-valued event — depends only on the event, the ontology, and the
+//! configuration; never on which subscriptions are registered. The
+//! companion paper "I know what you mean" frames exactly this split:
+//! semantic enrichment is a per-publication transform, matching is the
+//! per-subscription fan-out. This module computes that transform once per
+//! publication, as the one event the engine sees (Figure 1's
+//! materialization of derived events survives only as the reference in
+//! [`crate::strategy`]).
 //! [`crate::SToPSS::publish`] runs it inline; [`crate::SToPSS::prepare`]
 //! wraps it into a self-contained [`PreparedEvent`] artifact, the
 //! stage-split seam that [`crate::SToPSS::match_prepared`] matches against
@@ -46,12 +49,11 @@
 //! closure [`prepare_event`] already computed, under fewer stages or a
 //! distance bound. Where filtering the main closure provably gives the
 //! pairs (and per-pair distances) a fresh [`semantic_closure`] would, the
-//! cache filters instead of re-running the fixpoint. That needs
-//! [`Strategy::GeneralizedEvent`], no system-wide `max_distance`,
-//! [`Config::tier_cache`] on, and a main closure that did not truncate and
-//! reached its fixpoint in fewer than `max_rounds` rounds (a bounded run
-//! can need one round more than the unbounded one). Then, with `S` the
-//! main closure's stages:
+//! cache filters instead of re-running the fixpoint. That needs no
+//! system-wide `max_distance`, [`Config::tier_cache`] on, and a main
+//! closure that did not truncate and reached its fixpoint in fewer than
+//! `max_rounds` rounds (a bounded run can need one round more than the
+//! unbounded one). Then, with `S` the main closure's stages:
 //!
 //! * **synonym only** (the synonym tier and class): the first
 //!   `base_pairs` pairs, if `S` includes the synonym stage;
@@ -65,18 +67,17 @@
 //!   [`ClosedEvent::generalized_mapping_output`] — otherwise a recorded
 //!   distance may come from a mapping-derived source.
 //!
-//! Every other entry (other stage subsets, a system-wide bound, the
-//! rewrite and materialize strategies, a truncated main closure) is
-//! computed by [`semantic_closure`] as before. The main closure itself
-//! stays where it is, in [`PreparedEvent::engine_events`]`[0]` and
-//! [`PreparedEvent::info`]; the cache borrows it through [`EventSide`].
+//! Every other entry (other stage subsets, a system-wide bound, a
+//! truncated main closure) is computed by [`semantic_closure`] as before.
+//! The main closure itself stays where it is, in
+//! [`PreparedEvent::engine_events`]`[0]` and [`PreparedEvent::info`]; the
+//! cache borrows it through [`EventSide`].
 
 use stopss_ontology::SemanticSource;
 use stopss_types::{Event, FxHashMap, Interner};
 
 use crate::closure::{semantic_closure, ClosedEvent, ClosureLimits, PairInfo};
-use crate::config::{Config, Strategy};
-use crate::strategy::materialize_closure;
+use crate::config::Config;
 use crate::tolerance::{StageMask, Tolerance};
 
 /// The precomputed event-side semantic pass of one publication: the
@@ -93,19 +94,17 @@ pub struct PreparedEvent {
     /// verification and provenance classification are defined against the
     /// raw event, so it travels with the artifact.
     pub raw: Event,
-    /// The events the syntactic engine sees: one flattened closure for
-    /// [`Strategy::GeneralizedEvent`] / [`Strategy::SubscriptionRewrite`],
-    /// or the materialized derivation lattice (in breadth-first derivation
-    /// order) for [`Strategy::MaterializeEvents`].
+    /// The events the syntactic engine sees: exactly one, the flattened
+    /// closure.
     pub engine_events: Vec<Event>,
     /// Per-pair derivation provenance of the flattened closure (origin
     /// distance, mapping/hierarchy flags), aligned with
-    /// `engine_events[0]`. Empty for the materializing strategy.
+    /// `engine_events[0]`.
     pub info: Vec<PairInfo>,
-    /// Derived events fed to the engine (the `derived_events` stat).
+    /// Derived events fed to the engine (the `derived_events` stat;
+    /// always 1).
     pub derived_events: usize,
-    /// Pairs in the closed event (the `closure_pairs` stat; 0 for the
-    /// materializing strategy).
+    /// Pairs in the closed event (the `closure_pairs` stat).
     pub closure_pairs: usize,
     /// True if a resource bound clipped the semantic pass.
     pub truncated: bool,
@@ -173,52 +172,22 @@ pub(crate) fn prepare_parts(
     config: &Config,
     interner: &Interner,
 ) -> PreparedParts {
-    match config.strategy {
-        Strategy::GeneralizedEvent | Strategy::SubscriptionRewrite => {
-            // The rewrite strategy moved hierarchy work to subscribe time;
-            // its publications run only the synonym and mapping stages.
-            let stages = if config.strategy == Strategy::SubscriptionRewrite {
-                config.stages.without(StageMask::HIERARCHY)
-            } else {
-                config.stages
-            };
-            let closed = semantic_closure(
-                event,
-                source,
-                stages,
-                config.max_distance,
-                config.now_year,
-                interner,
-                &config.limits.closure,
-            );
-            PreparedParts {
-                closure_pairs: closed.event.len(),
-                truncated: closed.truncated,
-                read_off: ReadOff::of(&closed, config),
-                engine_events: vec![closed.event],
-                info: closed.info,
-                derived_events: 1,
-            }
-        }
-        Strategy::MaterializeEvents => {
-            let materialized = materialize_closure(
-                event,
-                source,
-                config.stages,
-                config.max_distance,
-                config.now_year,
-                interner,
-                &config.limits,
-            );
-            PreparedParts {
-                derived_events: materialized.events.len(),
-                truncated: materialized.truncated,
-                engine_events: materialized.events,
-                info: Vec::new(),
-                closure_pairs: 0,
-                read_off: None,
-            }
-        }
+    let closed = semantic_closure(
+        event,
+        source,
+        config.stages,
+        config.max_distance,
+        config.now_year,
+        interner,
+        &config.limits.closure,
+    );
+    PreparedParts {
+        closure_pairs: closed.event.len(),
+        truncated: closed.truncated,
+        read_off: ReadOff::of(&closed, config),
+        engine_events: vec![closed.event],
+        info: closed.info,
+        derived_events: 1,
     }
 }
 
@@ -421,7 +390,6 @@ impl ReadOff {
     /// under `config`, or `None` if no entry may be read off it.
     fn of(main: &ClosedEvent, config: &Config) -> Option<ReadOff> {
         let exact = config.tier_cache
-            && config.strategy == Strategy::GeneralizedEvent
             && config.max_distance.is_none()
             && !main.truncated
             && main.rounds < config.limits.closure.max_rounds;
@@ -544,18 +512,6 @@ mod tests {
         assert_eq!(prepared.closure_pairs, 3, "phd + graduate_degree + degree");
         assert_eq!(prepared.info.len(), 3, "pair provenance aligned with the closed event");
         assert!(!prepared.truncated);
-    }
-
-    #[test]
-    fn prepare_materialize_carries_derivation_lattice() {
-        let (i, o, events) = world();
-        let config = Config::default().with_strategy(Strategy::MaterializeEvents);
-        let prepared = prepare_event(&events[0], &o, &config, &i);
-        // root, root+grad, root+degree, root+both.
-        assert_eq!(prepared.derived_events, 4);
-        assert_eq!(prepared.engine_events.len(), 4);
-        assert_eq!(prepared.closure_pairs, 0);
-        assert!(prepared.info.is_empty());
     }
 
     #[test]

@@ -9,20 +9,22 @@
 //!
 //! ```text
 //! event ──▶ synonym stage ──▶ hierarchy stage ⇄ mapping stage ──▶ engine ──▶ matches
-//! sub  ───▶ synonym stage ──▶ (strategy-dependent rewrite)   ──▶ engine
+//!           └────── one flattened event, matched once ──────┘
+//! sub  ───▶ synonym stage ──────────────────────────────────────▶ engine (under its own SubId)
 //! ```
 //!
 //! * [`semantic_closure`] — the bounded fixpoint of the hierarchy/mapping
-//!   interplay, flattened into one multi-valued event;
-//! * [`Strategy`] — three ways to drive the engine (paper-faithful event
-//!   materialization, flattened closure, subscription rewriting);
+//!   interplay, flattened into one multi-valued event: the one event the
+//!   engine sees per publication;
 //! * [`Tolerance`] / [`StageMask`] — the information-loss knob (§3.2);
 //! * [`SToPSS`] — the matcher: subscribe / publish / provenance;
 //! * [`frontend`] — the event-side semantic pass: [`prepare_event`]
-//!   computes a [`PreparedEvent`] artifact (closure or materialized
-//!   derivation lattice + counters) once per publication, and the
-//!   per-publication [`TierCache`] serves tolerance verification and
-//!   provenance classification from it;
+//!   computes a [`PreparedEvent`] artifact (the closure + counters) once
+//!   per publication, and the per-publication [`TierCache`] serves
+//!   tolerance verification and provenance classification from it;
+//! * [`strategy`] — cold references for the two alternatives the matcher
+//!   does not use, Figure 1's event materialization and subscription
+//!   rewriting, measured against it in experiment E8;
 //! * [`oracle`] — the executable definition of semantic matching, used as
 //!   ground truth by the property tests.
 
@@ -41,7 +43,7 @@ pub use closure::{
     semantic_closure, synonym_resolve_event, synonym_resolve_subscription, ClosedEvent,
     ClosureLimits, PairInfo,
 };
-pub use config::{Config, Limits, Strategy};
+pub use config::{Config, Limits};
 pub use frontend::{prepare_event, EventSide, PreparedEvent, TierCache};
 pub use matcher::{MatcherStats, PublishResult, SToPSS};
 pub use oracle::{classify_match, semantic_match, CLASSIFY_DISTANCE_CAP};

@@ -1,10 +1,12 @@
 //! The S-ToPSS matcher: semantic stages wrapped around a syntactic engine.
 //!
 //! [`SToPSS`] is the system of Figure 1. Subscriptions enter through the
-//! synonym stage ("root subscription"); publications run the configured
-//! strategy (flattened closure, event materialization, or pre-expanded
-//! subscriptions) and the resulting candidates are filtered by each
-//! subscriber's information-loss tolerance and annotated with provenance.
+//! synonym stage ("root subscription") and are indexed in the unmodified
+//! syntactic engine under the subscriber's own [`SubId`]; each publication
+//! is closed once into one flattened multi-valued event (see
+//! [`crate::frontend`]), matched once, and the resulting candidates are
+//! filtered by each subscriber's information-loss tolerance and annotated
+//! with provenance.
 //!
 //! # Epoch-snapshot control plane
 //!
@@ -45,13 +47,12 @@ use stopss_types::{
 use std::borrow::Cow;
 
 use crate::closure::{synonym_resolve_predicate, synonym_resolve_subscription};
-use crate::config::{Config, Strategy};
+use crate::config::Config;
 use crate::frontend::{
     prepare_event, prepare_parts, ClassifierTiers, EventSide, PreparedEvent, TierCache,
 };
 use crate::oracle::{classify_match, semantic_match, CLASSIFY_DISTANCE_CAP};
 use crate::provenance::{Match, MatchOrigin};
-use crate::strategy::expand_subscription;
 use crate::tolerance::Tolerance;
 
 /// Counters accumulated across the matcher's lifetime.
@@ -59,10 +60,9 @@ use crate::tolerance::Tolerance;
 pub struct MatcherStats {
     /// Publications processed.
     pub published: u64,
-    /// Derived events fed to the engine (materializing strategy counts
-    /// every derived event; the others count one per publication).
+    /// Events fed to the engine: one per publication.
     pub derived_events: u64,
-    /// Total pairs in closed events (flattened strategies).
+    /// Total pairs in closed events.
     pub closure_pairs: u64,
     /// Publications whose semantic processing hit a resource bound.
     pub truncations: u64,
@@ -70,9 +70,6 @@ pub struct MatcherStats {
     pub verifications: u64,
     /// Candidates rejected by per-subscription tolerance.
     pub verify_rejections: u64,
-    /// Subscriptions whose rewrite expansion was clipped by
-    /// `max_rewrites`.
-    pub rewrite_truncations: u64,
 }
 
 /// The lifetime counters behind relaxed atomics, so the match path can
@@ -93,7 +90,6 @@ pub(crate) struct AtomicStats {
     pub(crate) truncations: AtomicU64,
     pub(crate) verifications: AtomicU64,
     pub(crate) verify_rejections: AtomicU64,
-    pub(crate) rewrite_truncations: AtomicU64,
 }
 
 impl AtomicStats {
@@ -109,7 +105,6 @@ impl AtomicStats {
             truncations: self.truncations.load(Ordering::Relaxed),
             verifications: self.verifications.load(Ordering::Relaxed),
             verify_rejections: self.verify_rejections.load(Ordering::Relaxed),
-            rewrite_truncations: self.rewrite_truncations.load(Ordering::Relaxed),
         }
     }
 }
@@ -119,9 +114,9 @@ impl AtomicStats {
 pub struct PublishResult {
     /// The matched subscriptions with provenance.
     pub matches: Vec<Match>,
-    /// Derived events the engine saw for this publication.
+    /// Events the engine saw for this publication (always 1).
     pub derived_events: usize,
-    /// Pairs in the closed event (0 for the materializing strategy).
+    /// Pairs in the closed event.
     pub closure_pairs: usize,
     /// True if a resource bound clipped semantic processing.
     pub truncated: bool,
@@ -144,8 +139,6 @@ struct SubEntry {
     requested: Tolerance,
     /// `requested` clamped to the current system configuration.
     effective: Tolerance,
-    /// Engine subscriptions this user subscription expanded to.
-    engine_ids: Vec<SubId>,
     /// True if candidates must be re-verified against `effective`.
     needs_verify: bool,
 }
@@ -167,11 +160,7 @@ impl SubEntry {
 /// path allocates once per matcher lifetime rather than once per publish.
 #[derive(Default)]
 struct MatchScratch {
-    /// One engine's matches for one derived event.
-    engine_out: Vec<SubId>,
-    /// Engine subscription ids matched across all derived events.
-    candidates: Vec<SubId>,
-    /// Deduplicated user subscription ids.
+    /// The subscription ids the engine matched, sorted.
     users: Vec<SubId>,
     /// The provenance levels of every distinct predicate classified so far
     /// in this publication (see [`Classifier`]); cleared per publication.
@@ -311,8 +300,6 @@ pub(crate) struct MatcherCore {
     interner: SharedInterner,
     state: Mutex<MatchState>,
     subs: FxHashMap<SubId, Arc<SubEntry>>,
-    engine_to_user: FxHashMap<SubId, SubId>,
-    next_engine_id: u64,
     stats: Arc<AtomicStats>,
     /// Bumped by every control mutation (linearization token).
     pub(crate) control_epoch: u64,
@@ -334,8 +321,6 @@ impl MatcherCore {
             source,
             interner,
             subs: FxHashMap::default(),
-            engine_to_user: FxHashMap::default(),
-            next_engine_id: 1,
             stats,
             control_epoch: 0,
         }
@@ -357,8 +342,6 @@ impl MatcherCore {
             source: self.source.clone(),
             interner: self.interner.clone(),
             subs: self.subs.clone(),
-            engine_to_user: self.engine_to_user.clone(),
-            next_engine_id: self.next_engine_id,
             stats: self.stats.clone(),
             control_epoch: self.control_epoch + 1,
         }
@@ -396,8 +379,12 @@ impl MatcherCore {
         classes.into_iter().collect()
     }
 
+    /// Registers `sub` with no tolerance of its own: it asks for full
+    /// semantics, which clamps to exactly the system tolerance now and
+    /// follows the system through every later `set_stages` and
+    /// `reconfigure`.
     pub(crate) fn subscribe(&mut self, sub: Subscription) {
-        self.subscribe_with_tolerance(sub, self.config.system_tolerance());
+        self.subscribe_with_tolerance(sub, Tolerance::full());
     }
 
     pub(crate) fn subscribe_with_tolerance(&mut self, sub: Subscription, tolerance: Tolerance) {
@@ -411,11 +398,12 @@ impl MatcherCore {
         let effective = requested.clamp_to(&system);
         let needs_verify = effective != system;
 
-        // Engine subscriptions live in canonical (root-term) space whenever
-        // the system runs the synonym stage. The resolved form is kept on
-        // the entry so the verify/provenance fast paths never re-resolve
-        // per candidate; `Cow::Borrowed` means resolution was the identity
-        // and `original` can serve both roles.
+        // The engine indexes the subscription under the subscriber's own
+        // id, in canonical (root-term) space whenever the system runs the
+        // synonym stage. The resolved form is kept on the entry so the
+        // verify/provenance fast paths never re-resolve per candidate;
+        // `Cow::Borrowed` means resolution was the identity and `original`
+        // can serve both roles.
         let canonical: Option<Subscription> = if self.config.stages.synonym() {
             match synonym_resolve_subscription(&sub, self.source.as_ref()) {
                 Cow::Borrowed(_) => None,
@@ -424,88 +412,43 @@ impl MatcherCore {
         } else {
             None
         };
-        let engine_sub = canonical.as_ref().unwrap_or(&sub);
-
-        let mut engine_ids = Vec::new();
-        match self.config.strategy {
-            Strategy::MaterializeEvents | Strategy::GeneralizedEvent => {
-                let engine_id = self.alloc_engine_id();
-                self.state.get_mut().engine.insert(engine_sub.with_id(engine_id));
-                self.engine_to_user.insert(engine_id, sub.id());
-                engine_ids.push(engine_id);
-            }
-            Strategy::SubscriptionRewrite => {
-                let use_hierarchy = self.config.stages.hierarchy() && effective.stages.hierarchy();
-                let expansion = expand_subscription(
-                    engine_sub,
-                    self.source.as_ref(),
-                    use_hierarchy,
-                    effective.max_distance,
-                    self.config.limits.max_rewrites,
-                );
-                if expansion.truncated {
-                    // ordering: monotone counter; no reader pairs it
-                    // with other state.
-                    self.stats.rewrite_truncations.fetch_add(1, Ordering::Relaxed);
-                }
-                for combo in expansion.combos {
-                    let engine_id = self.alloc_engine_id();
-                    self.state.get_mut().engine.insert(Subscription::new(engine_id, combo));
-                    self.engine_to_user.insert(engine_id, sub.id());
-                    engine_ids.push(engine_id);
-                }
-            }
-        }
-        SubEntry { original: sub, canonical, requested, effective, engine_ids, needs_verify }
-    }
-
-    fn alloc_engine_id(&mut self) -> SubId {
-        let id = SubId(self.next_engine_id);
-        self.next_engine_id += 1;
-        id
+        let engine_sub = canonical.clone().unwrap_or_else(|| sub.clone());
+        self.state.get_mut().engine.insert(engine_sub);
+        SubEntry { original: sub, canonical, requested, effective, needs_verify }
     }
 
     /// Removes a subscription; returns whether it existed.
     pub(crate) fn remove_entry(&mut self, id: SubId) -> bool {
-        let Some(entry) = self.subs.remove(&id) else {
+        if self.subs.remove(&id).is_none() {
             return false;
-        };
-        for engine_id in &entry.engine_ids {
-            self.state.get_mut().engine.remove(*engine_id);
-            self.engine_to_user.remove(engine_id);
         }
+        self.state.get_mut().engine.remove(id);
         true
     }
 
     pub(crate) fn set_stages(&mut self, stages: crate::tolerance::StageMask) {
         self.config.stages = stages;
-        self.rebuild();
+        self.state.get_mut().engine.clear();
+        self.rebuild_entries();
     }
 
     pub(crate) fn reconfigure(&mut self, config: Config) {
         self.config = config;
         self.state.get_mut().engine = self.config.engine.build();
-        self.engine_to_user.clear();
         self.rebuild_entries();
     }
 
     /// Swaps the semantic knowledge source (live ontology evolution) and
     /// returns how many subscriptions it re-indexed.
     ///
-    /// Under the event-side strategies the only thing an indexed
-    /// subscription reads from the ontology is its synonym-resolved form:
-    /// tolerances depend on the configuration alone, and hierarchy and
-    /// mappings are applied to the event. So one pass re-resolves each
-    /// entry's predicates against the new source and re-indexes only the
-    /// entries whose form changed; every other entry keeps its engine ids
-    /// and slots. `SubscriptionRewrite` expansions read the taxonomy, so
-    /// that strategy rebuilds every subscription.
+    /// The only thing an indexed subscription reads from the ontology is
+    /// its synonym-resolved form: tolerances depend on the configuration
+    /// alone, and hierarchy and mappings are applied to the event. So one
+    /// pass re-resolves each entry's predicates against the new source and
+    /// re-indexes only the entries whose form changed; every other entry
+    /// keeps its engine slot.
     pub(crate) fn set_source(&mut self, source: Arc<dyn SemanticSource>) -> usize {
         self.source = source;
-        if self.config.strategy == Strategy::SubscriptionRewrite {
-            self.rebuild();
-            return self.subs.len();
-        }
         if !self.config.stages.synonym() {
             // Every entry is indexed in its original form.
             return 0;
@@ -531,19 +474,14 @@ impl MatcherCore {
             })
             .map(|e| (e.original.clone(), e.requested))
             .collect();
-        // Re-index in id order, so engine ids do not depend on addresses.
+        // Re-index in id order, so the engine's slot layout does not
+        // depend on addresses.
         stale.sort_unstable_by_key(|(sub, _)| sub.id());
         let reindexed = stale.len();
         for (sub, requested) in stale {
             self.subscribe_with_tolerance(sub, requested);
         }
         reindexed
-    }
-
-    fn rebuild(&mut self) {
-        self.state.get_mut().engine.clear();
-        self.engine_to_user.clear();
-        self.rebuild_entries();
     }
 
     fn rebuild_entries(&mut self) {
@@ -594,7 +532,7 @@ impl MatcherCore {
     }
 
     /// The subscription-side half shared by both publish entry points:
-    /// engine matching over the precomputed `engine_events`, tolerance
+    /// engine matching over the precomputed closed event, tolerance
     /// verification and provenance against the raw event, with the
     /// event-side counters passed through into the result.
     ///
@@ -621,28 +559,25 @@ impl MatcherCore {
         let mut state = self.state.lock();
         let state = &mut *state;
         state.scratch.provenance.clear();
-        state.scratch.candidates.clear();
-        for event in side.engine_events {
-            state.scratch.engine_out.clear();
-            state.engine.match_event(event, interner, &mut state.scratch.engine_out);
-            state.scratch.candidates.extend_from_slice(&state.scratch.engine_out);
-        }
-
-        // Engine ids → user ids, deduplicated (rewrite fans out one user
-        // subscription; materialization feeds many derived events).
+        // The engine indexes subscriptions under their own ids and, by its
+        // contract, reports each at most once; sorted, matches come out in
+        // id order. The event side holds one event, the closure.
         state.scratch.users.clear();
-        state.scratch.users.extend(
-            state.scratch.candidates.iter().filter_map(|eid| self.engine_to_user.get(eid).copied()),
-        );
+        if let Some(event) = side.engine_events.first() {
+            state.engine.match_event(event, interner, &mut state.scratch.users);
+        }
         state.scratch.users.sort_unstable();
-        state.scratch.users.dedup();
+        debug_assert!(
+            state.scratch.users.windows(2).all(|w| w[0] != w[1]),
+            "engine emitted duplicate ids"
+        );
         result.matches.reserve(state.scratch.users.len());
 
         let (source, config) = (self.source.as_ref(), &self.config);
         let classifier = Classifier { side, source, config, interner };
         for &user_id in &state.scratch.users {
             let entry =
-                self.subs.get(&user_id).expect("invariant: engine ids map to live subscriptions");
+                self.subs.get(&user_id).expect("invariant: engine ids are live subscriptions");
             if entry.needs_verify {
                 // ordering: monotone stats counter; no reader pairs it
                 // with other state.
@@ -872,8 +807,10 @@ impl SToPSS {
         self.resolve().requested_tolerance(id)
     }
 
-    /// Registers a subscription with the system-wide tolerance. Returns
-    /// the control epoch the registration created.
+    /// Registers a subscription with no tolerance of its own: it matches
+    /// under the system-wide tolerance, and keeps following it through
+    /// later `set_stages` and `reconfigure` calls. Returns the control
+    /// epoch the registration created.
     pub fn subscribe(&self, sub: Subscription) -> u64 {
         self.mutate(|core| core.subscribe(sub))
     }
@@ -939,7 +876,7 @@ impl SToPSS {
         self.mutate(|core| core.set_stages(stages))
     }
 
-    /// Replaces the configuration (engine, strategy, stages, …) and
+    /// Replaces the configuration (engine, stages, …) and
     /// rebuilds all engine state from the stored original subscriptions.
     /// Returns the control epoch of the swap.
     pub fn reconfigure(&self, config: Config) -> u64 {
@@ -949,13 +886,12 @@ impl SToPSS {
     /// Swaps the semantic knowledge source — live ontology evolution: new
     /// synonyms, taxonomy growth, or mapping changes take effect for every
     /// publication that starts after the swap, while in-flight
-    /// publications finish against the ontology they resolved. Under the
-    /// event-side strategies the swap is one scan of the subscription
-    /// table that re-indexes only the subscriptions whose synonym-resolved
-    /// form changed, so an is-a or mapping edit re-indexes none; under
-    /// `SubscriptionRewrite` it rebuilds every subscription. Done in
-    /// place, it makes a publisher that arrives meanwhile wait for that
-    /// work. Returns the control epoch of the swap.
+    /// publications finish against the ontology they resolved. The swap is
+    /// one scan of the subscription table that re-indexes only the
+    /// subscriptions whose synonym-resolved form changed, so an is-a or
+    /// mapping edit re-indexes none. Done in place, it makes a publisher
+    /// that arrives meanwhile wait for that work. Returns the control epoch
+    /// of the swap.
     pub fn set_source(&self, source: Arc<dyn SemanticSource>) -> u64 {
         self.mutate(|core| {
             core.set_source(source);
@@ -991,8 +927,8 @@ impl SToPSS {
         self
     }
 
-    /// Runs the event-side semantic pass for one publication (closure or
-    /// event materialization) against the current snapshot, without
+    /// Runs the event-side semantic pass for one publication (the
+    /// flattened closure) against the current snapshot, without
     /// touching the engine or any stats. With [`SToPSS::match_prepared`]
     /// this is [`SToPSS::publish_detailed`] split at the stage seam.
     pub fn prepare(&self, event: &Event) -> PreparedEvent {
@@ -1001,7 +937,7 @@ impl SToPSS {
     }
 
     /// The subscription-side half of a publication: feeds the prepared
-    /// artifact's engine events to the syntactic engine, verifies
+    /// artifact's closed event to the syntactic engine, verifies
     /// per-subscription tolerances, and classifies provenance.
     ///
     /// Takes `&self`: the engine + scratch state is locked per artifact
@@ -1078,24 +1014,15 @@ mod tests {
     }
 
     #[test]
-    fn paper_flow_matches_under_every_strategy() {
-        for strategy in Strategy::ALL {
-            for engine in EngineKind::ALL {
-                let w = world();
-                let config = Config::default().with_strategy(strategy).with_engine(engine);
-                let matcher = SToPSS::new(config, w.source, w.interner);
-                matcher.subscribe(w.sub);
-                let matches = matcher.publish(&w.event);
-                assert_eq!(
-                    matches.len(),
-                    1,
-                    "strategy {} engine {} must find the paper's match",
-                    strategy.name(),
-                    engine.name()
-                );
-                assert_eq!(matches[0].sub, SubId(100));
-                assert_eq!(matches[0].origin, MatchOrigin::Mapping);
-            }
+    fn paper_flow_matches_under_every_engine() {
+        for engine in EngineKind::ALL {
+            let w = world();
+            let matcher = SToPSS::new(Config::default().with_engine(engine), w.source, w.interner);
+            matcher.subscribe(w.sub);
+            let matches = matcher.publish(&w.event);
+            assert_eq!(matches.len(), 1, "engine {} must find the paper's match", engine.name());
+            assert_eq!(matches[0].sub, SubId(100));
+            assert_eq!(matches[0].origin, MatchOrigin::Mapping);
         }
     }
 
@@ -1177,8 +1104,7 @@ mod tests {
     #[test]
     fn unsubscribe_removes_all_engine_state() {
         let w = world();
-        let config = Config::default().with_strategy(Strategy::SubscriptionRewrite);
-        let matcher = SToPSS::new(config, w.source, w.interner);
+        let matcher = SToPSS::new(Config::default(), w.source, w.interner);
         matcher.subscribe(w.degree_sub);
         assert_eq!(matcher.len(), 1);
         assert!(matcher.unsubscribe(SubId(1)).is_some());
@@ -1200,16 +1126,12 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_switches_engine_and_strategy() {
+    fn reconfigure_switches_engine() {
         let w = world();
         let matcher = SToPSS::new(Config::default(), w.source, w.interner);
         matcher.subscribe(w.sub);
         assert_eq!(matcher.publish(&w.event).len(), 1);
-        matcher.reconfigure(
-            Config::default()
-                .with_engine(EngineKind::Trie)
-                .with_strategy(Strategy::MaterializeEvents),
-        );
+        matcher.reconfigure(Config::default().with_engine(EngineKind::Trie));
         assert_eq!(matcher.publish(&w.event).len(), 1, "matches survive reconfiguration");
         assert_eq!(matcher.len(), 1);
     }
@@ -1400,23 +1322,34 @@ mod tests {
     /// them), then swap a sequence of sources in place. Each swap
     /// re-indexes exactly the subscriptions whose synonym-resolved form it
     /// changes, and afterwards every event's matches, provenance included,
-    /// equal a fresh matcher's on that source. Runs under both event-side
-    /// strategies, and with the synonym stage off, where no swap re-indexes
-    /// anything.
+    /// equal a fresh matcher's on that source. A last swap under a held
+    /// snapshot re-indexes on a fork, and leaves the held snapshot matching
+    /// as before. Runs with the synonym stage on and off (where no swap
+    /// re-indexes anything), and with small dense ids and with large,
+    /// sparse ones: the engine indexes every subscription under the
+    /// subscriber's own id.
     fn in_place_ops_keep_engine_scratch_valid(engine: EngineKind) {
+        let dense = [1, 2, 3, 4].map(SubId);
+        let sparse = [SubId(u64::MAX), SubId(1 << 40), SubId(1 << 63), SubId(3)];
+        for ids in [dense, sparse] {
+            in_place_ops_keep_engine_scratch_valid_with_ids(engine, ids);
+        }
+    }
+
+    fn in_place_ops_keep_engine_scratch_valid_with_ids(engine: EngineKind, ids: [SubId; 4]) {
         let mut i = Interner::new();
         let keep = [
-            SubscriptionBuilder::new(&mut i).term_eq("city", "toronto").build(SubId(1)),
+            SubscriptionBuilder::new(&mut i).term_eq("city", "toronto").build(ids[0]),
             SubscriptionBuilder::new(&mut i)
                 .term_eq("city", "toronto")
                 .term_eq("role", "engineer")
-                .build(SubId(2)),
+                .build(ids[1]),
         ];
-        let dropped = SubscriptionBuilder::new(&mut i).term_eq("role", "manager").build(SubId(3));
+        let dropped = SubscriptionBuilder::new(&mut i).term_eq("role", "manager").build(ids[2]);
         let added = SubscriptionBuilder::new(&mut i)
             .term_eq("city", "ottawa")
             .pred("level", Operator::Ge, 3i64)
-            .build(SubId(4));
+            .build(ids[3]);
         let events = [
             EventBuilder::new(&mut i).term("city", "toronto").term("role", "engineer").build(),
             EventBuilder::new(&mut i)
@@ -1430,13 +1363,13 @@ mod tests {
         ];
         let mut town_alias = Ontology::new("jobs");
         town_alias.synonyms.add_synonym(i.intern("city"), i.intern("town"), &i).unwrap();
-        // An alias on a subscribed attribute (`level`, named by sub 4) and
-        // on a subscribed value (`engineer`, named by sub 2).
+        // An alias on a subscribed attribute (`level`, named by `added`)
+        // and on a subscribed value (`engineer`, named by `keep[1]`).
         let mut aliased = town_alias.clone();
         aliased.synonyms.add_synonym(i.intern("rank"), i.intern("level"), &i).unwrap();
         aliased.synonyms.add_synonym(i.intern("developer"), i.intern("engineer"), &i).unwrap();
-        // An is-a edit changes what matches (event 3 reaches sub 2) without
-        // changing any subscription's form.
+        // An is-a edit changes what matches (event 3 reaches `keep[1]`)
+        // without changing any subscription's form.
         let mut isa = town_alias.clone();
         isa.taxonomy.add_isa(i.intern("developer"), i.intern("engineer"), &i).unwrap();
         let mut unnamed = isa.clone();
@@ -1445,7 +1378,7 @@ mod tests {
         let swaps = [
             // A new alias of a subscribed root leaves every form as it was.
             (Arc::new(town_alias.clone()), 0),
-            (Arc::new(aliased), 2),
+            (Arc::new(aliased.clone()), 2),
             // The swap back removes both aliases.
             (Arc::new(town_alias), 2),
             (Arc::new(isa), 0),
@@ -1453,13 +1386,16 @@ mod tests {
         ];
         let interner = SharedInterner::from_interner(i);
         let base = Config::default().with_engine(engine);
-        let configs = [
-            base,
-            base.with_strategy(Strategy::MaterializeEvents),
-            base.with_stages(StageMask::all().without(StageMask::SYNONYM)),
-        ];
+        let configs = [base, base.with_stages(StageMask::all().without(StageMask::SYNONYM))];
         for config in configs {
-            let name = format!("{} {:?} {:?}", engine.name(), config.strategy, config.stages);
+            let name = format!("{} {:?} {:?}", engine.name(), config.stages, ids[0]);
+            let fresh_on = |source: Arc<Ontology>| {
+                let fresh = SToPSS::new(config, source, interner.clone());
+                for sub in keep.iter().chain([&added]) {
+                    fresh.subscribe(sub.clone());
+                }
+                fresh
+            };
             let matcher = SToPSS::new(config, Arc::new(Ontology::new("jobs")), interner.clone());
             for sub in keep.iter().chain([&dropped]) {
                 matcher.subscribe(sub.clone());
@@ -1472,10 +1408,7 @@ mod tests {
             for (k, (source, reindexed)) in swaps.iter().enumerate() {
                 let want = if config.stages.synonym() { *reindexed } else { 0 };
                 assert_eq!(set_source_counted(&matcher, source.clone()), want, "{name}: swap {k}");
-                let fresh = SToPSS::new(config, source.clone(), interner.clone());
-                for sub in keep.iter().chain([&added]) {
-                    fresh.subscribe(sub.clone());
-                }
+                let fresh = fresh_on(source.clone());
                 let mut matched = 0;
                 for (e, event) in events.iter().enumerate() {
                     let got = matcher.publish(event);
@@ -1490,6 +1423,22 @@ mod tests {
                 assert!(matched > 0, "{name}: swap {k} must match something");
             }
             assert_eq!(matcher.snapshot_forks(), 0, "{name}: every op ran in place");
+
+            let (current, swapped) = (swaps.last().unwrap().0.clone(), Arc::new(aliased.clone()));
+            let held = matcher.resolve();
+            let want = if config.stages.synonym() { 2 } else { 0 };
+            assert_eq!(set_source_counted(&matcher, swapped.clone()), want, "{name}: held swap");
+            assert_eq!(matcher.snapshot_forks(), 1, "{name}: a held snapshot forks");
+            let (before, after) = (fresh_on(current), fresh_on(swapped));
+            for (e, event) in events.iter().enumerate() {
+                let retired = interner.with(|i| held.publish_inner(event, i)).matches;
+                assert_eq!(retired, before.publish(event), "{name}: held, event {e} diverged");
+                assert_eq!(matcher.publish(event), after.publish(event), "{name}: event {e}");
+            }
+            for sub in keep.iter().chain([&added]) {
+                matcher.unsubscribe(sub.id()).expect("live id");
+            }
+            assert!(events.iter().all(|event| matcher.publish(event).is_empty()), "{name}");
         }
     }
 

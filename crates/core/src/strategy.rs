@@ -1,5 +1,16 @@
-//! Strategy-specific machinery: event materialization (Figure 1 verbatim)
-//! and subscription rewriting.
+//! Reference implementations of the two ways to drive the engine that the
+//! matcher does not use: event materialization (Figure 1 verbatim) and
+//! subscription rewriting.
+//!
+//! [`crate::SToPSS`] closes each publication once into one flattened
+//! multi-valued event ([`crate::semantic_closure`]) and matches it once.
+//! Experiment E8 (`results/strategy.md`) measures these two alternatives
+//! against it: materialization finds the same matches at fixpoint but
+//! explores a combinatorial derivation lattice per publication and loses
+//! recall once its budget truncates; rewriting moves hierarchy work to
+//! subscribe time, multiplies engine entries and loses recall where a
+//! mapping's guard needs a generalized term. Nothing in the matcher calls
+//! this module; the tests and E8 do.
 
 use std::collections::VecDeque;
 
@@ -10,7 +21,6 @@ use stopss_types::{
 };
 
 use crate::closure::synonym_resolve_event;
-use crate::config::Limits;
 use crate::tolerance::StageMask;
 
 /// Outcome counters of a materializing publication.
@@ -38,21 +48,19 @@ pub struct MaterializedEvents {
 }
 
 /// The *event-side* half of the paper-faithful strategy: breadth-first
-/// materialization of derived events. Each hierarchy derivation appends
-/// one generalized pair ("new event from concept hierarchy"); each
-/// mapping derivation appends the produced pairs ("new event from mapping
-/// function"). The exploration depends only on the event, the ontology,
-/// and the bounds — never on the engine — which is what lets the
-/// event-side pass compute it once per publication, ahead of matching
-/// ([`crate::frontend::prepare_event`]).
+/// materialization of derived events, at most `max_derived_events` of them
+/// (the root included). Each hierarchy derivation appends one generalized
+/// pair ("new event from concept hierarchy"); each mapping derivation
+/// appends the produced pairs ("new event from mapping function"). The
+/// exploration depends only on the event, the ontology, and the bounds —
+/// never on the engine.
 ///
 /// Because derivations append (never replace), the set of derived events
 /// forms a lattice whose maximum is exactly the flattened closure of
-/// `closure.rs` — at fixpoint this strategy and
-/// [`GeneralizedEvent`](crate::Strategy::GeneralizedEvent) produce the
-/// same match set, while
-/// the event *count* explored here grows combinatorially. That cost gap,
-/// bounded by `max_derived_events`, is experiment E8.
+/// `closure.rs` — at fixpoint this strategy and the matcher's one
+/// flattened event produce the same match set, while the event *count*
+/// explored here grows combinatorially. That cost gap, bounded by
+/// `max_derived_events`, is experiment E8.
 #[allow(clippy::too_many_arguments)] // strategy entry point, mirrors semantic_closure
 pub fn materialize_closure(
     event_raw: &Event,
@@ -61,7 +69,7 @@ pub fn materialize_closure(
     max_distance: Option<u32>,
     now_year: i64,
     interner: &Interner,
-    limits: &Limits,
+    max_derived_events: usize,
 ) -> MaterializedEvents {
     let admits = |d: u32| max_distance.is_none_or(|k| d <= k);
     let root = if stages.synonym() {
@@ -106,7 +114,7 @@ pub fn materialize_closure(
             if !grew {
                 return;
             }
-            if outcome.derived_events >= limits.max_derived_events {
+            if outcome.derived_events >= max_derived_events {
                 outcome.truncated = true;
                 return;
             }
@@ -182,8 +190,8 @@ pub fn materialize_closure(
 /// The full paper-faithful strategy: materialize the derivation lattice
 /// ([`materialize_closure`]) and feed every derived event to the
 /// unmodified engine; `candidates` accumulates the union of the match
-/// sets. The one-call entry point; the matcher itself splits the two
-/// halves so the lattice is derived in the event-side pass.
+/// sets. The engine should hold the synonym-resolved subscriptions when
+/// `stages` runs the synonym stage, as the matcher's engine does.
 #[allow(clippy::too_many_arguments)] // strategy entry point, mirrors semantic_closure
 pub fn materialize_match(
     event_raw: &Event,
@@ -192,12 +200,19 @@ pub fn materialize_match(
     max_distance: Option<u32>,
     now_year: i64,
     interner: &Interner,
-    limits: &Limits,
+    max_derived_events: usize,
     engine: &mut dyn MatchingEngine,
     candidates: &mut FxHashSet<SubId>,
 ) -> MaterializeOutcome {
-    let materialized =
-        materialize_closure(event_raw, source, stages, max_distance, now_year, interner, limits);
+    let materialized = materialize_closure(
+        event_raw,
+        source,
+        stages,
+        max_distance,
+        now_year,
+        interner,
+        max_derived_events,
+    );
     let mut scratch: Vec<SubId> = Vec::new();
     for event in &materialized.events {
         scratch.clear();
@@ -215,8 +230,7 @@ pub fn materialize_match(
 pub struct RewriteExpansion {
     /// Predicate lists, one per engine subscription.
     pub combos: Vec<Vec<Predicate>>,
-    /// True if `max_rewrites` clipped the cross-product (recall loss,
-    /// surfaced in the matcher's statistics).
+    /// True if `max_combos` clipped the cross-product (recall loss).
     pub truncated: bool,
 }
 
@@ -225,13 +239,14 @@ pub struct RewriteExpansion {
 /// value — is replaced by every descendant within `max_distance`. The
 /// cross-product over predicates yields the engine subscriptions: an event
 /// carrying any combination of specializations then matches syntactically,
-/// with no hierarchy work at publish time.
+/// with no hierarchy work at publish time. At most `max_combos` engine
+/// subscriptions are produced.
 pub fn expand_subscription(
     sub: &Subscription,
     source: &dyn SemanticSource,
     use_hierarchy: bool,
     max_distance: Option<u32>,
-    max_rewrites: usize,
+    max_combos: usize,
 ) -> RewriteExpansion {
     let admits = |d: u32| max_distance.is_none_or(|k| d <= k);
     // Alternatives per predicate.
@@ -273,7 +288,7 @@ pub fn expand_subscription(
         let mut next = Vec::with_capacity(combos.len() * alts.len());
         'outer: for combo in &combos {
             for alt in alts {
-                if next.len() >= max_rewrites {
+                if next.len() >= max_combos {
                     truncated = true;
                     break 'outer;
                 }
@@ -323,7 +338,7 @@ mod tests {
             None,
             2003,
             &i,
-            &Limits::default(),
+            256,
             &mut engine,
             &mut candidates,
         );
@@ -348,7 +363,6 @@ mod tests {
         }
         let mut engine = NaiveEngine::new();
         let e = EventBuilder::new(&mut i).term("x", "leaf").build();
-        let limits = Limits { max_derived_events: 10, ..Limits::default() };
         let mut candidates = FxHashSet::default();
         let outcome = materialize_match(
             &e,
@@ -357,7 +371,7 @@ mod tests {
             None,
             0,
             &i,
-            &limits,
+            10,
             &mut engine,
             &mut candidates,
         );
@@ -392,17 +406,7 @@ mod tests {
         engine.insert(SubscriptionBuilder::new(&mut i).term_eq("label", "coder").build(SubId(7)));
         let e = EventBuilder::new(&mut i).term("skill", "java").build();
         let mut candidates = FxHashSet::default();
-        materialize_match(
-            &e,
-            &o,
-            StageMask::all(),
-            None,
-            0,
-            &i,
-            &Limits::default(),
-            &mut engine,
-            &mut candidates,
-        );
+        materialize_match(&e, &o, StageMask::all(), None, 0, &i, 256, &mut engine, &mut candidates);
         assert!(candidates.contains(&SubId(7)), "hierarchy→mapping chain must be explored");
     }
 

@@ -6,12 +6,13 @@
 //! matcher holds — so preparing an artifact once and matching it is
 //! byte-identical to letting the matcher recompute it per publication.
 //! This suite pins that claim directly in `stopss-core`, across
-//! strategies × stage masks, through the `prepare` + `match_prepared`
-//! seam, plus batch ≡ per-event publishing.
+//! engines × stage masks, through the `prepare` + `match_prepared` seam,
+//! plus batch ≡ per-event publishing.
 
 use std::sync::Arc;
 
-use stopss_core::{Config, Match, PublishResult, SToPSS, StageMask, Strategy, Tolerance};
+use stopss_core::{Config, Match, PublishResult, SToPSS, StageMask, Tolerance};
+use stopss_matching::EngineKind;
 use stopss_ontology::{Expr, MappingFunction, Ontology, PatternItem, Production};
 use stopss_types::{
     Event, EventBuilder, Interner, Operator, SharedInterner, SubId, Subscription,
@@ -138,14 +139,13 @@ fn merge_replicated(per_shard: Vec<PublishResult>) -> Vec<Match> {
 #[test]
 fn hoisted_artifact_equals_per_shard_recomputation_across_stage_masks() {
     let w = world();
-    for strategy in Strategy::ALL {
+    for engine in EngineKind::ALL {
         for stages in representative_masks() {
-            let config = Config::default().with_strategy(strategy).with_stages(stages);
+            let config = Config::default().with_engine(engine).with_stages(stages);
             for shards in [2usize, 4] {
                 let preparer = SToPSS::new(config, w.source.clone(), w.interner.clone());
                 let mut replicated = replicated_shards(&w, config, shards);
-                let label =
-                    format!("strategy={} stages={stages:?} shards={shards}", strategy.name());
+                let label = format!("engine={} stages={stages:?} shards={shards}", engine.name());
                 for event in &w.events {
                     let prepared = preparer.prepare(event);
                     // Per-shard full recomputation.
@@ -179,9 +179,9 @@ fn hoisted_artifact_equals_per_shard_recomputation_across_stage_masks() {
 #[test]
 fn prepare_then_match_prepared_equals_publish_detailed() {
     let w = world();
-    for strategy in Strategy::ALL {
-        let config = Config::default().with_strategy(strategy);
-        let label = strategy.name();
+    for engine in EngineKind::ALL {
+        let config = Config::default().with_engine(engine);
+        let label = engine.name();
         let direct = single_matcher(&w, config);
         let split = single_matcher(&w, config);
         for event in &w.events {
@@ -206,9 +206,9 @@ fn prepare_then_match_prepared_equals_publish_detailed() {
 fn batch_equals_per_event_publish() {
     let w = world();
     let feed: Vec<Event> = w.events.iter().cycle().take(40).cloned().collect();
-    for strategy in Strategy::ALL {
-        let config = Config::default().with_strategy(strategy);
-        let label = strategy.name();
+    for engine in EngineKind::ALL {
+        let config = Config::default().with_engine(engine);
+        let label = engine.name();
         let per_event = single_matcher(&w, config);
         let want: Vec<Vec<Match>> = feed.iter().map(|e| per_event.publish(e)).collect();
         assert!(want.iter().any(|m| !m.is_empty()), "{label}: the feed must produce matches");

@@ -14,7 +14,7 @@
 //!   counting, cluster, trie);
 //! * [`ontology`] — synonyms, concept hierarchies, mapping functions,
 //!   multi-domain registry, the `.sto` text format;
-//! * [`core`] — the semantic stages, strategies, tolerances and the
+//! * [`core`] — the semantic stages, tolerances and the
 //!   [`core::SToPSS`] matcher (the semantic pass runs once per
 //!   publication; [`core::SToPSS::prepare`] exposes it as a
 //!   [`core::PreparedEvent`] artifact for the engine-match + verify
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use stopss_broker::{Broker, BrokerConfig, DemoServer, TransportKind};
     pub use stopss_core::{
         semantic_match, Config, Match, MatchOrigin, MatcherStats, PreparedEvent, SToPSS, StageMask,
-        Strategy, Tolerance,
+        Tolerance,
     };
     pub use stopss_matching::{EngineKind, MatchingEngine};
     pub use stopss_ontology::{

@@ -105,7 +105,6 @@ fn prelude_reexports_are_usable() {
     // Core knobs exposed by the prelude.
     let tolerance = Tolerance::full();
     assert!(tolerance.stages.contains(StageMask::SYNONYM));
-    let _strategy = Strategy::GeneralizedEvent;
     let _op = Operator::Eq;
     let _value = Value::Int(1);
     let _pred: Predicate = Predicate::exists(interner.intern("x"));

@@ -9,8 +9,8 @@
 //! are untouched ground truth, and `Config::tier_cache = false` keeps the
 //! per-candidate oracle path runnable — so this suite pins the two paths
 //! **byte-identical** (matches, provenance including `Hierarchy {
-//! distance }` values, and aggregated stats) across engines × strategies
-//! × stage masks × mixed per-subscription tolerances, on job-finder and
+//! distance }` values, and aggregated stats) across engines × stage
+//! masks × mixed per-subscription tolerances, on job-finder and
 //! synthetic workloads, including truncated-closure and distance-cap edge
 //! cases.
 //!
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use s_topss::core::{
     classify_match, prepare_event, semantic_closure, ClosedEvent, ClosureLimits, Config, Limits,
-    PreparedEvent, SToPSS, StageMask, Strategy, Tolerance, CLASSIFY_DISTANCE_CAP,
+    PreparedEvent, SToPSS, StageMask, Tolerance, CLASSIFY_DISTANCE_CAP,
 };
 use s_topss::matching::EngineKind;
 use s_topss::ontology::domain::NamedMappingSink;
@@ -87,30 +87,25 @@ fn assert_paths_agree(fixture: &Fixture, config: Config, label: &str) -> SToPSS 
 }
 
 #[test]
-fn jobfinder_fast_path_equals_oracle_across_engines_and_strategies() {
+fn jobfinder_fast_path_equals_oracle_across_engines() {
     let fixture = jobfinder_fixture(120, 30, 7);
     let default = Config::default();
     for engine in EngineKind::ALL {
-        for strategy in Strategy::ALL {
-            let config = default.with_engine(engine).with_strategy(strategy);
-            let mixed = assert_paths_agree(
-                &fixture,
-                config,
-                &format!("jobfinder engine={} strategy={}", engine.name(), strategy.name()),
-            );
-            if engine == default.engine && strategy == default.strategy {
-                // Non-vacuity: the mixed tolerances really verify candidates,
-                // and they reject some that uniform full tolerance matches.
-                assert!(mixed.stats().verifications > 0, "no candidate was verified");
-                let uniform = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-                for sub in &fixture.subscriptions {
-                    uniform.subscribe_with_tolerance(sub.clone(), Tolerance::full());
-                }
-                let total = |matcher: &SToPSS| -> usize {
-                    fixture.publications.iter().map(|event| matcher.publish(event).len()).sum()
-                };
-                assert!(total(&mixed) < total(&uniform), "stricter tolerances must drop matches");
+        let config = default.with_engine(engine);
+        let mixed =
+            assert_paths_agree(&fixture, config, &format!("jobfinder engine={}", engine.name()));
+        if engine == default.engine {
+            // Non-vacuity: the mixed tolerances really verify candidates,
+            // and they reject some that uniform full tolerance matches.
+            assert!(mixed.stats().verifications > 0, "no candidate was verified");
+            let uniform = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
+            for sub in &fixture.subscriptions {
+                uniform.subscribe_with_tolerance(sub.clone(), Tolerance::full());
             }
+            let total = |matcher: &SToPSS| -> usize {
+                fixture.publications.iter().map(|event| matcher.publish(event).len()).sum()
+            };
+            assert!(total(&mixed) < total(&uniform), "stricter tolerances must drop matches");
         }
     }
 }
@@ -126,12 +121,12 @@ fn jobfinder_fast_path_equals_oracle_across_stage_masks() {
         StageMask::all(),
     ];
     for stages in masks {
-        for strategy in Strategy::ALL {
-            let config = Config::default().with_stages(stages).with_strategy(strategy);
+        for engine in EngineKind::ALL {
+            let config = Config::default().with_stages(stages).with_engine(engine);
             assert_paths_agree(
                 &fixture,
                 config,
-                &format!("jobfinder stages={stages:?} strategy={}", strategy.name()),
+                &format!("jobfinder stages={stages:?} engine={}", engine.name()),
             );
         }
     }
@@ -150,12 +145,12 @@ fn synthetic_deep_taxonomy_fast_path_equals_oracle() {
     };
     let fixture = synthetic_fixture(&shape, &workload);
     for stages in [StageMask::SYNONYM.with(StageMask::HIERARCHY), StageMask::all()] {
-        for strategy in Strategy::ALL {
-            let config = Config::default().with_stages(stages).with_strategy(strategy);
+        for engine in EngineKind::ALL {
+            let config = Config::default().with_stages(stages).with_engine(engine);
             assert_paths_agree(
                 &fixture,
                 config,
-                &format!("synthetic stages={stages:?} strategy={}", strategy.name()),
+                &format!("synthetic stages={stages:?} engine={}", engine.name()),
             );
         }
     }
@@ -176,8 +171,7 @@ fn truncated_closures_fall_back_to_the_oracle_exactly() {
     };
     let fixture = synthetic_fixture(&shape, &workload);
     for (max_pairs, max_rounds) in [(4usize, 8u32), (64, 1), (6, 2)] {
-        let limits =
-            Limits { closure: ClosureLimits { max_pairs, max_rounds }, ..Limits::default() };
+        let limits = Limits { closure: ClosureLimits { max_pairs, max_rounds } };
         let config = Config { limits, ..Config::default() };
         assert_paths_agree(
             &fixture,
@@ -276,9 +270,9 @@ fn prepared_fast_path_equals_oracle() {
     // filling its own tier cache in the match stage, against the
     // per-candidate oracle path with mixed tolerances.
     let fixture = jobfinder_fixture(160, 40, 23);
-    for strategy in Strategy::ALL {
-        let config = Config::default().with_strategy(strategy);
-        let label = strategy.name();
+    for engine in EngineKind::ALL {
+        let config = Config::default().with_engine(engine);
+        let label = engine.name();
         let fast = matcher_with_mixed_tolerances(&fixture, config);
         let oracle = matcher_with_mixed_tolerances(&fixture, config.with_tier_cache(false));
         assert!(fast.verify_classes().len() > 1, "{label}: the cycle registers several classes");
@@ -539,10 +533,8 @@ fn read_off_entries_equal_fresh_closures_across_domains_masks_and_limits() {
         for stages in StageMask::all_combinations() {
             let entries = every_entry(stages);
             for closure in limits {
-                let config = Config {
-                    limits: Limits { closure, ..Limits::default() },
-                    ..Config::default().with_stages(stages)
-                };
+                let config =
+                    Config { limits: Limits { closure }, ..Config::default().with_stages(stages) };
                 let label = format!("{name} stages={stages:?} limits={closure:?}");
                 check_entries(fixture, config, &entries, &label);
                 cases += fixture.publications.len() * entries.len();
@@ -700,10 +692,7 @@ fn read_off_falls_back_when_the_main_closure_used_every_round() {
     // third round to see the fixpoint, so under `max_rounds = 2` it
     // truncates where the main closure did not.
     let world = mapping_output_with_ancestors();
-    let limits = Limits {
-        closure: ClosureLimits { max_rounds: 2, ..ClosureLimits::default() },
-        ..Limits::default()
-    };
+    let limits = Limits { closure: ClosureLimits { max_rounds: 2, ..ClosureLimits::default() } };
     let config = Config { limits, ..Config::default() };
     let main = world.main_closure(config);
     assert!(!main.truncated);
@@ -713,10 +702,7 @@ fn read_off_falls_back_when_the_main_closure_used_every_round() {
 #[test]
 fn read_off_falls_back_on_a_truncated_main_closure() {
     let world = guard_on_generalized_attribute();
-    let limits = Limits {
-        closure: ClosureLimits { max_pairs: 2, ..ClosureLimits::default() },
-        ..Limits::default()
-    };
+    let limits = Limits { closure: ClosureLimits { max_pairs: 2, ..ClosureLimits::default() } };
     let config = Config { limits, ..Config::default() };
     assert!(world.main_closure(config).truncated);
     for entry in [Entry::SynonymTier, Entry::Class(Tolerance::bounded(1))] {
@@ -725,18 +711,12 @@ fn read_off_falls_back_on_a_truncated_main_closure() {
 }
 
 #[test]
-fn read_off_falls_back_under_a_system_bound_and_other_strategies() {
+fn read_off_falls_back_under_a_system_bound() {
     let world = guard_on_generalized_attribute();
     let hier = StageMask::SYNONYM.with(StageMask::HIERARCHY);
-    let configs = [
-        Config { max_distance: Some(2), ..Config::default() },
-        Config::default().with_strategy(Strategy::SubscriptionRewrite),
-        Config::default().with_strategy(Strategy::MaterializeEvents),
-    ];
-    for config in configs {
-        for entry in [Entry::SynonymTier, Entry::HierarchyTier(hier)] {
-            assert!(!world.read_off(config, entry), "{config:?} {entry:?}");
-        }
+    let config = Config { max_distance: Some(2), ..Config::default() };
+    for entry in [Entry::SynonymTier, Entry::HierarchyTier(hier)] {
+        assert!(!world.read_off(config, entry), "{entry:?}");
     }
 }
 
