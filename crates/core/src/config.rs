@@ -134,10 +134,10 @@ mod tests {
     #[test]
     fn builder_helpers() {
         let c = Config::default()
-            .with_engine(EngineKind::Trie)
+            .with_engine(EngineKind::Naive)
             .with_stages(StageMask::SYNONYM)
             .with_provenance(false);
-        assert_eq!(c.engine, EngineKind::Trie);
+        assert_eq!(c.engine, EngineKind::Naive);
         assert_eq!(c.stages, StageMask::SYNONYM);
         assert!(!c.track_provenance);
     }

@@ -1131,7 +1131,7 @@ mod tests {
         let matcher = SToPSS::new(Config::default(), w.source, w.interner);
         matcher.subscribe(w.sub);
         assert_eq!(matcher.publish(&w.event).len(), 1);
-        matcher.reconfigure(Config::default().with_engine(EngineKind::Trie));
+        matcher.reconfigure(Config::default().with_engine(EngineKind::Naive));
         assert_eq!(matcher.publish(&w.event).len(), 1, "matches survive reconfiguration");
         assert_eq!(matcher.len(), 1);
     }
@@ -1303,7 +1303,7 @@ mod tests {
             &|| Some(matcher.subscribe_batch(vec![(w.sub.with_id(SubId(200)), None)])),
             &|| matcher.unsubscribe(SubId(200)),
             &|| Some(matcher.set_stages(StageMask::syntactic())),
-            &|| Some(matcher.reconfigure(Config::default().with_engine(EngineKind::Trie))),
+            &|| Some(matcher.reconfigure(Config::default().with_engine(EngineKind::Naive))),
             &|| Some(matcher.set_source(w.source.clone())),
             &|| matcher.unsubscribe_batch(&[SubId(100), SubId(1)]),
         ];
@@ -1325,18 +1325,27 @@ mod tests {
     /// equal a fresh matcher's on that source. A last swap under a held
     /// snapshot re-indexes on a fork, and leaves the held snapshot matching
     /// as before. Runs with the synonym stage on and off (where no swap
-    /// re-indexes anything), and with small dense ids and with large,
-    /// sparse ones: the engine indexes every subscription under the
-    /// subscriber's own id.
+    /// re-indexes anything), with small dense ids and with large, sparse
+    /// ones (the engine indexes every subscription under the subscriber's
+    /// own id), and once more with a publisher holding the snapshot across
+    /// the unsubscribe, the subscribe and the closing unsubscribes, so that
+    /// those run on a forked `boxed_clone` of the engine and the swaps run
+    /// in place on that clone.
     fn in_place_ops_keep_engine_scratch_valid(engine: EngineKind) {
         let dense = [1, 2, 3, 4].map(SubId);
         let sparse = [SubId(u64::MAX), SubId(1 << 40), SubId(1 << 63), SubId(3)];
         for ids in [dense, sparse] {
-            in_place_ops_keep_engine_scratch_valid_with_ids(engine, ids);
+            for hold in [false, true] {
+                in_place_ops_keep_engine_scratch_valid_with_ids(engine, ids, hold);
+            }
         }
     }
 
-    fn in_place_ops_keep_engine_scratch_valid_with_ids(engine: EngineKind, ids: [SubId; 4]) {
+    fn in_place_ops_keep_engine_scratch_valid_with_ids(
+        engine: EngineKind,
+        ids: [SubId; 4],
+        hold: bool,
+    ) {
         let mut i = Interner::new();
         let keep = [
             SubscriptionBuilder::new(&mut i).term_eq("city", "toronto").build(ids[0]),
@@ -1385,30 +1394,63 @@ mod tests {
             (Arc::new(unnamed), 0),
         ];
         let interner = SharedInterner::from_interner(i);
+        let empty = Arc::new(Ontology::new("jobs"));
         let base = Config::default().with_engine(engine);
         let configs = [base, base.with_stages(StageMask::all().without(StageMask::SYNONYM))];
         for config in configs {
-            let name = format!("{} {:?} {:?}", engine.name(), config.stages, ids[0]);
-            let fresh_on = |source: Arc<Ontology>| {
-                let fresh = SToPSS::new(config, source, interner.clone());
-                for sub in keep.iter().chain([&added]) {
-                    fresh.subscribe(sub.clone());
+            let name = format!("{} {:?} {:?} hold {hold}", engine.name(), config.stages, ids[0]);
+            let fresh_on = |source: &Arc<Ontology>, subs: &[&Subscription]| {
+                let fresh = SToPSS::new(config, source.clone(), interner.clone());
+                for sub in subs {
+                    fresh.subscribe((*sub).clone());
                 }
                 fresh
             };
-            let matcher = SToPSS::new(config, Arc::new(Ontology::new("jobs")), interner.clone());
+            let matcher = SToPSS::new(config, empty.clone(), interner.clone());
+            // Runs one control op, with a publisher holding the current
+            // snapshot across it when `held`, so that the op forks. The held
+            // snapshot then still matches as `before` does; either way the
+            // matcher then matches as `after` does.
+            let step = |held: bool, op: &mut dyn FnMut(), before: SToPSS, after: SToPSS| {
+                let forks = matcher.snapshot_forks();
+                let snapshot = held.then(|| matcher.resolve());
+                op();
+                let want = forks + u64::from(held);
+                assert_eq!(matcher.snapshot_forks(), want, "{name}: forks once iff held");
+                for (e, event) in events.iter().enumerate() {
+                    if let Some(snapshot) = &snapshot {
+                        let retired = interner.with(|i| snapshot.publish_inner(event, i)).matches;
+                        assert_eq!(retired, before.publish(event), "{name}: held, event {e}");
+                    }
+                    assert_eq!(matcher.publish(event), after.publish(event), "{name}: event {e}");
+                }
+            };
             for sub in keep.iter().chain([&dropped]) {
                 matcher.subscribe(sub.clone());
             }
             for event in events.iter().chain(&events) {
                 matcher.publish(event);
             }
-            matcher.unsubscribe(dropped.id()).expect("live id");
-            matcher.subscribe(added.clone());
+            let live = [&keep[0], &keep[1], &added];
+            step(
+                hold,
+                &mut || assert!(matcher.unsubscribe(dropped.id()).is_some()),
+                fresh_on(&empty, &[&keep[0], &keep[1], &dropped]),
+                fresh_on(&empty, &live[..2]),
+            );
+            step(
+                hold,
+                &mut || {
+                    matcher.subscribe(added.clone());
+                },
+                fresh_on(&empty, &live[..2]),
+                fresh_on(&empty, &live),
+            );
+            let forks = matcher.snapshot_forks();
             for (k, (source, reindexed)) in swaps.iter().enumerate() {
                 let want = if config.stages.synonym() { *reindexed } else { 0 };
                 assert_eq!(set_source_counted(&matcher, source.clone()), want, "{name}: swap {k}");
-                let fresh = fresh_on(source.clone());
+                let fresh = fresh_on(source, &live);
                 let mut matched = 0;
                 for (e, event) in events.iter().enumerate() {
                     let got = matcher.publish(event);
@@ -1422,21 +1464,25 @@ mod tests {
                 }
                 assert!(matched > 0, "{name}: swap {k} must match something");
             }
-            assert_eq!(matcher.snapshot_forks(), 0, "{name}: every op ran in place");
+            assert_eq!(matcher.snapshot_forks(), forks, "{name}: every swap ran in place");
 
-            let (current, swapped) = (swaps.last().unwrap().0.clone(), Arc::new(aliased.clone()));
-            let held = matcher.resolve();
+            let (current, swapped) = (&swaps.last().unwrap().0, Arc::new(aliased.clone()));
+            let mut reindexed = 0;
+            step(
+                true,
+                &mut || reindexed = set_source_counted(&matcher, swapped.clone()),
+                fresh_on(current, &live),
+                fresh_on(&swapped, &live),
+            );
             let want = if config.stages.synonym() { 2 } else { 0 };
-            assert_eq!(set_source_counted(&matcher, swapped.clone()), want, "{name}: held swap");
-            assert_eq!(matcher.snapshot_forks(), 1, "{name}: a held snapshot forks");
-            let (before, after) = (fresh_on(current), fresh_on(swapped));
-            for (e, event) in events.iter().enumerate() {
-                let retired = interner.with(|i| held.publish_inner(event, i)).matches;
-                assert_eq!(retired, before.publish(event), "{name}: held, event {e} diverged");
-                assert_eq!(matcher.publish(event), after.publish(event), "{name}: event {e}");
-            }
-            for sub in keep.iter().chain([&added]) {
-                matcher.unsubscribe(sub.id()).expect("live id");
+            assert_eq!(reindexed, want, "{name}: held swap");
+            for k in 0..live.len() {
+                step(
+                    hold,
+                    &mut || assert!(matcher.unsubscribe(live[k].id()).is_some()),
+                    fresh_on(&swapped, &live[k..]),
+                    fresh_on(&swapped, &live[k + 1..]),
+                );
             }
             assert!(events.iter().all(|event| matcher.publish(event).is_empty()), "{name}");
         }
@@ -1450,16 +1496,6 @@ mod tests {
     #[test]
     fn in_place_ops_keep_engine_scratch_valid_counting() {
         in_place_ops_keep_engine_scratch_valid(EngineKind::Counting);
-    }
-
-    #[test]
-    fn in_place_ops_keep_engine_scratch_valid_cluster() {
-        in_place_ops_keep_engine_scratch_valid(EngineKind::Cluster);
-    }
-
-    #[test]
-    fn in_place_ops_keep_engine_scratch_valid_trie() {
-        in_place_ops_keep_engine_scratch_valid(EngineKind::Trie);
     }
 
     #[test]

@@ -353,7 +353,7 @@ proptest! {
         let tolerance = Tolerance { stages: StageMask::all(), max_distance: bounded };
         let source = Arc::new(ont);
         let config = Config {
-            engine: EngineKind::Trie,
+            engine: EngineKind::Naive,
             stages: tolerance.stages,
             max_distance: tolerance.max_distance,
             track_provenance: false,

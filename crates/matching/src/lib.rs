@@ -3,17 +3,16 @@
 //! Content-based (syntactic) publish/subscribe matching engines — the
 //! substrate the S-ToPSS paper extends with semantics. The paper cites the
 //! counting algorithm of Aguilera et al. (PODC'99) and the predicate
-//! indexing / clustering of Fabret et al. (SIGMOD'01); this crate
-//! implements both families plus a linear-scan baseline and a
-//! subscription-trie variant:
+//! indexing of Fabret et al. (SIGMOD'01); this crate implements the
+//! counting family, with per-attribute predicate indexes, beside a
+//! linear-scan reference:
 //!
-//! * [`NaiveEngine`] — linear scan, the correctness baseline;
 //! * [`CountingEngine`] — shared predicate table, per-attribute indexes,
-//!   epoch-stamped counters;
-//! * [`ClusterEngine`] — access-predicate clustering;
-//! * [`TrieEngine`] — canonicalized subscription trie ("matching tree").
+//!   epoch-stamped counters: the engine every configuration runs;
+//! * [`NaiveEngine`] — linear scan, the correctness reference the
+//!   differential suites and E5 compare against.
 //!
-//! All engines implement [`MatchingEngine`] and are interchangeable; the
+//! Both implement [`MatchingEngine`] and are interchangeable; the
 //! semantic layer in `stopss-core` treats them as black boxes, exactly as
 //! the paper prescribes ("minimize the changes to the algorithms").
 //!
@@ -23,47 +22,36 @@
 
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod counting;
 pub mod covering;
 pub mod engine;
 mod index;
 pub mod naive;
-pub mod trie;
 
-pub use cluster::ClusterEngine;
 pub use counting::CountingEngine;
 pub use covering::{cover_heads, covers, implies};
 pub use engine::{collect_matches, MatchingEngine};
 pub use naive::NaiveEngine;
-pub use trie::TrieEngine;
 
-/// The available engine implementations, for configuration surfaces and
-/// benchmark sweeps.
+/// The available engine implementations: the one every configuration
+/// runs and the reference it is checked against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Linear scan over all subscriptions.
     Naive,
     /// Counting algorithm with per-attribute predicate indexes.
     Counting,
-    /// Access-predicate clustering.
-    Cluster,
-    /// Canonicalized subscription trie.
-    Trie,
 }
 
 impl EngineKind {
     /// All engine kinds, for sweeps.
-    pub const ALL: [EngineKind; 4] =
-        [EngineKind::Naive, EngineKind::Counting, EngineKind::Cluster, EngineKind::Trie];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Naive, EngineKind::Counting];
 
     /// Stable name used in reports.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Naive => "naive",
             EngineKind::Counting => "counting",
-            EngineKind::Cluster => "cluster",
-            EngineKind::Trie => "trie",
         }
     }
 
@@ -72,22 +60,6 @@ impl EngineKind {
         match self {
             EngineKind::Naive => Box::new(NaiveEngine::new()),
             EngineKind::Counting => Box::new(CountingEngine::new()),
-            EngineKind::Cluster => Box::new(ClusterEngine::new()),
-            EngineKind::Trie => Box::new(TrieEngine::new()),
-        }
-    }
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "naive" => Ok(EngineKind::Naive),
-            "counting" => Ok(EngineKind::Counting),
-            "cluster" => Ok(EngineKind::Cluster),
-            "trie" => Ok(EngineKind::Trie),
-            other => Err(format!("unknown engine kind: {other}")),
         }
     }
 }
@@ -103,13 +75,5 @@ mod tests {
             assert_eq!(engine.name(), kind.name());
             assert!(engine.is_empty());
         }
-    }
-
-    #[test]
-    fn kind_parses_from_name() {
-        for kind in EngineKind::ALL {
-            assert_eq!(kind.name().parse::<EngineKind>().unwrap(), kind);
-        }
-        assert!("bogus".parse::<EngineKind>().is_err());
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! * [`types`] — interned symbols, values, predicates, subscriptions,
 //!   events;
-//! * [`matching`] — the syntactic engines the paper builds on (naive,
-//!   counting, cluster, trie);
+//! * [`matching`] — the syntactic engine the paper builds on (counting)
+//!   and its naive reference;
 //! * [`ontology`] — synonyms, concept hierarchies, mapping functions,
 //!   multi-domain registry, the `.sto` text format;
 //! * [`core`] — the semantic stages, tolerances and the
