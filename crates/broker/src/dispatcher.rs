@@ -5,21 +5,21 @@
 //! matcher decides who is interested, and the notification engine delivers
 //! over each client's preferred transport.
 //!
-//! # Epoch-snapshot control plane
+//! # Control plane
 //!
 //! The matcher is a **plain [`SToPSS`] field** — no broker-side lock at
 //! all. It keeps its ontology, configuration and subscription index
-//! behind epoch-swapped snapshots. A control-plane operation
-//! (`subscribe`, `unsubscribe`, `set_stages`, `reconfigure`, ontology
-//! replacement) mutates the current snapshot in place when no publisher
-//! holds it, and otherwise forks it aside, mutates the fork and publishes
-//! it with one atomic pointer swap. An in-flight publication is never
-//! disturbed: it finishes against the snapshot it started under. A
-//! publication that starts during an in-place operation waits for it —
-//! microseconds for a subscription change, a scan of the subscription
-//! index that re-indexes the subscriptions whose synonym-resolved form
-//! changed for an ontology replacement, a whole rebuild for a stage or
-//! configuration switch.
+//! behind one reader-writer lock of its own. Publications share the read
+//! side; a control-plane operation (`subscribe`, `unsubscribe`,
+//! `set_stages`, `reconfigure`, ontology replacement) takes the write
+//! side and mutates the matcher in place, each operation bumping the
+//! matcher's control epoch once. The two wait for each other: an
+//! operation waits for the publications in flight, which finish against
+//! the state they started under, and a publication that starts during an
+//! operation waits for it — microseconds for a subscription change, a
+//! scan of the subscription index that re-indexes the subscriptions
+//! whose synonym-resolved form changed for an ontology replacement, a
+//! whole rebuild for a stage or configuration switch.
 
 use stopss_types::sync::atomic::{AtomicU64, Ordering};
 use stopss_types::sync::{Arc, Mutex, RwLock};
@@ -88,9 +88,9 @@ pub type TransportFactory = Box<dyn Fn(u64) -> Vec<Box<dyn Transport>> + Send + 
 
 /// The publish/subscribe broker of the demonstration setup.
 pub struct Broker {
-    /// No lock: the matcher serializes its own control ops and forks or
-    /// swaps snapshots internally, so the publish path and every control
-    /// op are `&self`.
+    /// No lock: the matcher serializes its control ops against its
+    /// publications internally, so the publish path and every control op
+    /// are `&self`.
     matcher: SToPSS,
     clients: RwLock<FxHashMap<ClientId, ClientInfo>>,
     sub_owner: RwLock<FxHashMap<SubId, ClientId>>,
@@ -207,9 +207,8 @@ impl Broker {
 
     /// The matcher's control epoch: bumped once per control mutation
     /// (including once per whole [`Broker::subscribe_batch`]), so the
-    /// delta across a window counts control mutations, whether they
-    /// forked or ran in place — the coalescing metric the networked
-    /// event loop's subscribe-storm tests pin.
+    /// delta across a window counts control mutations — the coalescing
+    /// metric the networked event loop's subscribe-storm tests pin.
     pub fn matcher_control_epoch(&self) -> u64 {
         self.matcher.control_epoch()
     }
@@ -224,9 +223,9 @@ impl Broker {
     }
 
     /// Registers a subscription with an optional subscriber tolerance
-    /// (the information-loss knob of §3.2). The matcher mutation is a
-    /// snapshot swap: concurrent publishers keep matching against the
-    /// pre-subscribe snapshot until the swap lands.
+    /// (the information-loss knob of §3.2). The matcher mutation waits
+    /// for the publications in flight, which match without the new
+    /// subscription; every later one matches with it.
     pub fn subscribe_with_tolerance(
         &self,
         client: ClientId,
@@ -253,8 +252,8 @@ impl Broker {
     /// Registers a batch of subscriptions as **one** matcher control
     /// mutation: ownership is recorded per request, then every accepted
     /// subscription lands in the matcher through a single control mutation
-    /// ([`SToPSS::subscribe_batch`]) instead of one per subscription, so a
-    /// fork, when a publisher holds the snapshot, is paid once per batch.
+    /// ([`SToPSS::subscribe_batch`]) instead of one per subscription, so
+    /// publishers wait for the matcher's write lock once per batch.
     /// Results are positional: the
     /// `k`-th entry answers the `k`-th request, and rejected requests
     /// (unknown client) consume neither a [`SubId`] nor matcher work. The
@@ -305,9 +304,9 @@ impl Broker {
         // a concurrent publish match the subscription after its owner
         // entry vanished, silently dropping the notification. This way a
         // publish that matched before the matcher removal still finds the
-        // owner; once the snapshot without `sub` is published, no new
-        // match can reference it. The remaining window (matched against a
-        // pre-removal snapshot, notified after both removals) is inherent
+        // owner; once the matcher removal returns, no new match can
+        // reference it. The remaining window (matched before the removal,
+        // notified after both removals) is inherent
         // to concurrent unsubscription and is *counted* by
         // `notify_matches` instead of skipped silently (see
         // [`Broker::orphaned_matches`]).
@@ -343,10 +342,9 @@ impl Broker {
     /// matched subscription before returning. Returns the number of
     /// matches.
     ///
-    /// Publishers take no broker-side lock at all — they resolve the
-    /// matcher's current snapshot and run against it, so concurrent
-    /// publishers proceed in parallel and control-plane mutations never
-    /// stall them.
+    /// Publishers take no broker-side lock at all — they share the
+    /// matcher's read lock, so concurrent publishers proceed in parallel
+    /// and wait only while a control-plane mutation runs.
     pub fn publish(&self, event: &Event) -> usize {
         let matches = self.matcher.publish(event);
         self.notify_matches(event, &matches);
@@ -394,9 +392,9 @@ impl Broker {
     }
 
     /// Switches between semantic and syntactic mode ("the application can
-    /// run in two different modes", §4). The stage switch is a snapshot
-    /// swap inside the matcher; publications in flight finish under the
-    /// old mode. Semantic mode restores the last semantic stage mask, so a
+    /// run in two different modes", §4). The stage switch is one control
+    /// mutation inside the matcher; publications in flight finish under
+    /// the old mode. Semantic mode restores the last semantic stage mask, so a
     /// broker that has only ever been configured syntactically stays
     /// syntactic.
     pub fn set_semantic_mode(&self, semantic: bool) {
@@ -415,7 +413,7 @@ impl Broker {
 
     /// Reconfigures the live matcher (engine, stages, …) between
     /// publications — subscriptions survive and are re-indexed inside one
-    /// snapshot swap. A semantic configuration also becomes the mask that
+    /// control mutation. A semantic configuration also becomes the mask that
     /// [`Broker::set_semantic_mode`] restores.
     pub fn reconfigure_matcher(&self, config: Config) {
         let mut restore = self.semantic_stages.lock();
@@ -427,9 +425,9 @@ impl Broker {
 
     /// Replaces the semantic source (ontology) live — the evolution
     /// scenario the paper defers: new synonyms, taxonomy growth, or
-    /// changed mapping functions take effect for the next resolved
-    /// snapshot, while in-flight publications finish against the ontology
-    /// they started under.
+    /// changed mapping functions take effect for every later publication,
+    /// while in-flight publications finish against the ontology they
+    /// started under.
     pub fn set_ontology(&self, source: Arc<dyn SemanticSource>) {
         self.matcher.set_source(source);
     }
@@ -768,9 +766,8 @@ mod tests {
         broker.shutdown();
     }
 
-    /// With no publisher holding the matcher's snapshot — the served
-    /// broker's case, one thread — a batched subscribe and a retirement
-    /// mutate it in place: two control mutations, no fork.
+    /// A batched subscribe and a retirement are one control mutation
+    /// each.
     #[test]
     fn batch_subscribe_and_retire_run_in_place() {
         let (broker, interner) = jobs_broker(BrokerConfig::default());
@@ -781,7 +778,6 @@ mod tests {
         assert_eq!(broker.publish(&candidate_event(&interner)), 3);
         assert_eq!(broker.unsubscribe_all(company), 3);
         assert_eq!(broker.matcher_control_epoch(), before + 2, "one mutation per call");
-        assert_eq!(broker.matcher.snapshot_forks(), 0, "nothing held the snapshot");
         broker.shutdown();
     }
 

@@ -13,7 +13,7 @@
 //! [`crate::SToPSS::publish`] runs it inline; [`crate::SToPSS::prepare`]
 //! wraps it into a self-contained [`PreparedEvent`] artifact, the
 //! stage-split seam that [`crate::SToPSS::match_prepared`] matches against
-//! the current snapshot.
+//! the current state.
 //!
 //! # The tier cache
 //!

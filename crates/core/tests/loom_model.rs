@@ -1,5 +1,5 @@
-//! Bounded model checking of the epoch-snapshot control plane with the
-//! vendored `loom-lite` checker.
+//! Bounded model checking of the matcher's one-lock control plane with
+//! the vendored `loom-lite` checker.
 //!
 //! Run with the `loom` feature so `stopss_types::sync` swaps to the
 //! instrumented primitives:
@@ -10,20 +10,18 @@
 //!
 //! Each test explores every thread interleaving of the instrumented
 //! lock/atomic operations within a preemption bound (2 unless noted),
-//! asserting its invariants on all of them. Two models cover the two
-//! branches of `SToPSS::mutate_if` — a control op forks a snapshot that a
-//! publisher holds, and mutates one that no publisher holds in place —
-//! and count via `SToPSS::snapshot_forks` that the explored schedules of
-//! each reach both branches. The `_caught` test is the negative control:
-//! it seeds the *unserialized* variant of the snapshot swap — the bug
-//! class `SToPSS::mutate_if`'s control mutex exists to prevent — and
-//! proves the checker both finds the lost update and replays the failing
-//! schedule deterministically.
+//! asserting its invariants on all of them. Three models race a publisher
+//! against a control op on the real `SToPSS` — a subscribe, an
+//! unsubscribe and a two-subscription batch — and check the epoch
+//! witness: whatever epoch a publication reports, it saw exactly that
+//! epoch's subscriptions. The `_caught` test is the negative control: a
+//! toy control op that publishes its epoch in one write section and its
+//! content in a second — the bug class `SToPSS::mutate_if`'s single write
+//! guard rules out — and proves the checker both finds the torn read and
+//! replays the failing schedule deterministically.
 #![cfg(feature = "loom")]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use loom_lite::sync::{Arc, Mutex, RwLock};
+use loom_lite::sync::{Arc, RwLock};
 use loom_lite::{replay, thread, Builder};
 use stopss_core::{Config, SToPSS};
 use stopss_ontology::Ontology;
@@ -82,38 +80,11 @@ fn epoch_snapshot_swap_is_linearized() {
     assert!(report.schedules >= 2, "expected real interleaving, ran {report:?}");
 }
 
-/// Tallies, across the explored schedules of one model, how many forked
-/// and how many ran in place. The counters are plain `std` atomics outside
-/// the model's instrumented state, so they add no scheduling points.
-#[derive(Default)]
-struct BranchTally {
-    forked: AtomicUsize,
-    in_place: AtomicUsize,
-}
-
-impl BranchTally {
-    fn record(&self, forks: u64) {
-        let branch = if forks == 0 { &self.in_place } else { &self.forked };
-        // ordering: monotone counter; read only after the exploration ends.
-        branch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn counts(&self) -> (usize, usize) {
-        // ordering: read after every model thread has been joined.
-        (self.forked.load(Ordering::Relaxed), self.in_place.load(Ordering::Relaxed))
-    }
-}
-
-/// The fork branch: a publisher that holds its snapshot across a control
-/// op (an unsubscribe) forces the op to fork, and keeps matching against
-/// the frozen pre-op snapshot. The epoch witness holds on every schedule:
-/// epoch 1 still serves the subscription, epoch 2 does not, and a schedule
-/// that forked can only have stamped the publication with epoch 1.
+/// A publisher racing a control-plane unsubscribe sees the whole epoch
+/// it reports: epoch 1 still serves the subscription, epoch 2 does not.
 #[test]
-fn held_snapshot_forces_the_fork_and_stays_frozen() {
-    let tally = Arc::new(BranchTally::default());
-    let seen = tally.clone();
-    let report = Builder::default().check(move || {
+fn publisher_racing_unsubscribe_sees_whole_epochs() {
+    let report = Builder::default().check(|| {
         let (matcher, sub, event) = small_world();
         assert_eq!(matcher.subscribe(sub), 1);
         let matcher = Arc::new(matcher);
@@ -129,29 +100,17 @@ fn held_snapshot_forces_the_fork_and_stays_frozen() {
             2 => assert!(result.matches.is_empty(), "epoch 2 must not serve the sub"),
             other => panic!("publisher saw epoch {other}, which no mutation created"),
         }
-        let forks = matcher.snapshot_forks();
-        assert!(forks <= 1, "one control op forks at most once");
-        if forks == 1 {
-            assert_eq!(result.epoch, 1, "only the holder of the epoch-1 snapshot forces a fork");
-        }
-        seen.record(forks);
     });
-    assert!(report.complete, "fork-branch space must be exhausted, ran {report:?}");
-    let (forked, in_place) = tally.counts();
-    assert!(forked > 0, "no schedule held a snapshot across the op ({forked}/{in_place})");
-    assert!(in_place > 0, "no schedule ran the op in place ({forked}/{in_place})");
+    assert!(report.complete, "unsubscribe-race space must be exhausted, ran {report:?}");
+    assert!(report.schedules >= 2, "expected real interleaving, ran {report:?}");
 }
 
-/// The in-place branch: a control op that finds no publisher holding the
-/// snapshot mutates it in place under the write lock, and a publisher
-/// arriving meanwhile waits rather than see a half-built core. The op is
-/// a two-subscription batch, so a torn in-place state would show as one
-/// match: the witness demands 0 matches at epoch 0 and both at epoch 1.
+/// A publisher racing a two-subscription batch sees it whole or not at
+/// all: a torn batch would show as one match, so the witness demands 0
+/// matches at epoch 0 and both at epoch 1.
 #[test]
-fn unheld_snapshot_mutates_in_place_untorn() {
-    let tally = Arc::new(BranchTally::default());
-    let seen = tally.clone();
-    let report = Builder::default().check(move || {
+fn publisher_racing_batch_sees_it_whole() {
+    let report = Builder::default().check(|| {
         let (matcher, sub, event) = small_world();
         let matcher = Arc::new(matcher);
         let publisher = {
@@ -167,19 +126,12 @@ fn unheld_snapshot_mutates_in_place_untorn() {
             1 => assert_eq!(result.matches.len(), 2, "epoch 1 holds the whole batch"),
             other => panic!("publisher saw epoch {other}, which no mutation created"),
         }
-        let forks = matcher.snapshot_forks();
-        if forks == 1 {
-            assert_eq!(result.epoch, 0, "only the holder of the epoch-0 snapshot forces a fork");
-        }
-        seen.record(forks);
     });
-    assert!(report.complete, "in-place-branch space must be exhausted, ran {report:?}");
-    let (forked, in_place) = tally.counts();
-    assert!(in_place > 0, "no schedule ran the op in place ({forked}/{in_place})");
-    assert!(forked > 0, "no schedule held a snapshot across the op ({forked}/{in_place})");
+    assert!(report.complete, "batch-race space must be exhausted, ran {report:?}");
+    assert!(report.schedules >= 2, "expected real interleaving, ran {report:?}");
 }
 
-/// Two concurrent publishers bump the shared `AtomicStats` counters;
+/// Two concurrent publishers bump the core's `AtomicStats` counters;
 /// the per-counter sums are exact under every interleaving (they are
 /// monotone relaxed counters — this is the claim the `// ordering:`
 /// annotations in `matcher.rs` make).
@@ -202,58 +154,59 @@ fn atomic_stats_merge_conserves_counts() {
     assert!(report.complete, "stats-merge space must be exhausted, ran {report:?}");
 }
 
-/// The unserialized read–fork–swap this toy performs: both threads fork
-/// the *same* parent snapshot, so one fork overwrites the other.
-/// `SToPSS::mutate_if` holds the control mutex across fork+swap exactly to
-/// rule this out; `serialize` reproduces that discipline.
-fn fork_push_swap(slot: &RwLock<Arc<Vec<u32>>>, value: u32, serialize: Option<&Mutex<()>>) {
-    let _control = serialize.map(|m| m.lock());
-    let parent = slot.read().clone();
-    let mut forked = (*parent).clone();
-    forked.push(value);
-    *slot.write() = Arc::new(forked);
+/// A toy control op on `(epoch, items)`: bump the epoch and push
+/// `value`, in one write section or, with `split`, in two. The split
+/// version publishes the epoch before the content it stands for — the bug
+/// class `SToPSS::mutate_if` rules out by running the whole op under one
+/// write guard.
+fn bump_and_push(slot: &RwLock<(u64, Vec<u32>)>, value: u32, split: bool) {
+    if split {
+        slot.write().0 += 1;
+        slot.write().1.push(value);
+    } else {
+        let mut state = slot.write();
+        state.0 += 1;
+        state.1.push(value);
+    }
 }
 
-/// Negative control, documenting the bug class the control mutex
-/// prevents: two unserialized control mutations race, one update is
-/// lost, and loom-lite both catches it and hands back a schedule that
+/// A reader racing one `bump_and_push`: the epoch it reads must count the
+/// items it reads.
+fn read_during_bump_and_push(split: bool) {
+    let slot = Arc::new(RwLock::new((0, Vec::new())));
+    let writer = {
+        let slot = slot.clone();
+        thread::spawn(move || bump_and_push(&slot, 1, split))
+    };
+    let (epoch, items) = {
+        let state = slot.read();
+        (state.0, state.1.len())
+    };
+    writer.join().expect("writer thread must not panic");
+    assert_eq!(items as u64, epoch, "torn read: epoch {epoch} with {items} items");
+}
+
+/// Negative control, documenting the bug class the single write guard
+/// prevents: a reader between the two write sections sees epoch 1 with no
+/// item, and loom-lite both catches it and hands back a schedule that
 /// replays the failure deterministically.
 #[test]
-fn unserialized_snapshot_swap_lost_update_caught() {
-    let run = || {
-        let slot = Arc::new(RwLock::new(Arc::new(Vec::new())));
-        let other = {
-            let slot = slot.clone();
-            thread::spawn(move || fork_push_swap(&slot, 1, None))
-        };
-        fork_push_swap(&slot, 2, None);
-        other.join().expect("forker thread must not panic");
-        assert_eq!(slot.read().len(), 2, "lost update: a concurrent fork was overwritten");
-    };
+fn split_write_sections_torn_read_caught() {
+    let run = || read_during_bump_and_push(true);
     let outcome = Builder::default().check_outcome(run);
-    let (message, schedule) =
-        outcome.failure.expect("bounded exploration must find the lost update");
-    assert!(message.contains("lost update"), "unexpected failure: {message}");
+    let (message, schedule) = outcome.failure.expect("bounded exploration must find the torn read");
+    assert!(message.contains("torn read: epoch 1 with 0 items"), "unexpected failure: {message}");
     // The recorded schedule is a seed: replaying it reproduces the same
     // failure without searching. This is what a CI failure hands you.
     let replayed = replay(&schedule, run).expect("replaying the schedule must fail again");
-    assert!(replayed.contains("lost update"), "replay diverged: {replayed}");
+    assert!(replayed.contains("torn read: epoch 1 with 0 items"), "replay diverged: {replayed}");
 }
 
-/// The serialized version of the same mutation — the discipline
+/// The one-section version of the same op — the discipline
 /// `SToPSS::mutate_if` implements — survives exhaustive exploration.
 #[test]
-fn serialized_snapshot_swap_conserves_updates() {
-    let report = Builder::default().check(|| {
-        let slot = Arc::new(RwLock::new(Arc::new(Vec::new())));
-        let control = Arc::new(Mutex::new(()));
-        let other = {
-            let (slot, control) = (slot.clone(), control.clone());
-            thread::spawn(move || fork_push_swap(&slot, 1, Some(&control)))
-        };
-        fork_push_swap(&slot, 2, Some(&control));
-        other.join().expect("forker thread must not panic");
-        assert_eq!(slot.read().len(), 2);
-    });
-    assert!(report.complete, "serialized-swap space must be exhausted, ran {report:?}");
+fn one_write_section_reads_whole() {
+    let report = Builder::default().check(|| read_during_bump_and_push(false));
+    assert!(report.complete, "one-section space must be exhausted, ran {report:?}");
+    assert!(report.schedules >= 2, "expected real interleaving, ran {report:?}");
 }

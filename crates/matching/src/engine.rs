@@ -43,9 +43,8 @@ pub trait MatchingEngine: Send {
     fn clear(&mut self);
 
     /// Clones the engine (index, live subscriptions, scratch) into a new
-    /// boxed instance. The copy-on-write step of the snapshot control
-    /// plane: a control op on a snapshot that a publisher still holds
-    /// forks the engine aside and publishes the fork.
+    /// boxed instance. No production path calls it; it stays for the
+    /// benchmark package's `matching.clone_ns` probe.
     fn boxed_clone(&self) -> Box<dyn MatchingEngine>;
 }
 

@@ -15,21 +15,15 @@
 //! Both implement [`MatchingEngine`] and are interchangeable; the
 //! semantic layer in `stopss-core` treats them as black boxes, exactly as
 //! the paper prescribes ("minimize the changes to the algorithms").
-//!
-//! [`covering`] adds the classic subscription-covering relation (is every
-//! event matching S guaranteed to match G?) used by brokers to prune
-//! redundant subscriptions.
 
 #![warn(missing_docs)]
 
 pub mod counting;
-pub mod covering;
 pub mod engine;
 mod index;
 pub mod naive;
 
 pub use counting::CountingEngine;
-pub use covering::{cover_heads, covers, implies};
 pub use engine::{collect_matches, MatchingEngine};
 pub use naive::NaiveEngine;
 

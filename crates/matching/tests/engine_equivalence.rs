@@ -163,51 +163,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Covering soundness: whenever `covers(G, S)` holds, every event
-    /// matched by S is matched by G — on arbitrary generated predicates
-    /// (all ten operators) and multi-valued events.
-    #[test]
-    fn covering_is_sound(
-        subs in arb_subscriptions(),
-        events in proptest::collection::vec(arb_event(), 1..10),
-    ) {
-        let interner = fixture_interner();
-        for g in &subs {
-            for s in &subs {
-                if stopss_matching::covers(g, s, &interner) {
-                    for event in &events {
-                        prop_assert!(
-                            !s.matches(event, &interner) || g.matches(event, &interner),
-                            "covers({}, {}) violated on {}",
-                            g.id(), s.id(), event.display(&interner)
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// `implies` soundness at the predicate level, against direct
-    /// evaluation over generated values.
-    #[test]
-    fn implication_is_sound(
-        p in arb_predicate(),
-        q in arb_predicate(),
-        values in proptest::collection::vec(arb_value(), 1..20),
-    ) {
-        let interner = fixture_interner();
-        if stopss_matching::implies(&p, &q, &interner) {
-            for v in &values {
-                prop_assert!(
-                    !p.eval(v, &interner) || q.eval(v, &interner),
-                    "{} implies {} violated on {:?}",
-                    p.display(&interner), q.display(&interner), v
-                );
-            }
-        }
-    }
-}

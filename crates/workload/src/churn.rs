@@ -1,5 +1,5 @@
 //! Subscription/ontology-churn scenarios and interleaved-vs-sequential
-//! replay — the differential harness for the epoch-snapshot control plane.
+//! replay — the differential harness for the matcher's control plane.
 //!
 //! The matcher's steady-state semantics are pinned by the oracle suites;
 //! what those suites cannot see is *residue*: state an unsubscribe leaves
@@ -15,16 +15,15 @@
 //!   (and then-current ontology) before each publish. Equal match sets
 //!   prove churn leaves no trace.
 //! * [`replay_concurrent`] runs the control ops on one thread *racing*
-//!   publisher threads against the same live matcher — the
-//!   snapshot-control-plane check. Every control op returns the control
-//!   epoch of the snapshot it published, every publication carries the
-//!   epoch it matched against, and epochs from a single control thread
-//!   are consecutive — so the racy execution
+//!   publisher threads against the same live matcher — the control-plane
+//!   check. Every control op returns the control epoch it created, every
+//!   publication carries the epoch it matched under, and epochs from a
+//!   single control thread are consecutive — so the racy execution
 //!   linearizes: a publication stamped with epoch *e* must produce
 //!   byte-identical matches (provenance included) to a fresh oracle
 //!   holding exactly the state after the first `e` control ops, and a
 //!   sequential replay of the linearized stream must reproduce the live
-//!   matcher's final statistics exactly. Any torn snapshot — a publish
+//!   matcher's final statistics exactly. Any torn state — a publish
 //!   observing half a control op, or stats drifting under concurrency —
 //!   breaks one of the two comparisons.
 
@@ -292,12 +291,6 @@ pub struct ConcurrentChurnSummary {
     /// evidence the run really interleaved rather than degenerating into
     /// publish-everything-then-mutate (or the reverse).
     pub mid_stream_publishes: usize,
-    /// Control ops that found a publisher holding the snapshot and forked
-    /// it ([`SToPSS::snapshot_forks`]).
-    pub forks: usize,
-    /// Control ops that mutated the snapshot in place; with `forks` they
-    /// account for every control op.
-    pub in_place: usize,
 }
 
 /// Runs the scenario's control ops on one thread racing `publishers`
@@ -456,18 +449,10 @@ pub fn replay_concurrent(
         "linearized replay must reproduce the live matcher's statistics exactly"
     );
 
-    // Every control op took exactly one of the two branches.
-    let forks = live.snapshot_forks() as usize;
-    let mutations = (live.control_epoch() - initial) as usize;
-    let in_place = mutations.checked_sub(forks).expect("more forks than control mutations");
-    assert_eq!(forks + in_place, control_ops.len(), "a control op neither forked nor ran in place");
-
     ConcurrentChurnSummary {
         publishes: records.len(),
         control_ops: control_ops.len(),
         mid_stream_publishes: mid_stream,
-        forks,
-        in_place,
     }
 }
 

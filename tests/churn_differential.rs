@@ -1,5 +1,5 @@
 //! Churn differential: the control plane must leave no trace and tear no
-//! snapshot.
+//! state.
 //!
 //! Single-threaded half: a live matcher fed an interleaved
 //! subscribe/unsubscribe/ontology-swap/publish stream must produce, at
@@ -8,10 +8,10 @@
 //! all four domains and both churn modes. Divergence means unsubscribe
 //! residue, lost subscriptions, or stale-ontology leakage.
 //!
-//! Concurrent half (the epoch-snapshot control-plane pin): the same
-//! control streams run on a thread *racing* publisher threads against
-//! one live matcher. Every publication is stamped with the control epoch
-//! of the snapshot it matched against, so the racy execution linearizes;
+//! Concurrent half (the control-plane pin): the same control streams run
+//! on a thread *racing* publisher threads against one live matcher.
+//! Every publication is stamped with the control epoch it matched under,
+//! so the racy execution linearizes;
 //! the harness (see `stopss_workload::churn`) asserts each publication
 //! byte-identical to a fresh oracle at its epoch, and that a sequential
 //! replay of the linearized stream reproduces the live matcher's final
@@ -60,9 +60,7 @@ fn interleaved_replay_equals_sequential_everywhere() {
 /// matcher linearize — every concurrent publication is
 /// byte-identical to the sequential oracle at its stamped epoch, and the
 /// linearized replay reproduces the live stats exactly. Every domain ×
-/// every churn mode. Each control op either forks a snapshot a publisher
-/// holds or mutates it in place; the split is scheduling-dependent, so it
-/// is printed (run with `--nocapture`) rather than pinned.
+/// every churn mode.
 #[test]
 fn concurrent_interleavings_linearize_everywhere() {
     for (name, fixture) in domains() {
@@ -72,10 +70,6 @@ fn concurrent_interleavings_linearize_everywhere() {
             assert!(
                 summary.publishes > 0 && summary.control_ops > 0,
                 "{name}/{mode:?}: the race actually ran ({summary:?})"
-            );
-            println!(
-                "{name}/{mode:?}: {} control ops, {} forked, {} in place",
-                summary.control_ops, summary.forks, summary.in_place
             );
         }
     }
