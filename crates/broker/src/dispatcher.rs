@@ -8,18 +8,20 @@
 //! # Control plane
 //!
 //! The matcher is a **plain [`SToPSS`] field** — no broker-side lock at
-//! all. It keeps its ontology, configuration and subscription index
-//! behind one reader-writer lock of its own. Publications share the read
-//! side; a control-plane operation (`subscribe`, `unsubscribe`,
-//! `set_stages`, `reconfigure`, ontology replacement) takes the write
-//! side and mutates the matcher in place, each operation bumping the
-//! matcher's control epoch once. The two wait for each other: an
-//! operation waits for the publications in flight, which finish against
-//! the state they started under, and a publication that starts during an
-//! operation waits for it — microseconds for a subscription change, a
-//! scan of the subscription index that re-indexes the subscriptions
-//! whose synonym-resolved form changed for an ontology replacement, a
-//! whole rebuild for a stage or configuration switch.
+//! all. It keeps its ontology, configuration, subscription index and
+//! engine behind one mutex of its own. A publication holds it for its
+//! whole match; a control-plane operation (`subscribe`, `unsubscribe`,
+//! `set_stages`, `reconfigure`, ontology replacement) holds it while it
+//! mutates the matcher in place, each operation bumping the matcher's
+//! control epoch once. So publications and operations run one at a time:
+//! an operation waits for the publication in flight, which finishes
+//! against the state it started under, and a publication that starts
+//! during an operation waits for it — microseconds for a subscription
+//! change, a scan of the subscription index that re-indexes the
+//! subscriptions whose synonym-resolved form changed for an ontology
+//! replacement, a whole rebuild for a stage or configuration switch.
+//! Concurrent publishers take turns on the same mutex; the served broker
+//! (`NetBroker`) is one thread and never has two.
 
 use stopss_types::sync::atomic::{AtomicU64, Ordering};
 use stopss_types::sync::{Arc, Mutex, RwLock};
@@ -342,9 +344,9 @@ impl Broker {
     /// matched subscription before returning. Returns the number of
     /// matches.
     ///
-    /// Publishers take no broker-side lock at all — they share the
-    /// matcher's read lock, so concurrent publishers proceed in parallel
-    /// and wait only while a control-plane mutation runs.
+    /// Publishers take no broker-side lock at all, only the matcher's
+    /// mutex, for the whole match: concurrent publishers take turns there,
+    /// and wait while a control-plane mutation runs.
     pub fn publish(&self, event: &Event) -> usize {
         let matches = self.matcher.publish(event);
         self.notify_matches(event, &matches);
@@ -663,8 +665,8 @@ mod tests {
         let company = broker.register_client("acme", TransportKind::Tcp);
         broker.subscribe(company, recruiter_predicates(&interner)).unwrap();
         assert_eq!(broker.publish(&candidate_event(&interner)), 1);
-        broker.reconfigure_matcher(Config::default().with_tier_cache(false));
-        assert!(!broker.matcher.config().tier_cache);
+        broker.reconfigure_matcher(Config::default().with_provenance(false));
+        assert!(!broker.matcher.config().track_provenance);
         assert_eq!(broker.subscription_count(), 1, "subscriptions survive the re-index");
         assert_eq!(broker.publish(&candidate_event(&interner)), 1, "and still match");
         let stats = broker.shutdown();
@@ -748,7 +750,7 @@ mod tests {
     /// control mutation, whatever their number, and leaves other owners
     /// untouched.
     #[test]
-    fn unsubscribe_all_forks_the_matcher_once() {
+    fn unsubscribe_all_is_one_control_mutation() {
         let (broker, interner) = jobs_broker(BrokerConfig::default());
         let company = broker.register_client("acme", TransportKind::Tcp);
         let other = broker.register_client("globex", TransportKind::Tcp);

@@ -30,14 +30,6 @@ pub struct Config {
     /// Classify each match's [`crate::MatchOrigin`] (costs extra oracle
     /// checks per match; disable for throughput benchmarks).
     pub track_provenance: bool,
-    /// Serve per-candidate tolerance verification and provenance
-    /// classification from the per-publication tier cache
-    /// ([`crate::TierCache`]) instead of re-running the oracle closures
-    /// for every matched candidate.
-    /// Results are byte-identical either way (pinned by
-    /// `tests/tier_cache_differential.rs`); the `false` setting keeps the
-    /// oracle path selectable as the reference side of differential tests.
-    pub tier_cache: bool,
 }
 
 impl Default for Config {
@@ -49,7 +41,6 @@ impl Default for Config {
             now_year: 2003,
             limits: Limits::default(),
             track_provenance: true,
-            tier_cache: true,
         }
     }
 }
@@ -91,15 +82,6 @@ impl Config {
         self
     }
 
-    /// Returns a copy with the tier cache toggled (see
-    /// [`Config::tier_cache`]; `false` forces the per-candidate oracle
-    /// path).
-    #[must_use]
-    pub fn with_tier_cache(mut self, on: bool) -> Self {
-        self.tier_cache = on;
-        self
-    }
-
     /// A no-op kept so the benchmark package (`benchmark/`) keeps
     /// compiling; it goes with the next benchmark-package change. There is
     /// one matcher and no shard count.
@@ -120,8 +102,6 @@ mod tests {
         assert_eq!(c.stages, StageMask::all());
         assert_eq!(c.now_year, 2003);
         assert!(c.track_provenance);
-        assert!(c.tier_cache, "the cached fast path is the default");
-        assert!(!c.with_tier_cache(false).tier_cache);
     }
 
     #[test]

@@ -50,10 +50,10 @@
 //! distance bound. Where filtering the main closure provably gives the
 //! pairs (and per-pair distances) a fresh [`semantic_closure`] would, the
 //! cache filters instead of re-running the fixpoint. That needs no
-//! system-wide `max_distance`, [`Config::tier_cache`] on, and a main
-//! closure that did not truncate and reached its fixpoint in fewer than
-//! `max_rounds` rounds (a bounded run can need one round more than the
-//! unbounded one). Then, with `S` the main closure's stages:
+//! system-wide `max_distance` and a main closure that did not truncate
+//! and reached its fixpoint in fewer than `max_rounds` rounds (a bounded
+//! run can need one round more than the unbounded one). Then, with `S`
+//! the main closure's stages:
 //!
 //! * **synonym only** (the synonym tier and class): the first
 //!   `base_pairs` pairs, if `S` includes the synonym stage;
@@ -389,8 +389,7 @@ impl ReadOff {
     /// The read-off facts of `main`, the closure [`prepare_parts`] computed
     /// under `config`, or `None` if no entry may be read off it.
     fn of(main: &ClosedEvent, config: &Config) -> Option<ReadOff> {
-        let exact = config.tier_cache
-            && config.max_distance.is_none()
+        let exact = config.max_distance.is_none()
             && !main.truncated
             && main.rounds < config.limits.closure.max_rounds;
         exact.then_some(ReadOff {

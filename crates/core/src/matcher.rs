@@ -8,30 +8,31 @@
 //! filtered by each subscriber's information-loss tolerance and annotated
 //! with provenance.
 //!
-//! # One-lock control plane
+//! # One lock
 //!
 //! The matcher's state (`MatcherCore`: the configuration, ontology handle,
-//! subscription table, syntactic engine, lifetime counters and control
-//! epoch) sits behind one `RwLock`. A publication holds the read guard for
-//! its whole match, so publishers run side by side; a control mutation
+//! subscription table, syntactic engine, candidate scratch, lifetime
+//! counters and control epoch) sits behind one `Mutex`. A publication
+//! holds it for its whole pass, closure included; a control mutation
 //! (`subscribe`, `unsubscribe`, `set_stages`, `reconfigure`, `set_source`)
-//! holds the write guard and mutates the core in place. The two wait for
-//! each other: a publication that arrives during a control op waits for
-//! it (microseconds for a subscribe or unsubscribe, one scan of the
+//! holds it while it mutates the core in place. So publications and
+//! control ops run one at a time, in the order they take the lock: a
+//! publication that arrives during a control op waits for it
+//! (microseconds for a subscribe or unsubscribe, one scan of the
 //! subscription table plus the re-indexing of the subscriptions whose
 //! synonym-resolved form changed for `set_source`, a whole rebuild for
-//! `set_stages` and `reconfigure`), and a control op waits for the
-//! publications in flight.
+//! `set_stages` and `reconfigure`), and concurrent in-process publishers
+//! take turns. The served broker is one
+//! event loop, so nothing in production publishes from two threads.
 //!
 //! The core carries its `control_epoch`, bumped by **every** control
-//! mutation under the write guard. It is the linearization token: each
-//! mutation returns the epoch it created, and every [`PublishResult`]
-//! carries the epoch it matched under, so an interleaved run can be
-//! replayed as a sequential stream.
+//! mutation under the lock. It is the linearization token: each mutation
+//! returns the epoch it created, and every [`PublishResult`] carries the
+//! epoch it matched under, so an interleaved run can be replayed as a
+//! sequential stream.
 use stopss_matching::MatchingEngine;
 use stopss_ontology::SemanticSource;
-use stopss_types::sync::atomic::{AtomicU64, Ordering};
-use stopss_types::sync::{Arc, Mutex, RwLock};
+use stopss_types::sync::{Arc, Mutex};
 use stopss_types::{
     Event, FxHashMap, FxHashSet, Interner, Predicate, SharedInterner, SubId, Subscription,
 };
@@ -43,7 +44,7 @@ use crate::config::Config;
 use crate::frontend::{
     prepare_event, prepare_parts, ClassifierTiers, EventSide, PreparedEvent, TierCache,
 };
-use crate::oracle::{classify_match, semantic_match, CLASSIFY_DISTANCE_CAP};
+use crate::oracle::{classify_match, CLASSIFY_DISTANCE_CAP};
 use crate::provenance::{Match, MatchOrigin};
 use crate::tolerance::Tolerance;
 
@@ -62,39 +63,6 @@ pub struct MatcherStats {
     pub verifications: u64,
     /// Candidates rejected by per-subscription tolerance.
     pub verify_rejections: u64,
-}
-
-/// The lifetime counters, owned by the [`MatcherCore`]. They are relaxed
-/// atomics because publishers share the core's read guard and add to them
-/// concurrently under `&self`. Relaxed ordering suffices: counters are
-/// monotone sums with no cross-counter invariant read concurrently;
-/// snapshots taken between publications reproduce the single-threaded
-/// numbers exactly (atomic adds commute).
-#[derive(Debug, Default)]
-struct AtomicStats {
-    published: AtomicU64,
-    derived_events: AtomicU64,
-    closure_pairs: AtomicU64,
-    truncations: AtomicU64,
-    verifications: AtomicU64,
-    verify_rejections: AtomicU64,
-}
-
-impl AtomicStats {
-    /// A plain-value snapshot of every counter.
-    fn snapshot(&self) -> MatcherStats {
-        // ordering: monotone lifetime counters with no cross-counter
-        // invariant read concurrently; a snapshot between publications
-        // reproduces the single-threaded numbers exactly.
-        MatcherStats {
-            published: self.published.load(Ordering::Relaxed),
-            derived_events: self.derived_events.load(Ordering::Relaxed),
-            closure_pairs: self.closure_pairs.load(Ordering::Relaxed),
-            truncations: self.truncations.load(Ordering::Relaxed),
-            verifications: self.verifications.load(Ordering::Relaxed),
-            verify_rejections: self.verify_rejections.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Detailed result of one publication.
@@ -263,29 +231,19 @@ impl Classifier<'_> {
     }
 }
 
-/// The per-publication mutable state of the match path: the syntactic
-/// engine (its trait allows interior scratch, so `match_event` takes
-/// `&mut self`) and the candidate scratch vectors. Bundled behind one
-/// `Mutex` so [`MatcherCore::match_inner`] can run under the shared read
-/// guard — the matching stage locks once per artifact, and concurrent
-/// publishers take turns here. Control-plane mutations hold the write
-/// guard, so they reach the engine through `get_mut` without locking.
-struct MatchState {
-    engine: Box<dyn MatchingEngine>,
-    scratch: MatchScratch,
-}
-
 /// The matcher's whole state: configuration, ontology handle,
-/// subscription table, engine, lifetime counters and the control epoch.
-/// [`SToPSS`] keeps it behind its one `RwLock`: publications read it under
-/// the shared guard, control mutations change it in place under the
-/// exclusive one, so a reader always sees an internally consistent core.
+/// subscription table, syntactic engine (its trait allows interior
+/// scratch, so `match_event` takes `&mut self`), candidate scratch,
+/// lifetime counters and the control epoch. [`SToPSS`] keeps it behind its
+/// one `Mutex`, and every method here runs on the core that lock hands
+/// out, so the core itself holds no lock and no atomic.
 struct MatcherCore {
     config: Config,
     source: Arc<dyn SemanticSource>,
-    state: Mutex<MatchState>,
+    engine: Box<dyn MatchingEngine>,
+    scratch: MatchScratch,
     subs: FxHashMap<SubId, Box<SubEntry>>,
-    stats: AtomicStats,
+    stats: MatcherStats,
     /// Bumped by every control mutation (linearization token).
     control_epoch: u64,
 }
@@ -293,14 +251,12 @@ struct MatcherCore {
 impl MatcherCore {
     fn new(config: Config, source: Arc<dyn SemanticSource>) -> Self {
         MatcherCore {
-            state: Mutex::new(MatchState {
-                engine: config.engine.build(),
-                scratch: MatchScratch::default(),
-            }),
+            engine: config.engine.build(),
+            scratch: MatchScratch::default(),
             config,
             source,
             subs: FxHashMap::default(),
-            stats: AtomicStats::default(),
+            stats: MatcherStats::default(),
             control_epoch: 0,
         }
     }
@@ -371,7 +327,7 @@ impl MatcherCore {
             None
         };
         let engine_sub = canonical.clone().unwrap_or_else(|| sub.clone());
-        self.state.get_mut().engine.insert(engine_sub);
+        self.engine.insert(engine_sub);
         SubEntry { original: sub, canonical, requested, effective, needs_verify }
     }
 
@@ -380,19 +336,19 @@ impl MatcherCore {
         if self.subs.remove(&id).is_none() {
             return false;
         }
-        self.state.get_mut().engine.remove(id);
+        self.engine.remove(id);
         true
     }
 
     fn set_stages(&mut self, stages: crate::tolerance::StageMask) {
         self.config.stages = stages;
-        self.state.get_mut().engine.clear();
+        self.engine.clear();
         self.rebuild_entries();
     }
 
     fn reconfigure(&mut self, config: Config) {
         self.config = config;
-        self.state.get_mut().engine = self.config.engine.build();
+        self.engine = self.config.engine.build();
         self.rebuild_entries();
     }
 
@@ -451,22 +407,16 @@ impl MatcherCore {
         }
     }
 
-    fn publish_inner(&self, event_raw: &Event, interner: &Interner) -> PublishResult {
-        // ordering: monotone stats counters (here and below); atomic adds
-        // commute and no reader couples them to other memory.
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
+    fn publish_inner(&mut self, event_raw: &Event, interner: &Interner) -> PublishResult {
         // `prepare_parts` (not `prepare_event`) so the inline path keeps
         // borrowing the caller's event instead of cloning it into an
         // artifact; the tier cache is a fresh per-publication local,
         // filled lazily only if candidates need it.
         let parts = prepare_parts(event_raw, self.source.as_ref(), &self.config, interner);
-        if parts.truncated {
-            // ordering: monotone stats counters, as above.
-            self.stats.truncations.fetch_add(1, Ordering::Relaxed);
-        }
-        // ordering: monotone stats counters, as above.
-        self.stats.derived_events.fetch_add(parts.derived_events as u64, Ordering::Relaxed);
-        self.stats.closure_pairs.fetch_add(parts.closure_pairs as u64, Ordering::Relaxed);
+        self.stats.published += 1;
+        self.stats.truncations += u64::from(parts.truncated);
+        self.stats.derived_events += parts.derived_events as u64;
+        self.stats.closure_pairs += parts.closure_pairs as u64;
         let side =
             EventSide { raw: event_raw, engine_events: &parts.engine_events, info: &parts.info };
         self.match_inner(
@@ -477,7 +427,7 @@ impl MatcherCore {
         )
     }
 
-    fn match_prepared(&self, prepared: &PreparedEvent, interner: &Interner) -> PublishResult {
+    fn match_prepared(&mut self, prepared: &PreparedEvent, interner: &Interner) -> PublishResult {
         self.match_inner(
             prepared.event_side(),
             (prepared.derived_events, prepared.closure_pairs, prepared.truncated),
@@ -491,101 +441,64 @@ impl MatcherCore {
     /// verification and provenance against the raw event, with the
     /// event-side counters passed through into the result.
     ///
-    /// Per-candidate semantic work is served from `tiers` — the
-    /// publication's closure cache — and provenance from the per-predicate
-    /// memo of a [`Classifier`], unless [`Config::tier_cache`] selects the
-    /// per-candidate oracle path (byte-identical results either way).
+    /// Per-candidate semantic work is served from `tiers`, the
+    /// publication's closure cache: verification matches each candidate
+    /// against its tolerance class's closure, and provenance comes from
+    /// the per-predicate memo of a [`Classifier`].
     fn match_inner(
-        &self,
+        &mut self,
         side: EventSide<'_>,
         (derived_events, closure_pairs, truncated): (usize, usize, bool),
         mut tiers: TierCache,
         interner: &Interner,
     ) -> PublishResult {
+        let MatcherCore { config, source, engine, scratch, subs, stats, control_epoch } = self;
+        let (source, config) = (source.as_ref(), &*config);
+        let MatchScratch { users, provenance } = scratch;
         let mut result = PublishResult {
             matches: Vec::new(),
             derived_events,
             closure_pairs,
             truncated,
-            epoch: self.control_epoch,
+            epoch: *control_epoch,
         };
-        // One lock per publication: engine and scratch are used together
-        // for the whole matching pass.
-        let mut state = self.state.lock();
-        let state = &mut *state;
-        state.scratch.provenance.clear();
+        provenance.clear();
         // The engine indexes subscriptions under their own ids and, by its
         // contract, reports each at most once; sorted, matches come out in
         // id order. The event side holds one event, the closure.
-        state.scratch.users.clear();
+        users.clear();
         if let Some(event) = side.engine_events.first() {
-            state.engine.match_event(event, interner, &mut state.scratch.users);
+            engine.match_event(event, interner, users);
         }
-        state.scratch.users.sort_unstable();
-        debug_assert!(
-            state.scratch.users.windows(2).all(|w| w[0] != w[1]),
-            "engine emitted duplicate ids"
-        );
-        result.matches.reserve(state.scratch.users.len());
+        users.sort_unstable();
+        debug_assert!(users.windows(2).all(|w| w[0] != w[1]), "engine emitted duplicate ids");
+        result.matches.reserve(users.len());
 
-        let (source, config) = (self.source.as_ref(), &self.config);
         let classifier = Classifier { side, source, config, interner };
-        for &user_id in &state.scratch.users {
-            let entry =
-                self.subs.get(&user_id).expect("invariant: engine ids are live subscriptions");
+        for &user_id in users.iter() {
+            let entry = subs.get(&user_id).expect("invariant: engine ids are live subscriptions");
             if entry.needs_verify {
-                // ordering: monotone stats counter; no reader pairs it
-                // with other state.
-                self.stats.verifications.fetch_add(1, Ordering::Relaxed);
-                let ok = if self.config.tier_cache {
-                    // One closure per distinct tolerance class per
-                    // publication, then a plain conjunctive match.
-                    let class = tiers.tolerance_class(
-                        &entry.effective,
-                        side,
-                        self.source.as_ref(),
-                        self.config.now_year,
-                        interner,
-                        &self.config.limits.closure,
-                    );
-                    entry.verify_sub().matches(&class.event, interner)
-                } else {
-                    semantic_match(
-                        &entry.original,
-                        side.raw,
-                        self.source.as_ref(),
-                        &entry.effective,
-                        self.config.now_year,
-                        interner,
-                        &self.config.limits.closure,
-                    )
-                };
-                if !ok {
-                    // ordering: monotone stats counter; no reader pairs
-                    // it with other state.
-                    self.stats.verify_rejections.fetch_add(1, Ordering::Relaxed);
+                stats.verifications += 1;
+                // One closure per distinct tolerance class per
+                // publication, then a plain conjunctive match.
+                let class = tiers.tolerance_class(
+                    &entry.effective,
+                    side,
+                    source,
+                    config.now_year,
+                    interner,
+                    &config.limits.closure,
+                );
+                if !entry.verify_sub().matches(&class.event, interner) {
+                    stats.verify_rejections += 1;
                     continue;
                 }
             }
-            let origin = if !self.config.track_provenance {
-                MatchOrigin::Unclassified
-            } else if self.config.tier_cache {
+            let origin = if config.track_provenance {
                 let classifier_tiers = tiers.classifier_tiers(side, source, config, interner);
-                classifier.classify(
-                    &entry.original,
-                    classifier_tiers,
-                    &mut state.scratch.provenance,
-                )
+                classifier.classify(&entry.original, classifier_tiers, provenance)
             } else {
-                classify_match(
-                    &entry.original,
-                    side.raw,
-                    self.source.as_ref(),
-                    self.config.stages,
-                    self.config.now_year,
-                    interner,
-                    &self.config.limits.closure,
-                )
+                MatchOrigin::Unclassified
             };
             result.matches.push(Match { sub: user_id, origin });
         }
@@ -596,33 +509,33 @@ impl MatcherCore {
 /// The semantic publish/subscribe matcher.
 ///
 /// Every method takes `&self`. The whole state is one `MatcherCore` behind
-/// one `RwLock`: the publish path ([`SToPSS::publish`],
-/// [`SToPSS::match_prepared`], …) and every accessor hold the read guard
-/// for the whole call, and the control ops (`subscribe`, `unsubscribe`,
-/// `set_stages`, `reconfigure`, `set_source`) hold the write guard and
-/// mutate the core in place. So a control op waits for the publications
-/// in flight, and a publication waits for the control op in flight —
-/// microseconds for a subscribe or unsubscribe, a scan that re-indexes
-/// only the subscriptions whose synonym-resolved form changed for
-/// `set_source`, a whole rebuild of every subscription for `set_stages`
-/// and `reconfigure`. Every control op returns the `control_epoch` it
-/// created (see [`PublishResult::epoch`] for the read side of the
-/// linearization token).
+/// one `Mutex`, and every method takes it once for the whole call: a
+/// publication ([`SToPSS::publish`], [`SToPSS::prepare`],
+/// [`SToPSS::match_prepared`], …) runs its closure, engine match,
+/// verification and provenance under it, an accessor reads under it, and
+/// a control op (`subscribe`, `unsubscribe`, `set_stages`, `reconfigure`,
+/// `set_source`) mutates the core in place under it. So in-process
+/// publishers on different threads serialize for their whole publication,
+/// and a publication and a control op wait for each other — microseconds
+/// for a subscribe or unsubscribe, a scan that re-indexes only the
+/// subscriptions whose synonym-resolved form changed for `set_source`, a
+/// whole rebuild of every subscription for `set_stages` and
+/// `reconfigure`. Every control op returns the `control_epoch` it created
+/// (see [`PublishResult::epoch`] for the read side of the linearization
+/// token).
 ///
-/// Each publication, accessor and control op acquires the guard once and,
-/// while holding it, calls only `MatcherCore` methods, never another
-/// `SToPSS` method: the lock prefers writers, so a second read
-/// acquisition on a thread that already holds one deadlocks as soon as a
-/// control op queues between the two.
+/// While holding the lock, a method calls only `MatcherCore` methods,
+/// never another `SToPSS` method: the lock is not re-entrant, so a second
+/// acquisition on the same thread deadlocks at once.
 pub struct SToPSS {
     interner: SharedInterner,
-    core: RwLock<MatcherCore>,
+    core: Mutex<MatcherCore>,
 }
 
 impl SToPSS {
     /// Creates a matcher over `source` using `interner` for all terms.
     pub fn new(config: Config, source: Arc<dyn SemanticSource>, interner: SharedInterner) -> Self {
-        SToPSS { interner, core: RwLock::new(MatcherCore::new(config, source)) }
+        SToPSS { interner, core: Mutex::new(MatcherCore::new(config, source)) }
     }
 
     /// Runs one control mutation that always applies. Returns the new
@@ -631,7 +544,7 @@ impl SToPSS {
         self.mutate_if(|_| true, op).expect("invariant: an unconditional mutation always applies")
     }
 
-    /// Runs one control mutation under the write guard: asks `applies`
+    /// Runs one control mutation under the lock: asks `applies`
     /// about the current core (`false` changes nothing and returns
     /// `None`), then bumps the control epoch and runs `op` on the core in
     /// place. Returns the new control epoch. An `op` that panicked would
@@ -642,7 +555,7 @@ impl SToPSS {
         applies: impl FnOnce(&MatcherCore) -> bool,
         op: impl FnOnce(&mut MatcherCore),
     ) -> Option<u64> {
-        let mut core = self.core.write();
+        let mut core = self.core.lock();
         if !applies(&core) {
             return None;
         }
@@ -658,22 +571,22 @@ impl SToPSS {
 
     /// The active configuration.
     pub fn config(&self) -> Config {
-        self.core.read().config
+        self.core.lock().config
     }
 
     /// The semantic knowledge source.
     pub fn source(&self) -> Arc<dyn SemanticSource> {
-        self.core.read().source.clone()
+        self.core.lock().source.clone()
     }
 
-    /// Lifetime statistics (a snapshot of the atomic counters).
+    /// Lifetime statistics (a snapshot of the counters).
     pub fn stats(&self) -> MatcherStats {
-        self.core.read().stats.snapshot()
+        self.core.lock().stats
     }
 
     /// The current control epoch (bumped by every control mutation).
     pub fn control_epoch(&self) -> u64 {
-        self.core.read().control_epoch
+        self.core.lock().control_epoch
     }
 
     /// The distinct verification classes ([`Tolerance::verify_class`])
@@ -681,12 +594,12 @@ impl SToPSS {
     /// from the system-wide one, in no particular order. A cold scan over
     /// the subscription table; the publish path never asks for it.
     pub fn verify_classes(&self) -> Vec<Tolerance> {
-        self.core.read().verify_classes()
+        self.core.lock().verify_classes()
     }
 
     /// Number of user subscriptions.
     pub fn len(&self) -> usize {
-        self.core.read().len()
+        self.core.lock().len()
     }
 
     /// True if no subscriptions are registered.
@@ -696,18 +609,18 @@ impl SToPSS {
 
     /// The original subscription registered under `id`.
     pub fn subscription(&self, id: SubId) -> Option<Subscription> {
-        self.core.read().subscription(id).cloned()
+        self.core.lock().subscription(id).cloned()
     }
 
     /// The effective (clamped) tolerance of subscription `id`.
     pub fn tolerance(&self, id: SubId) -> Option<Tolerance> {
-        self.core.read().tolerance(id)
+        self.core.lock().tolerance(id)
     }
 
     /// The tolerance subscription `id` originally asked for (before
     /// clamping to the system configuration).
     pub fn requested_tolerance(&self, id: SubId) -> Option<Tolerance> {
-        self.core.read().requested_tolerance(id)
+        self.core.lock().requested_tolerance(id)
     }
 
     /// Registers a subscription with no tolerance of its own: it matches
@@ -727,7 +640,7 @@ impl SToPSS {
     }
 
     /// Registers a whole batch of subscriptions (each with an optional
-    /// subscriber tolerance) as **one** control mutation: one write-guard
+    /// subscriber tolerance) as **one** control mutation: one lock
     /// acquisition and one epoch bump for the whole batch, so publishers
     /// wait once per batch instead of once per subscription. The networked
     /// broker's event loop coalesces Subscribe frames per poll turn into
@@ -756,7 +669,7 @@ impl SToPSS {
 
     /// Removes a whole batch of subscriptions as **one** control
     /// mutation — the removal twin of [`SToPSS::subscribe_batch`]: one
-    /// write-guard acquisition and one epoch bump, however many ids the
+    /// lock acquisition and one epoch bump, however many ids the
     /// batch names. Ids that name no subscription are skipped; returns the
     /// control epoch of the removal, or `None` (changing nothing) when
     /// none of them existed.
@@ -809,12 +722,12 @@ impl SToPSS {
     /// The result's `epoch` names the control epoch the publication
     /// matched under.
     pub fn publish_detailed(&self, event: &Event) -> PublishResult {
-        let core = self.core.read();
+        let mut core = self.core.lock();
         self.interner.with(|i| core.publish_inner(event, i))
     }
 
     /// Publishes a batch of events sequentially, returning the match set
-    /// of each. Each event takes the read guard on its own, so control ops
+    /// of each. Each event takes the lock on its own, so control ops
     /// interleave at event granularity.
     pub fn publish_batch(&self, events: &[Event]) -> Vec<Vec<Match>> {
         events.iter().map(|e| self.publish(e)).collect()
@@ -834,7 +747,7 @@ impl SToPSS {
     /// [`SToPSS::match_prepared`] this is [`SToPSS::publish_detailed`]
     /// split at the stage seam.
     pub fn prepare(&self, event: &Event) -> PreparedEvent {
-        let core = self.core.read();
+        let core = self.core.lock();
         self.interner.with(|i| prepare_event(event, core.source.as_ref(), &core.config, i))
     }
 
@@ -842,15 +755,15 @@ impl SToPSS {
     /// artifact's closed event to the syntactic engine, verifies
     /// per-subscription tolerances, and classifies provenance.
     ///
-    /// Takes `&self`: the engine + scratch state is locked per artifact
-    /// and the counters are atomics, so concurrent callers need no
-    /// exclusive borrow. Only the subscription-side counters
-    /// (`verifications`, `verify_rejections`) accumulate here. The
-    /// artifact is matched against the current core, so it must have
+    /// Takes the lock once for the whole match, as a publication does;
+    /// the lock is released between [`SToPSS::prepare`] and this call, so
+    /// a control op may run in between. Only the subscription-side
+    /// counters (`verifications`, `verify_rejections`) accumulate here.
+    /// The artifact is matched against the current core, so it must have
     /// been prepared under the current configuration and ontology; no
     /// epoch token checks that.
     pub fn match_prepared(&self, prepared: &PreparedEvent) -> PublishResult {
-        let core = self.core.read();
+        let mut core = self.core.lock();
         self.interner.with(|i| core.match_prepared(prepared, i))
     }
 }

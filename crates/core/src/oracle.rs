@@ -6,19 +6,18 @@
 //! truth for the property tests, the per-subscription tolerance filter,
 //! and the provenance classifier.
 //!
-//! Since the tier-cache PR these functions are no longer on the hot
-//! matching path: per-candidate tolerance verification and provenance
-//! classification are served from the per-publication
-//! [`crate::TierCache`] (see `frontend.rs`), which computes each closure
-//! at most once per publication instead of per candidate — [`classify_match`]
-//! alone used to re-derive up to 3 closures plus one per candidate
-//! hierarchy distance (bounded by [`CLASSIFY_DISTANCE_CAP`]). The
-//! functions here stay **untouched ground truth**: the oracle path
-//! remains selectable via `Config::tier_cache = false`, and
-//! `tests/tier_cache_differential.rs` pins the cached fast path
-//! byte-identical to it across engines × strategies × stage masks ×
-//! mixed tolerances, including truncated-closure and distance-cap edge
-//! cases.
+//! These functions are off the hot matching path: per-candidate tolerance
+//! verification and provenance classification are served from the
+//! per-publication [`crate::TierCache`] (see `frontend.rs`), which
+//! computes each closure at most once per publication instead of per
+//! candidate — [`classify_match`] alone re-derives up to 3 closures plus
+//! one per candidate hierarchy distance (bounded by
+//! [`CLASSIFY_DISTANCE_CAP`]). The matcher calls [`classify_match`] only
+//! when a truncated closure leaves the cached tiers inexact. The functions
+//! here stay **untouched ground truth**: `tests/tier_cache_differential.rs`
+//! rebuilds the per-candidate reference from them and pins the matcher
+//! byte-identical to it across engines × stage masks × mixed tolerances,
+//! including truncated-closure and distance-cap edge cases.
 
 use stopss_ontology::SemanticSource;
 use stopss_types::{Event, Interner, Subscription};

@@ -1,5 +1,5 @@
-//! Bounded model checking of the matcher's one-lock control plane with
-//! the vendored `loom-lite` checker.
+//! Bounded model checking of the matcher's one lock with the vendored
+//! `loom-lite` checker.
 //!
 //! Run with the `loom` feature so `stopss_types::sync` swaps to the
 //! instrumented primitives:
@@ -8,20 +8,23 @@
 //! cargo test -p stopss-core --features loom --test loom_model
 //! ```
 //!
-//! Each test explores every thread interleaving of the instrumented
-//! lock/atomic operations within a preemption bound (2 unless noted),
-//! asserting its invariants on all of them. Three models race a publisher
-//! against a control op on the real `SToPSS` — a subscribe, an
-//! unsubscribe and a two-subscription batch — and check the epoch
-//! witness: whatever epoch a publication reports, it saw exactly that
-//! epoch's subscriptions. The `_caught` test is the negative control: a
-//! toy control op that publishes its epoch in one write section and its
-//! content in a second — the bug class `SToPSS::mutate_if`'s single write
-//! guard rules out — and proves the checker both finds the torn read and
+//! Each test explores every thread interleaving of the instrumented lock
+//! operations within a preemption bound (2 unless noted), asserting its
+//! invariants on all of them. `SToPSS` holds its whole state behind one
+//! `Mutex`, so every publication and control op is one critical section.
+//! Three models race a publisher against a control op on the real
+//! `SToPSS` — a subscribe, an unsubscribe and a two-subscription batch —
+//! and check the epoch witness: whatever epoch a publication reports, it
+//! saw exactly that epoch's subscriptions. A fourth races two publishers
+//! and checks that the counters under the lock lose no publication. The
+//! `_caught` test is the negative control: a toy control op that
+//! publishes its epoch in one critical section and its content in a
+//! second — the bug class `SToPSS::mutate_if`'s single lock acquisition
+//! rules out — and proves the checker both finds the torn read and
 //! replays the failing schedule deterministically.
 #![cfg(feature = "loom")]
 
-use loom_lite::sync::{Arc, RwLock};
+use loom_lite::sync::{Arc, Mutex};
 use loom_lite::{replay, thread, Builder};
 use stopss_core::{Config, SToPSS};
 use stopss_ontology::Ontology;
@@ -131,12 +134,11 @@ fn publisher_racing_batch_sees_it_whole() {
     assert!(report.schedules >= 2, "expected real interleaving, ran {report:?}");
 }
 
-/// Two concurrent publishers bump the core's `AtomicStats` counters;
-/// the per-counter sums are exact under every interleaving (they are
-/// monotone relaxed counters — this is the claim the `// ordering:`
-/// annotations in `matcher.rs` make).
+/// Two concurrent publishers bump the core's counters, plain fields
+/// under the matcher's one lock; the counts are exact under every
+/// interleaving, and each publisher sees its own publication counted.
 #[test]
-fn atomic_stats_merge_conserves_counts() {
+fn concurrent_publishers_count_every_publication() {
     let report = Builder::default().check(|| {
         let (matcher, _sub, event) = small_world();
         let matcher = Arc::new(matcher);
@@ -151,20 +153,21 @@ fn atomic_stats_merge_conserves_counts() {
         other.join().expect("publisher thread must not panic");
         assert_eq!(matcher.stats().published, 2, "a concurrent publication was lost");
     });
-    assert!(report.complete, "stats-merge space must be exhausted, ran {report:?}");
+    assert!(report.complete, "two-publisher space must be exhausted, ran {report:?}");
+    assert!(report.schedules >= 2, "expected real interleaving, ran {report:?}");
 }
 
 /// A toy control op on `(epoch, items)`: bump the epoch and push
-/// `value`, in one write section or, with `split`, in two. The split
+/// `value`, in one critical section or, with `split`, in two. The split
 /// version publishes the epoch before the content it stands for — the bug
 /// class `SToPSS::mutate_if` rules out by running the whole op under one
-/// write guard.
-fn bump_and_push(slot: &RwLock<(u64, Vec<u32>)>, value: u32, split: bool) {
+/// lock acquisition.
+fn bump_and_push(slot: &Mutex<(u64, Vec<u32>)>, value: u32, split: bool) {
     if split {
-        slot.write().0 += 1;
-        slot.write().1.push(value);
+        slot.lock().0 += 1;
+        slot.lock().1.push(value);
     } else {
-        let mut state = slot.write();
+        let mut state = slot.lock();
         state.0 += 1;
         state.1.push(value);
     }
@@ -173,25 +176,25 @@ fn bump_and_push(slot: &RwLock<(u64, Vec<u32>)>, value: u32, split: bool) {
 /// A reader racing one `bump_and_push`: the epoch it reads must count the
 /// items it reads.
 fn read_during_bump_and_push(split: bool) {
-    let slot = Arc::new(RwLock::new((0, Vec::new())));
+    let slot = Arc::new(Mutex::new((0, Vec::new())));
     let writer = {
         let slot = slot.clone();
         thread::spawn(move || bump_and_push(&slot, 1, split))
     };
     let (epoch, items) = {
-        let state = slot.read();
+        let state = slot.lock();
         (state.0, state.1.len())
     };
     writer.join().expect("writer thread must not panic");
     assert_eq!(items as u64, epoch, "torn read: epoch {epoch} with {items} items");
 }
 
-/// Negative control, documenting the bug class the single write guard
-/// prevents: a reader between the two write sections sees epoch 1 with no
-/// item, and loom-lite both catches it and hands back a schedule that
-/// replays the failure deterministically.
+/// Negative control, documenting the bug class the single lock
+/// acquisition prevents: a reader between the two sections sees epoch 1
+/// with no item, and loom-lite both catches it and hands back a schedule
+/// that replays the failure deterministically.
 #[test]
-fn split_write_sections_torn_read_caught() {
+fn split_critical_sections_torn_read_caught() {
     let run = || read_during_bump_and_push(true);
     let outcome = Builder::default().check_outcome(run);
     let (message, schedule) = outcome.failure.expect("bounded exploration must find the torn read");
@@ -205,7 +208,7 @@ fn split_write_sections_torn_read_caught() {
 /// The one-section version of the same op — the discipline
 /// `SToPSS::mutate_if` implements — survives exhaustive exploration.
 #[test]
-fn one_write_section_reads_whole() {
+fn one_critical_section_reads_whole() {
     let report = Builder::default().check(|| read_during_bump_and_push(false));
     assert!(report.complete, "one-section space must be exhausted, ran {report:?}");
     assert!(report.schedules >= 2, "expected real interleaving, ran {report:?}");

@@ -1,18 +1,17 @@
 //! Differential suite for the event-side tier cache.
 //!
-//! The tier-cache PR rewrote the hot back-end: per-candidate tolerance
-//! verification became one `sub.matches(closed)` against a cached
-//! per-tolerance-class closure, and provenance classification reads the
-//! minimal hierarchy distance off the cached unbounded closure's
-//! `PairInfo` instead of re-closing the event once per candidate
-//! distance. The oracle functions (`semantic_match`, `classify_match`)
-//! are untouched ground truth, and `Config::tier_cache = false` keeps the
-//! per-candidate oracle path runnable — so this suite pins the two paths
-//! **byte-identical** (matches, provenance including `Hierarchy {
-//! distance }` values, and aggregated stats) across engines × stage
-//! masks × mixed per-subscription tolerances, on job-finder and
-//! synthetic workloads, including truncated-closure and distance-cap edge
-//! cases.
+//! The matcher verifies each candidate with one `sub.matches(closed)`
+//! against a cached per-tolerance-class closure, and classifies
+//! provenance by reading the minimal hierarchy distance off the cached
+//! unbounded closure's `PairInfo` instead of re-closing the event once
+//! per candidate distance. The oracle functions (`semantic_match`,
+//! `classify_match`) are untouched ground truth, and [`OraclePath`]
+//! rebuilds the per-candidate path from them alone, without an engine —
+//! so this suite pins the matcher **byte-identical** to it (matches,
+//! provenance including `Hierarchy { distance }` values, and aggregated
+//! stats) across engines × stage masks × mixed per-subscription
+//! tolerances, on job-finder and synthetic workloads, including
+//! truncated-closure and distance-cap edge cases.
 //!
 //! Its second part pins the cache's entries one level down: each
 //! classifier tier and verification class, whether read off the main
@@ -28,8 +27,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use s_topss::core::{
-    classify_match, prepare_event, semantic_closure, ClosedEvent, ClosureLimits, Config, Limits,
-    PreparedEvent, SToPSS, StageMask, Tolerance, CLASSIFY_DISTANCE_CAP,
+    classify_match, prepare_event, semantic_closure, semantic_match, ClosedEvent, ClosureLimits,
+    Config, Limits, MatcherStats, PreparedEvent, PublishResult, SToPSS, StageMask, Tolerance,
+    CLASSIFY_DISTANCE_CAP,
 };
 use s_topss::matching::EngineKind;
 use s_topss::ontology::domain::NamedMappingSink;
@@ -59,21 +59,108 @@ fn tolerance_cycle() -> [Tolerance; 6] {
     ]
 }
 
-fn matcher_with_mixed_tolerances(fixture: &Fixture, config: Config) -> SToPSS {
+/// A matcher under `config` and the [`OraclePath`] beside it, both
+/// holding `fixture`'s subscriptions with tolerances from the cycle.
+fn paths_with_mixed_tolerances(fixture: &Fixture, config: Config) -> (SToPSS, OraclePath) {
     let matcher = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
-    let cycle = tolerance_cycle();
-    for (k, sub) in fixture.subscriptions.iter().enumerate() {
-        matcher.subscribe_with_tolerance(sub.clone(), cycle[k % cycle.len()]);
+    let cycle = tolerance_cycle().into_iter().cycle();
+    let subs: Vec<_> = fixture.subscriptions.iter().cloned().zip(cycle).collect();
+    for (sub, tolerance) in &subs {
+        matcher.subscribe_with_tolerance(sub.clone(), *tolerance);
     }
-    matcher
+    let oracle = OraclePath::new(config, fixture.source.clone(), fixture.interner.clone(), subs);
+    (matcher, oracle)
 }
 
-/// Publishes every event through a tier-cached matcher and an oracle-path
-/// matcher under `config` and asserts byte-identical matches (with
-/// provenance) and lifetime stats. Returns the tier-cached matcher.
+/// The per-candidate reference path, built from `oracle.rs` alone: no
+/// engine, no tier cache, no memo. For each publication it
+///
+/// 1. takes the subscriptions `semantic_match` accepts under the system
+///    tolerance — the engine's candidate set, by definition: the engine
+///    matches synonym-resolved subscriptions against the system closure;
+/// 2. re-verifies each candidate whose effective tolerance differs from
+///    the system one with `semantic_match` under that tolerance;
+/// 3. classifies each accepted match with `classify_match`.
+///
+/// Because step 1 defines the candidates under the system tolerance, this
+/// reference shares one divergence with the matcher and cannot see it: a
+/// subscription whose own tolerance accepts an event the system tolerance
+/// rejects is never a candidate. Operators that synonym resolution
+/// preserves never do that; `Ne` and the string patterns do. With `red` a
+/// synonym of `crimson`, `color != crimson` registered with
+/// `Tolerance::syntactic()` under the default configuration matches the
+/// raw `color = red` by `semantic_match` under its own tolerance, yet
+/// neither this reference nor `SToPSS::publish` reports it; likewise
+/// `title contains "dev"` against `title = developer`, where `developer`
+/// is an alias of `engineer`.
+struct OraclePath {
+    config: Config,
+    source: Arc<dyn SemanticSource>,
+    interner: SharedInterner,
+    /// Each subscription with its effective tolerance, in `SubId` order.
+    subs: Vec<(Subscription, Tolerance)>,
+    /// Lifetime counters, kept as the matcher keeps its own.
+    stats: MatcherStats,
+}
+
+impl OraclePath {
+    /// `subs` pairs each subscription with the tolerance it asks for,
+    /// clamped here to the system tolerance as the matcher clamps it.
+    fn new(
+        config: Config,
+        source: Arc<dyn SemanticSource>,
+        interner: SharedInterner,
+        subs: Vec<(Subscription, Tolerance)>,
+    ) -> Self {
+        let system = config.system_tolerance();
+        let mut subs: Vec<_> = subs.into_iter().map(|(s, t)| (s, t.clamp_to(&system))).collect();
+        subs.sort_by_key(|(sub, _)| sub.id());
+        OraclePath { config, source, interner, subs, stats: MatcherStats::default() }
+    }
+
+    /// Publishes `event`: the matches in `SubId` order, and the closure's
+    /// counters under the system tolerance. With no control ops, the
+    /// epoch is 0.
+    fn publish_detailed(&mut self, event: &Event) -> PublishResult {
+        let Config { stages, max_distance, now_year, track_provenance, .. } = self.config;
+        let (source, limits) = (self.source.as_ref(), &self.config.limits.closure);
+        let system = self.config.system_tolerance();
+        let (stats, mut matches) = (&mut self.stats, Vec::new());
+        let closed = self.interner.with(|i| {
+            for (sub, effective) in &self.subs {
+                if !semantic_match(sub, event, source, &system, now_year, i, limits) {
+                    continue;
+                }
+                if *effective != system {
+                    stats.verifications += 1;
+                    if !semantic_match(sub, event, source, effective, now_year, i, limits) {
+                        stats.verify_rejections += 1;
+                        continue;
+                    }
+                }
+                let origin = if track_provenance {
+                    classify_match(sub, event, source, stages, now_year, i, limits)
+                } else {
+                    MatchOrigin::Unclassified
+                };
+                matches.push(Match { sub: sub.id(), origin });
+            }
+            semantic_closure(event, source, stages, max_distance, now_year, i, limits)
+        });
+        stats.published += 1;
+        stats.derived_events += 1;
+        stats.closure_pairs += closed.event.len() as u64;
+        stats.truncations += u64::from(closed.truncated);
+        let (closure_pairs, truncated) = (closed.event.len(), closed.truncated);
+        PublishResult { matches, derived_events: 1, closure_pairs, truncated, epoch: 0 }
+    }
+}
+
+/// Publishes every event through a matcher and the [`OraclePath`] under
+/// `config`, both with mixed tolerances, and asserts byte-identical
+/// matches (with provenance) and lifetime stats. Returns the matcher.
 fn assert_paths_agree(fixture: &Fixture, config: Config, label: &str) -> SToPSS {
-    let fast = matcher_with_mixed_tolerances(fixture, config.with_tier_cache(true));
-    let oracle = matcher_with_mixed_tolerances(fixture, config.with_tier_cache(false));
+    let (fast, mut oracle) = paths_with_mixed_tolerances(fixture, config);
     for (k, event) in fixture.publications.iter().enumerate() {
         let want = oracle.publish_detailed(event);
         let got = fast.publish_detailed(event);
@@ -82,7 +169,7 @@ fn assert_paths_agree(fixture: &Fixture, config: Config, label: &str) -> SToPSS 
         assert_eq!(got.closure_pairs, want.closure_pairs, "{label}: event {k}");
         assert_eq!(got.truncated, want.truncated, "{label}: event {k}");
     }
-    assert_eq!(fast.stats(), oracle.stats(), "{label}: stats diverged");
+    assert_eq!(fast.stats(), oracle.stats, "{label}: stats diverged");
     fast
 }
 
@@ -201,28 +288,26 @@ fn distance_cap_is_reported_identically_past_the_search_horizon() {
     // The match needs distance 70 — beyond CLASSIFY_DISTANCE_CAP — so the
     // oracle's linear search exhausts and reports the cap; the cached
     // classification must clamp to the same value.
-    let (interner, source, sub, event) = chain_world(70);
-    for tier_cache in [true, false] {
-        let config = Config::default().with_tier_cache(tier_cache);
-        let matcher = SToPSS::new(config, source.clone(), interner.clone());
-        matcher.subscribe(sub.clone());
-        let matches = matcher.publish(&event);
-        assert_eq!(matches.len(), 1, "tier_cache={tier_cache}");
-        assert_eq!(
-            matches[0].origin,
-            MatchOrigin::Hierarchy { distance: CLASSIFY_DISTANCE_CAP },
-            "tier_cache={tier_cache}"
-        );
-    }
+    let matches = publish_both_paths(chain_world(70));
+    assert_eq!(matches.len(), 1);
+    assert_eq!(matches[0].origin, MatchOrigin::Hierarchy { distance: CLASSIFY_DISTANCE_CAP });
     // Below the cap both paths report the exact distance.
-    let (interner, source, sub, event) = chain_world(9);
-    for tier_cache in [true, false] {
-        let config = Config::default().with_tier_cache(tier_cache);
-        let matcher = SToPSS::new(config, source.clone(), interner.clone());
-        matcher.subscribe(sub.clone());
-        let matches = matcher.publish(&event);
-        assert_eq!(matches[0].origin, MatchOrigin::Hierarchy { distance: 9 });
-    }
+    let matches = publish_both_paths(chain_world(9));
+    assert_eq!(matches[0].origin, MatchOrigin::Hierarchy { distance: 9 });
+}
+
+/// Publishes `event` through a default matcher and the [`OraclePath`],
+/// each holding `sub` alone; asserts they agree and returns the matches.
+fn publish_both_paths(
+    (interner, source, sub, event): (SharedInterner, Arc<Ontology>, Subscription, Event),
+) -> Vec<Match> {
+    let config = Config::default();
+    let matcher = SToPSS::new(config, source.clone(), interner.clone());
+    matcher.subscribe(sub.clone());
+    let mut oracle = OraclePath::new(config, source, interner, vec![(sub, Tolerance::full())]);
+    let got = matcher.publish(&event);
+    assert_eq!(got, oracle.publish_detailed(&event).matches, "diverged from the oracle path");
+    got
 }
 
 #[test]
@@ -255,13 +340,8 @@ fn multi_path_derivations_report_the_minimal_distance() {
         );
         assert_eq!(want, MatchOrigin::Hierarchy { distance: 1 }, "oracle ground truth");
     });
-    for tier_cache in [true, false] {
-        let config = Config::default().with_tier_cache(tier_cache);
-        let matcher = SToPSS::new(config, source.clone(), interner.clone());
-        matcher.subscribe(sub.clone());
-        let matches = matcher.publish(&event);
-        assert_eq!(matches[0].origin, MatchOrigin::Hierarchy { distance: 1 });
-    }
+    let matches = publish_both_paths((interner, source, sub, event));
+    assert_eq!(matches[0].origin, MatchOrigin::Hierarchy { distance: 1 });
 }
 
 #[test]
@@ -273,8 +353,7 @@ fn prepared_fast_path_equals_oracle() {
     for engine in EngineKind::ALL {
         let config = Config::default().with_engine(engine);
         let label = engine.name();
-        let fast = matcher_with_mixed_tolerances(&fixture, config);
-        let oracle = matcher_with_mixed_tolerances(&fixture, config.with_tier_cache(false));
+        let (fast, mut oracle) = paths_with_mixed_tolerances(&fixture, config);
         assert!(fast.verify_classes().len() > 1, "{label}: the cycle registers several classes");
         for (k, event) in fixture.publications.iter().enumerate() {
             let got = fast.match_prepared(&fast.prepare(event));
@@ -283,7 +362,7 @@ fn prepared_fast_path_equals_oracle() {
             assert_eq!(got.closure_pairs, want.closure_pairs, "{label}: event {k}");
             assert_eq!(got.truncated, want.truncated, "{label}: event {k}");
         }
-        let (got, want) = (fast.stats(), oracle.stats());
+        let (got, want) = (fast.stats(), oracle.stats);
         assert_eq!(got.verifications, want.verifications, "{label}: verifications diverged");
         assert_eq!(got.verify_rejections, want.verify_rejections, "{label}: rejections diverged");
     }
@@ -769,10 +848,10 @@ fn terms(i: &mut Interner, pairs: &[(&str, &str)]) -> Event {
     pairs.iter().fold(EventBuilder::new(i), |b, (attr, value)| b.term(attr, value)).build()
 }
 
-/// Publishes `events` in order through one tier-cached matcher holding
-/// `subs` under `config`. Holds every match set to the oracle path and
-/// every origin to `classify_match` on the raw event, and returns each
-/// publication's matches.
+/// Publishes `events` in order through one matcher holding `subs` under
+/// `config`. Holds every match set to the [`OraclePath`] and every origin
+/// to `classify_match` on the raw event, and returns each publication's
+/// matches.
 fn classify_against_oracle(
     (interner, ontology): &(Interner, Ontology),
     config: Config,
@@ -781,17 +860,18 @@ fn classify_against_oracle(
 ) -> Vec<Vec<Match>> {
     let interner = SharedInterner::from_interner(interner.clone());
     let source = Arc::new(ontology.clone());
-    let fast = SToPSS::new(config.with_tier_cache(true), source.clone(), interner.clone());
-    let oracle = SToPSS::new(config.with_tier_cache(false), source.clone(), interner.clone());
+    let fast = SToPSS::new(config, source.clone(), interner.clone());
     for sub in subs {
         fast.subscribe(sub.clone());
-        oracle.subscribe(sub.clone());
     }
+    let full = subs.iter().map(|sub| (sub.clone(), Tolerance::full())).collect();
+    let mut oracle = OraclePath::new(config, source.clone(), interner.clone(), full);
     let label = format!("stages={:?}", config.stages);
     let mut out = Vec::new();
     for (k, event) in events.iter().enumerate() {
         let got = fast.publish(event);
-        assert_eq!(got, oracle.publish(event), "{label}: event {k} diverged from the oracle path");
+        let want = oracle.publish_detailed(event).matches;
+        assert_eq!(got, want, "{label}: event {k} diverged from the oracle path");
         let Config { stages, now_year, limits, .. } = config;
         interner.with(|i| {
             for m in &got {
