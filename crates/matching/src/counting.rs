@@ -1,57 +1,113 @@
-//! The counting algorithm (Aguilera et al. PODC'99, Fabret et al.
-//! SIGMOD'01) — reference \[1\] and \[4\] of the S-ToPSS paper.
+//! The counting algorithm (Aguilera et al. PODC'99) with Fabret et al.'s
+//! access-predicate filtering (SIGMOD'01) — references \[1\] and \[4\] of
+//! the S-ToPSS paper.
 //!
 //! Identical predicates across subscriptions are stored once in a global
-//! predicate table. Per attribute, an `AttrIndex` finds the predicates an
-//! event value satisfies; each satisfied predicate bumps a counter on every
-//! subscription that contains it, and a subscription matches when its
-//! counter reaches its predicate count. Counters are *epoch-stamped*
-//! (Fabret et al.): resetting between events is O(1) — stale counters are
-//! recognized by their epoch instead of being cleared.
+//! predicate table, and per attribute an `AttrIndex` finds the predicates
+//! an event value satisfies. Each subscription is *filed* once, under its
+//! *access predicate*: the one of its predicates with the fewest
+//! subscribers when it is inserted, ties going to the earlier predicate.
+//! The filed entry carries the indexes of the subscription's other
+//! predicates inline (or boxed, past five of them).
+//!
+//! `match_event` runs in two phases:
+//!
+//! 1. probe the attribute indexes, stamping every satisfied predicate with
+//!    the event's epoch in a dense per-predicate array (so resetting
+//!    between events is O(1), and a predicate satisfied by two pairs of a
+//!    multi-valued event is collected once);
+//! 2. walk the filed lists of the satisfied predicates only, and emit a
+//!    subscription when all of its other predicates carry the current
+//!    stamp.
+//!
+//! This is exact: a matching subscription has every predicate satisfied,
+//! its access predicate included, so it is checked exactly once and the
+//! check passes; a subscription some predicate of which is unsatisfied
+//! either is never visited or fails the check. Which predicate is chosen
+//! as access predicate therefore affects speed only: filing under the
+//! rarest one keeps subscriptions off the lists of popular predicates
+//! (in S-ToPSS, the general ancestor terms that hierarchy closure adds to
+//! every event), so an event visits few filed entries beyond its matches.
 
 use stopss_types::{Event, FxHashMap, Interner, Predicate, SubId, Subscription, Symbol};
 
 use crate::engine::MatchingEngine;
 use crate::index::{AttrIndex, PredIdx};
 
-type SlotIdx = u32;
+/// Other predicates a filed entry holds without a heap allocation; the
+/// entry stays 32 bytes.
+const INLINE: usize = 5;
+
+/// Access "predicate" of the subscriptions with no predicates, which match
+/// every event.
+const UNIVERSAL: PredIdx = PredIdx::MAX;
 
 #[derive(Clone, Debug)]
 struct PredEntry {
     pred: Predicate,
     /// How many live subscriptions reference this predicate.
     refcount: u32,
-    /// Epoch of the last event that satisfied it (dedups multi-valued probes).
-    epoch: u64,
-    /// Slots of the subscriptions containing this predicate.
-    subscribers: Vec<SlotIdx>,
+    /// The subscriptions whose access predicate this is.
+    filed: Vec<Filed>,
+}
+
+/// One subscription, filed under its access predicate.
+#[derive(Clone, Debug)]
+struct Filed {
+    id: SubId,
+    /// Its predicates other than the access predicate.
+    rest: Rest,
 }
 
 #[derive(Clone, Debug)]
-struct SubSlot {
-    id: SubId,
-    /// Distinct predicates required (0 = universal subscription).
-    required: u32,
-    /// Satisfied-predicate count, valid only when `epoch` is current.
-    count: u32,
-    epoch: u64,
-    pred_idxs: Box<[PredIdx]>,
+enum Rest {
+    Inline { len: u8, idxs: [PredIdx; INLINE] },
+    Boxed(Box<[PredIdx]>),
 }
 
-/// Counting-algorithm matching engine.
+impl Rest {
+    fn new(idxs: &[PredIdx]) -> Self {
+        if idxs.len() <= INLINE {
+            let mut inline = [0; INLINE];
+            inline[..idxs.len()].copy_from_slice(idxs);
+            Rest::Inline { len: idxs.len() as u8, idxs: inline }
+        } else {
+            Rest::Boxed(idxs.into())
+        }
+    }
+
+    fn as_slice(&self) -> &[PredIdx] {
+        match self {
+            Rest::Inline { len, idxs } => &idxs[..*len as usize],
+            Rest::Boxed(idxs) => idxs,
+        }
+    }
+}
+
+/// Where a live subscription is filed.
+#[derive(Clone, Copy, Debug)]
+struct Loc {
+    /// Its access predicate, or [`UNIVERSAL`].
+    access: PredIdx,
+    /// Its position in that predicate's filed list.
+    pos: u32,
+}
+
+/// Counting-algorithm matching engine with access-predicate filing.
 #[derive(Clone, Default, Debug)]
 pub struct CountingEngine {
     preds: Vec<PredEntry>,
+    /// Epoch of the last event that satisfied each predicate, by index.
+    stamps: Vec<u64>,
     free_preds: Vec<PredIdx>,
     pred_ids: FxHashMap<Predicate, PredIdx>,
     attrs: FxHashMap<Symbol, AttrIndex>,
-    slots: Vec<SubSlot>,
-    free_slots: Vec<SlotIdx>,
-    by_id: FxHashMap<SubId, SlotIdx>,
-    /// Slots with zero predicates; they match every event.
-    universal: Vec<SlotIdx>,
+    by_id: FxHashMap<SubId, Loc>,
+    /// Subscriptions with zero predicates; they match every event.
+    universal: Vec<Filed>,
+    /// Phase 1's output: the predicates the current event satisfies.
+    satisfied: Vec<PredIdx>,
     epoch: u64,
-    live: usize,
 }
 
 impl CountingEngine {
@@ -72,16 +128,16 @@ impl CountingEngine {
             self.preds[idx as usize].refcount += 1;
             return idx;
         }
+        let entry = PredEntry { pred, refcount: 1, filed: Vec::new() };
         let idx = match self.free_preds.pop() {
             Some(idx) => {
-                self.preds[idx as usize] =
-                    PredEntry { pred, refcount: 1, epoch: 0, subscribers: Vec::new() };
+                self.preds[idx as usize] = entry;
                 idx
             }
             None => {
-                let idx = self.preds.len() as PredIdx;
-                self.preds.push(PredEntry { pred, refcount: 1, epoch: 0, subscribers: Vec::new() });
-                idx
+                self.preds.push(entry);
+                self.stamps.push(0);
+                (self.preds.len() - 1) as PredIdx
             }
         };
         self.pred_ids.insert(pred, idx);
@@ -95,8 +151,8 @@ impl CountingEngine {
         if entry.refcount > 0 {
             return;
         }
+        debug_assert!(entry.filed.is_empty(), "a filed subscription holds its access predicate");
         let pred = entry.pred;
-        entry.subscribers.clear();
         self.pred_ids.remove(&pred);
         if let Some(ix) = self.attrs.get_mut(&pred.attr) {
             ix.remove(&pred, idx);
@@ -107,18 +163,18 @@ impl CountingEngine {
         self.free_preds.push(idx);
     }
 
-    fn alloc_slot(&mut self, slot: SubSlot) -> SlotIdx {
-        match self.free_slots.pop() {
-            Some(idx) => {
-                self.slots[idx as usize] = slot;
-                idx
-            }
-            None => {
-                let idx = self.slots.len() as SlotIdx;
-                self.slots.push(slot);
-                idx
-            }
+    fn filed_mut(&mut self, access: PredIdx) -> &mut Vec<Filed> {
+        if access == UNIVERSAL {
+            &mut self.universal
+        } else {
+            &mut self.preds[access as usize].filed
         }
+    }
+
+    /// Filed entries phase 2 visited for the last matched event.
+    #[cfg(test)]
+    fn last_visits(&self) -> usize {
+        self.satisfied.iter().map(|&p| self.preds[p as usize].filed.len()).sum()
     }
 }
 
@@ -129,104 +185,96 @@ impl MatchingEngine for CountingEngine {
 
     fn insert(&mut self, sub: Subscription) {
         self.remove(sub.id());
-        // The counting algorithm counts *distinct* predicates: a
-        // subscription that repeats a predicate must not demand two
-        // increments that a single shared counter can never deliver.
-        let mut distinct: Vec<Predicate> = Vec::with_capacity(sub.len());
-        for p in sub.predicates() {
-            if !distinct.contains(p) {
-                distinct.push(*p);
+        // Each distinct predicate once: a repeated predicate is one
+        // condition, and must hold one reference.
+        let preds = sub.predicates();
+        let mut idxs: Vec<PredIdx> = Vec::with_capacity(preds.len());
+        for (k, p) in preds.iter().enumerate() {
+            if !preds[..k].contains(p) {
+                idxs.push(self.intern_predicate(*p));
             }
         }
-        let pred_idxs: Box<[PredIdx]> =
-            distinct.iter().map(|p| self.intern_predicate(*p)).collect();
-        let required = pred_idxs.len() as u32;
-        let slot_idx =
-            self.alloc_slot(SubSlot { id: sub.id(), required, count: 0, epoch: 0, pred_idxs });
-        // Borrow dance: register the slot with each predicate entry.
-        let pred_idxs = self.slots[slot_idx as usize].pred_idxs.clone();
-        for idx in pred_idxs.iter() {
-            self.preds[*idx as usize].subscribers.push(slot_idx);
+        // The rarest predicate, the first of equally rare ones.
+        let rarest = idxs.iter().enumerate().min_by_key(|&(_, &p)| self.preds[p as usize].refcount);
+        let access = match rarest {
+            Some((k, _)) => idxs.remove(k),
+            None => UNIVERSAL,
+        };
+        let filed = Filed { id: sub.id(), rest: Rest::new(&idxs) };
+        let list = self.filed_mut(access);
+        if list.capacity() == 0 {
+            // Access predicates are the rare ones, so many lists stay
+            // short: start at one entry, not `Vec`'s four.
+            list.reserve_exact(1);
         }
-        if required == 0 {
-            self.universal.push(slot_idx);
-        }
-        self.by_id.insert(sub.id(), slot_idx);
-        self.live += 1;
+        let pos = list.len() as u32;
+        list.push(filed);
+        self.by_id.insert(sub.id(), Loc { access, pos });
     }
 
     fn remove(&mut self, id: SubId) -> bool {
-        let Some(slot_idx) = self.by_id.remove(&id) else {
+        let Some(Loc { access, pos }) = self.by_id.remove(&id) else {
             return false;
         };
-        let pred_idxs = std::mem::take(&mut self.slots[slot_idx as usize].pred_idxs);
-        for &pidx in pred_idxs.iter() {
-            let subscribers = &mut self.preds[pidx as usize].subscribers;
-            if let Some(pos) = subscribers.iter().position(|s| *s == slot_idx) {
-                subscribers.swap_remove(pos);
-            }
-            self.release_predicate(pidx);
+        let list = self.filed_mut(access);
+        let filed = list.swap_remove(pos as usize);
+        if let Some(moved) = list.get(pos as usize) {
+            let moved = moved.id;
+            self.by_id.get_mut(&moved).expect("invariant: filed entries are live").pos = pos;
         }
-        if self.slots[slot_idx as usize].required == 0 {
-            if let Some(pos) = self.universal.iter().position(|s| *s == slot_idx) {
-                self.universal.swap_remove(pos);
-            }
+        if access != UNIVERSAL {
+            self.release_predicate(access);
         }
-        self.free_slots.push(slot_idx);
-        self.live -= 1;
+        for &p in filed.rest.as_slice() {
+            self.release_predicate(p);
+        }
         true
     }
 
     fn match_event(&mut self, event: &Event, interner: &Interner, out: &mut Vec<SubId>) {
         self.epoch += 1;
         let epoch = self.epoch;
-        // Split borrows: the index is read-only while predicate entries and
-        // subscription slots are updated.
-        let attrs = &self.attrs;
-        let preds = &mut self.preds;
-        let slots = &mut self.slots;
-        for &slot_idx in &self.universal {
-            out.push(slots[slot_idx as usize].id);
-        }
+        let Self { preds, stamps, attrs, universal, satisfied, .. } = self;
+        out.extend(universal.iter().map(|f| f.id));
+        // Phase 1: stamp and collect the satisfied predicates, each once
+        // however many pairs of the event satisfy it.
+        satisfied.clear();
         for (attr, value) in event.pairs() {
             let Some(ix) = attrs.get(attr) else {
                 continue;
             };
             ix.probe(value, interner, &mut |pidx: PredIdx| {
-                let entry = &mut preds[pidx as usize];
-                if entry.epoch == epoch {
-                    return; // already satisfied by an earlier pair of this event
-                }
-                entry.epoch = epoch;
-                for &slot_idx in &entry.subscribers {
-                    let slot = &mut slots[slot_idx as usize];
-                    if slot.epoch != epoch {
-                        slot.epoch = epoch;
-                        slot.count = 0;
-                    }
-                    slot.count += 1;
-                    if slot.count == slot.required {
-                        out.push(slot.id);
-                    }
+                let stamp = &mut stamps[pidx as usize];
+                if *stamp != epoch {
+                    *stamp = epoch;
+                    satisfied.push(pidx);
                 }
             });
+        }
+        // Phase 2: every subscription filed under a satisfied predicate
+        // matches when its other predicates are satisfied too.
+        for &pidx in satisfied.iter() {
+            for filed in &preds[pidx as usize].filed {
+                if filed.rest.as_slice().iter().all(|&p| stamps[p as usize] == epoch) {
+                    out.push(filed.id);
+                }
+            }
         }
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.by_id.len()
     }
 
     fn clear(&mut self) {
         self.preds.clear();
+        self.stamps.clear();
         self.free_preds.clear();
         self.pred_ids.clear();
         self.attrs.clear();
-        self.slots.clear();
-        self.free_slots.clear();
         self.by_id.clear();
         self.universal.clear();
-        self.live = 0;
+        self.satisfied.clear();
     }
 
     fn boxed_clone(&self) -> Box<dyn MatchingEngine> {
@@ -350,8 +398,9 @@ mod tests {
             }
             assert_eq!(eng.len(), 0);
         }
-        assert!(eng.slots.len() <= 20, "slots must be reused, got {}", eng.slots.len());
-        assert!(eng.preds.len() <= 20, "pred entries must be reused");
+        assert!(eng.by_id.is_empty() && eng.preds.iter().all(|p| p.filed.is_empty()));
+        assert!(eng.preds.len() <= 20, "pred entries must be reused, got {}", eng.preds.len());
+        assert_eq!(eng.stamps.len(), eng.preds.len());
     }
 
     #[test]
@@ -377,6 +426,30 @@ mod tests {
         assert!(eng.is_empty());
         let e = EventBuilder::new(&mut i).term("a", "x").build();
         assert!(collect_matches(&mut eng, &e, &i).is_empty());
+    }
+
+    #[test]
+    fn subscriptions_are_visited_from_their_rarest_predicate() {
+        let mut i = Interner::new();
+        let mut eng = CountingEngine::new();
+        for k in 0..1_000i64 {
+            eng.insert(
+                SubscriptionBuilder::new(&mut i)
+                    .pred(&format!("cold_{k}"), Operator::Eq, k)
+                    .pred("hot", Operator::Eq, 1i64)
+                    .build(SubId(k as u64)),
+            );
+        }
+        // Every subscription is filed under its `cold_k` (written first, so
+        // it wins subscription 0's tie with `hot`): an event that
+        // satisfies only `hot` visits nothing, where counting increments
+        // 1 000 counters.
+        let hot = EventBuilder::new(&mut i).pair("hot", 1i64).build();
+        assert!(collect_matches(&mut eng, &hot, &i).is_empty());
+        assert_eq!(eng.last_visits(), 0);
+        let one = EventBuilder::new(&mut i).pair("hot", 1i64).pair("cold_7", 7i64).build();
+        assert_eq!(collect_matches(&mut eng, &one, &i), vec![SubId(7)]);
+        assert_eq!(eng.last_visits(), 1);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! linear-scan reference:
 //!
 //! * [`CountingEngine`] — shared predicate table, per-attribute indexes,
-//!   epoch-stamped counters: the engine every configuration runs;
+//!   and each subscription filed once under its rarest (access)
+//!   predicate, checked against epoch-stamped satisfied predicates: the
+//!   engine every configuration runs;
 //! * [`NaiveEngine`] — linear scan, the correctness reference the
 //!   differential suites and E5 compare against.
 //!
@@ -33,7 +35,8 @@ pub use naive::NaiveEngine;
 pub enum EngineKind {
     /// Linear scan over all subscriptions.
     Naive,
-    /// Counting algorithm with per-attribute predicate indexes.
+    /// Counting algorithm with per-attribute predicate indexes and
+    /// access-predicate filing.
     Counting,
 }
 

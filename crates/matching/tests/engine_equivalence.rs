@@ -1,7 +1,8 @@
 //! Differential testing: every engine must produce exactly the match set
 //! of the ground-truth relation `Subscription::matches`, on randomized
 //! workloads covering all operators, multi-valued events, and churn
-//! (removals between publications).
+//! (removals between publications, and an interleaved stream of inserts,
+//! removals and re-insertions checked after every operation).
 
 use proptest::prelude::*;
 
@@ -62,7 +63,9 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
 }
 
 fn arb_subscription(id: u64) -> impl Strategy<Value = Subscription> {
-    proptest::collection::vec(arb_predicate(), 0..5)
+    // Up to seven predicates: past the counting engine's five inline
+    // non-access predicates.
+    proptest::collection::vec(arb_predicate(), 0..8)
         .prop_map(move |preds| Subscription::new(SubId(id), preds))
 }
 
@@ -77,6 +80,23 @@ fn arb_subscriptions() -> impl Strategy<Value = Vec<Subscription>> {
 fn arb_event() -> impl Strategy<Value = Event> {
     proptest::collection::vec((0usize..ATTRS, arb_value()), 0..6)
         .prop_map(|pairs| pairs.into_iter().map(|(a, v)| (attr_sym(a), v)).collect())
+}
+
+/// One step of an interleaved control/publish stream over a small id
+/// space, so that removals hit live ids and re-insertions replace them.
+#[derive(Clone, Debug)]
+enum Op {
+    Insert(Subscription),
+    Remove(SubId),
+    Publish(Event),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u64..12).prop_flat_map(arb_subscription).prop_map(Op::Insert),
+        (0u64..12).prop_map(|id| Op::Remove(SubId(id))),
+        arb_event().prop_map(Op::Publish),
+    ]
 }
 
 fn oracle(subs: &[Subscription], event: &Event, interner: &Interner) -> Vec<SubId> {
@@ -160,6 +180,45 @@ proptest! {
             let got = collect_matches(engine.as_mut(), &event, &interner);
             let want = oracle(&subs, &event, &interner);
             prop_assert_eq!(&got, &want, "engine {} diverged after clear", kind.name());
+        }
+    }
+
+    #[test]
+    fn engines_agree_over_interleaved_ops(
+        ops in proptest::collection::vec(arb_op(), 1..60),
+        probes in proptest::collection::vec(arb_event(), 1..4),
+    ) {
+        // The counting engine picks each subscription's access predicate
+        // from the reference counts at insert time, which churn changes:
+        // compare with the ground truth after every operation.
+        let interner = fixture_interner();
+        for kind in EngineKind::ALL {
+            let mut engine = kind.build();
+            let mut live: Vec<Subscription> = Vec::new();
+            for op in &ops {
+                match op {
+                    Op::Insert(sub) => {
+                        live.retain(|s| s.id() != sub.id());
+                        live.push(sub.clone());
+                        engine.insert(sub.clone());
+                    }
+                    Op::Remove(id) => {
+                        let was_live = live.iter().any(|s| s.id() == *id);
+                        live.retain(|s| s.id() != *id);
+                        prop_assert_eq!(engine.remove(*id), was_live);
+                    }
+                    Op::Publish(event) => {
+                        let got = collect_matches(engine.as_mut(), event, &interner);
+                        prop_assert_eq!(&got, &oracle(&live, event, &interner));
+                    }
+                }
+                prop_assert_eq!(engine.len(), live.len());
+                for event in &probes {
+                    let got = collect_matches(engine.as_mut(), event, &interner);
+                    let want = oracle(&live, event, &interner);
+                    prop_assert_eq!(&got, &want, "engine {} diverged after {:?}", kind.name(), op);
+                }
+            }
         }
     }
 }

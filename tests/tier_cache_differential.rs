@@ -345,6 +345,29 @@ fn multi_path_derivations_report_the_minimal_distance() {
 }
 
 #[test]
+fn alias_written_subscription_verifies_in_its_resolved_form() {
+    // `school` is an alias of `university`. A subscription written with
+    // the alias under a synonym-only tolerance is verified against the
+    // event's synonym closure, which holds the root: only the
+    // subscription's synonym-resolved form matches there, not the form
+    // it was written in.
+    let mut i = Interner::new();
+    let mut o = Ontology::new("alias");
+    let (root, alias) = (i.intern("university"), i.intern("school"));
+    o.synonyms.add_synonym(root, alias, &i).unwrap();
+    let sub = SubscriptionBuilder::new(&mut i).term_eq("x", "school").build(SubId(1));
+    let event = EventBuilder::new(&mut i).term("x", "university").build();
+    let (interner, source) = (SharedInterner::from_interner(i), Arc::new(o));
+    let (config, tolerance) = (Config::default(), Tolerance::stages(StageMask::SYNONYM));
+    let matcher = SToPSS::new(config, source.clone(), interner.clone());
+    matcher.subscribe_with_tolerance(sub.clone(), tolerance);
+    let mut oracle = OraclePath::new(config, source, interner, vec![(sub, tolerance)]);
+    let got = matcher.publish(&event);
+    assert_eq!(got, oracle.publish_detailed(&event).matches, "diverged from the oracle path");
+    assert_eq!(got.iter().map(|m| m.sub).collect::<Vec<_>>(), vec![SubId(1)]);
+}
+
+#[test]
 fn prepared_fast_path_equals_oracle() {
     // The stage split: `prepare` then `match_prepared`, each artifact
     // filling its own tier cache in the match stage, against the
