@@ -286,9 +286,8 @@ impl TierCache {
 
     /// The classifier tiers `config` runs (synonym-only if the synonym
     /// stage is on, synonym∩stages+hierarchy if the hierarchy stage is),
-    /// filled on first use. The matcher asks once per classified match,
-    /// so the filled case is a few flag tests.
-    #[inline]
+    /// filled on first use. The matcher asks once per publication that
+    /// has a match to classify, after verifying its candidates.
     pub(crate) fn classifier_tiers(
         &mut self,
         side: EventSide<'_>,

@@ -82,29 +82,181 @@ pub struct PublishResult {
     pub epoch: u64,
 }
 
+/// Dense id of a distinct original subscription predicate (see
+/// [`PredTable`]).
+type PredId = u32;
+
+/// The distinct predicates of the registered subscriptions, as written
+/// (their `original` form), each under a dense [`PredId`].
+///
+/// An id is refcounted by the subscriptions that hold its predicate, once
+/// per subscription however often the predicate repeats in it. Its last
+/// release frees it for the next new predicate, as the counting engine
+/// recycles its predicate entries, so the table never outgrows the peak
+/// number of distinct live predicates. The ids index the provenance memo
+/// (see [`Classifier`]).
+#[derive(Default)]
+struct PredTable {
+    /// Each id's predicate; a freed id keeps its last one.
+    slots: Vec<Predicate>,
+    /// Each live predicate's id and refcount. Interning a known predicate
+    /// touches this map alone.
+    ids: FxHashMap<Predicate, (PredId, u32)>,
+    free: Vec<PredId>,
+}
+
+impl PredTable {
+    /// The number of ids ever handed out, freed ones included: the length
+    /// every per-id array must have.
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn predicate(&self, id: PredId) -> &Predicate {
+        &self.slots[id as usize]
+    }
+
+    /// `p`'s id, with one more reference.
+    fn intern(&mut self, p: Predicate) -> PredId {
+        let (id, refcount) = self.ids.entry(p).or_insert_with(|| {
+            let id = match self.free.pop() {
+                Some(id) => {
+                    self.slots[id as usize] = p;
+                    id
+                }
+                None => {
+                    self.slots.push(p);
+                    let id = PredId::try_from(self.slots.len() - 1);
+                    id.expect("invariant: 2^32 distinct predicates (96 GiB) never fit in memory")
+                }
+            };
+            (id, 0)
+        });
+        *refcount += 1;
+        *id
+    }
+
+    /// Drops one reference to each of `ids`, freeing those that reach 0.
+    fn release(&mut self, ids: &[PredId]) {
+        for &id in ids {
+            let p = &self.slots[id as usize];
+            let (_, refcount) = self.ids.get_mut(p).expect("invariant: a held id is live");
+            *refcount -= 1;
+            if *refcount == 0 {
+                self.ids.remove(p);
+                self.free.push(id);
+            }
+        }
+    }
+}
+
+/// Predicate ids a [`Hot`] holds without a heap allocation.
+const INLINE_IDS: usize = 3;
+
+/// A subscription's distinct original predicates as [`PredId`]s, inline up
+/// to [`INLINE_IDS`] of them, with the entry's `needs_verify` flag packed
+/// beside them in 16 bytes.
+///
+/// An entry starts `Pending` and is interned when it is first classified
+/// (see [`MatcherCore::match_inner`]), not when it is registered: a
+/// subscribe between publications finds the id table's hash buckets out of
+/// cache, so interning there would add a cache miss per predicate to every
+/// subscribe, where a first classification pays it once, in a publication.
+enum Hot {
+    Pending { needs_verify: bool },
+    Inline { needs_verify: bool, len: u8, ids: [PredId; INLINE_IDS] },
+    Spilled { needs_verify: bool, ids: Box<Box<[PredId]>> },
+}
+
+impl Hot {
+    /// Interns the distinct predicates of `preds` in `table`.
+    fn interned(needs_verify: bool, preds: &[Predicate], table: &mut PredTable) -> Self {
+        let (mut ids, mut len) = ([0; INLINE_IDS], 0);
+        let mut rest = preds.iter();
+        for &p in rest.by_ref() {
+            let id = table.intern(p);
+            if ids[..len].contains(&id) {
+                table.release(&[id]);
+            } else if len < INLINE_IDS {
+                ids[len] = id;
+                len += 1;
+            } else {
+                // Sorted and deduplicated, so a long subscription costs
+                // O(n log n), not a quadratic scan.
+                let mut spilled: Vec<PredId> = ids.into_iter().chain([id]).collect();
+                spilled.extend(rest.map(|&p| table.intern(p)));
+                spilled.sort_unstable();
+                spilled.dedup_by(|a, b| {
+                    let repeated = a == b;
+                    if repeated {
+                        table.release(&[*a]);
+                    }
+                    repeated
+                });
+                return Hot::Spilled { needs_verify, ids: Box::new(spilled.into_boxed_slice()) };
+            }
+        }
+        Hot::Inline { needs_verify, len: len as u8, ids }
+    }
+
+    /// True if candidates must be re-verified against the entry's
+    /// effective tolerance.
+    fn needs_verify(&self) -> bool {
+        match *self {
+            Hot::Pending { needs_verify }
+            | Hot::Inline { needs_verify, .. }
+            | Hot::Spilled { needs_verify, .. } => needs_verify,
+        }
+    }
+
+    /// The ids; none while `Pending`.
+    fn ids(&self) -> &[PredId] {
+        match self {
+            Hot::Pending { .. } => &[],
+            Hot::Inline { len, ids, .. } => &ids[..*len as usize],
+            Hot::Spilled { ids, .. } => ids,
+        }
+    }
+}
+
+// 72 bytes: an 80-byte heap block once the allocator's 8-byte header is added.
+const _: () = assert!(std::mem::size_of::<Hot>() == 16 && std::mem::size_of::<SubEntry>() == 72);
+
+/// One subscription's entry in the subscription table, boxed under its
+/// [`SubId`]. It holds predicates, not `Subscription`s, because the key is
+/// already the id. `hot` comes first: it is all that a match reads unless
+/// the candidate needs verification.
+#[repr(C)]
 struct SubEntry {
-    /// The subscription exactly as the subscriber registered it.
-    original: Subscription,
-    /// The synonym-resolved (canonical root-term) form, cached at
-    /// subscribe time for the verify fast path — `None` when it would
-    /// equal `original` (synonym stage off, or no term of the subscription
-    /// has a synonym mapping). Provenance resolves predicates itself, once
-    /// per distinct predicate per publication (see [`Classifier`]).
-    canonical: Option<Subscription>,
+    hot: Hot,
+    /// The predicates exactly as the subscriber registered them.
+    original: Box<[Predicate]>,
+    /// The synonym-resolved (canonical root-term) predicates, cached at
+    /// subscribe time for the verify path and for `set_source`'s check of
+    /// which forms changed — `None` when they would equal `original`
+    /// (synonym stage off, or no term of the subscription has a synonym
+    /// mapping). Provenance never reads them: it resolves each distinct
+    /// predicate itself, once per publication (see [`Classifier`]).
+    canonical: Option<Box<[Predicate]>>,
     /// The tolerance the subscriber asked for (re-clamped on rebuild).
     requested: Tolerance,
     /// `requested` clamped to the current system configuration.
     effective: Tolerance,
-    /// True if candidates must be re-verified against `effective`.
-    needs_verify: bool,
 }
 
 impl SubEntry {
-    /// The subscription form the verify oracle would match with under
-    /// this entry's effective tolerance: the synonym-resolved form
-    /// (aliasing `original` when resolution is the identity) if that
-    /// tolerance runs the synonym stage.
-    fn verify_sub(&self) -> &Subscription {
+    /// Interns the predicates of a `Pending` entry.
+    fn intern(&mut self, table: &mut PredTable) {
+        if let Hot::Pending { needs_verify } = self.hot {
+            self.hot = Hot::interned(needs_verify, &self.original, table);
+        }
+    }
+
+    /// The predicates the verify oracle would match with under this
+    /// entry's effective tolerance: the synonym-resolved ones (aliasing
+    /// `original` when resolution is the identity) if that tolerance runs
+    /// the synonym stage.
+    fn verify_preds(&self) -> &[Predicate] {
         match &self.canonical {
             Some(canonical) if self.effective.stages.synonym() => canonical,
             _ => &self.original,
@@ -118,24 +270,38 @@ impl SubEntry {
 struct MatchScratch {
     /// The subscription ids the engine matched, sorted.
     users: Vec<SubId>,
-    /// The provenance levels of every distinct predicate classified so far
-    /// in this publication (see [`Classifier`]); cleared per publication.
-    provenance: FxHashMap<Predicate, PredLevel>,
+    /// The provenance memo, indexed by [`PredId`]: each distinct
+    /// predicate's levels, stamped with the publication that computed
+    /// them (see [`Classifier`]). An entry whose stamp is not the current
+    /// publication's is stale, so moving to the next publication resets
+    /// the whole memo in O(1). Grown to the id table's length before each
+    /// classification pass; never shrunk.
+    provenance: Vec<(u64, PredLevel)>,
+    /// The stamp of the current publication, bumped by each publication
+    /// that classifies a match.
+    publication: u64,
 }
 
 /// One distinct predicate `p`'s provenance levels for one publication,
 /// with `p'` its synonym-resolved form (`p` itself when the system runs no
 /// synonym stage).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct PredLevel {
     /// The raw event satisfies `p`.
     raw: bool,
     /// The synonym tier satisfies `p'`; false without the synonym stage.
     synonym: bool,
-    /// The minimal distance of a hierarchy-tier pair that satisfies `p'`;
-    /// `None` if no pair does, or without a usable hierarchy tier.
-    hierarchy: Option<u32>,
+    /// The minimal distance (capped at [`CLASSIFY_DISTANCE_CAP`]) of a
+    /// hierarchy-tier pair that satisfies `p'`; [`NO_PAIR`] if no pair
+    /// does, or without a usable hierarchy tier. A sentinel rather than an
+    /// `Option`, so that a match folds its predicates' distances with a
+    /// plain `max`.
+    hierarchy: u32,
 }
+
+/// [`PredLevel::hierarchy`] of a predicate no hierarchy-tier pair
+/// satisfies; larger than any capped distance.
+const NO_PAIR: u32 = u32::MAX;
 
 /// The provenance classifier of one publication: behaviourally identical
 /// to [`classify_match`], the pinned oracle, but priced per distinct
@@ -151,35 +317,47 @@ struct PredLevel {
 /// are not monotone — `Ne` over a synonym-aliased value can hold on the
 /// raw event and fail on the synonym tier — so all three are kept.
 ///
-/// Each distinct predicate's levels are computed once per publication into
-/// the matcher's scratch memo. The tiers come from the publication's
-/// [`TierCache`], filled when the first match is classified and passed in
-/// per match, so the cache's class map stays free for verification. A
-/// truncated hierarchy tier no longer equals "unbounded pairs filtered by
-/// distance", so a subscription that needs it defers to the oracle.
+/// A match is classified from the [`PredId`]s at the head of its entry:
+/// each id indexes the matcher's dense memo, and a distinct predicate's
+/// levels are computed the first time the publication meets its id. So a
+/// match hashes no predicate and reads neither its subscription's
+/// predicates nor the rest of its entry. The tiers come from the
+/// publication's [`TierCache`], filled once the verification pass is done
+/// and there is a match to classify. A truncated hierarchy tier no longer
+/// equals "unbounded pairs filtered by distance", so a subscription that
+/// needs it defers to the oracle.
 struct Classifier<'a> {
     side: EventSide<'a>,
     source: &'a dyn SemanticSource,
     config: &'a Config,
     interner: &'a Interner,
+    preds: &'a PredTable,
+    /// The current publication's memo stamp.
+    publication: u64,
 }
 
 impl Classifier<'_> {
-    /// Why `sub` matches the publication (which it must, under the
-    /// configured stages with unbounded distance), with `tiers` the
-    /// publication's classifier tiers.
+    /// Why subscription `id` matches the publication (which it must, under
+    /// the configured stages with unbounded distance), with `entry` its
+    /// interned entry, `tiers` the publication's classifier tiers and
+    /// `memo` the provenance memo.
     fn classify(
         &self,
-        sub: &Subscription,
+        id: SubId,
+        entry: &SubEntry,
         tiers: ClassifierTiers<'_>,
-        memo: &mut FxHashMap<Predicate, PredLevel>,
+        memo: &mut [(u64, PredLevel)],
     ) -> MatchOrigin {
-        let (mut raw, mut synonym, mut distance) = (true, true, Some(0u32));
-        for p in sub.predicates() {
-            let level = *memo.entry(*p).or_insert_with(|| self.level(p, tiers));
+        let (mut raw, mut synonym, mut distance) = (true, true, 0);
+        for &p in entry.hot.ids() {
+            let (stamp, level) = &mut memo[p as usize];
+            if *stamp != self.publication {
+                *stamp = self.publication;
+                *level = self.level(self.preds.predicate(p), tiers);
+            }
             raw &= level.raw;
             synonym &= level.synonym;
-            distance = distance.zip(level.hierarchy).map(|(d, l)| d.max(l));
+            distance = distance.max(level.hierarchy);
         }
         if raw {
             return MatchOrigin::Syntactic;
@@ -191,7 +369,7 @@ impl Classifier<'_> {
             let Config { stages, now_year, .. } = *self.config;
             let limits = &self.config.limits.closure;
             return classify_match(
-                sub,
+                &Subscription::new(id, entry.original.to_vec()),
                 self.side.raw,
                 self.source,
                 stages,
@@ -202,12 +380,16 @@ impl Classifier<'_> {
         }
         // Not matching on the raw event guarantees distance ≥ 1; the
         // oracle's linear search also never reports past the cap.
-        distance.map_or(MatchOrigin::Mapping, |d| MatchOrigin::Hierarchy {
-            distance: d.clamp(1, CLASSIFY_DISTANCE_CAP),
-        })
+        match distance {
+            NO_PAIR => MatchOrigin::Mapping,
+            d => MatchOrigin::Hierarchy { distance: d.clamp(1, CLASSIFY_DISTANCE_CAP) },
+        }
     }
 
-    /// `p`'s three levels on this publication.
+    /// `p`'s three levels on this publication. Called once per distinct
+    /// predicate per publication, so it stays out of line, away from the
+    /// per-match loop of [`Classifier::classify`].
+    #[inline(never)]
     fn level(&self, p: &Predicate, tiers: ClassifierTiers<'_>) -> PredLevel {
         let interner = self.interner;
         let resolved =
@@ -220,29 +402,31 @@ impl Classifier<'_> {
                 .filter(|((attr, value), _)| {
                     *attr == resolved.attr && resolved.eval(value, interner)
                 })
-                .map(|(_, info)| info.distance)
+                .map(|(_, info)| info.distance.min(CLASSIFY_DISTANCE_CAP))
                 .min()
         });
         PredLevel {
             raw: self.side.raw.satisfies(p, interner),
             synonym: tiers.synonym.is_some_and(|tier| tier.event.satisfies(&resolved, interner)),
-            hierarchy,
+            hierarchy: hierarchy.unwrap_or(NO_PAIR),
         }
     }
 }
 
 /// The matcher's whole state: configuration, ontology handle,
-/// subscription table, syntactic engine (its trait allows interior
-/// scratch, so `match_event` takes `&mut self`), candidate scratch,
-/// lifetime counters and the control epoch. [`SToPSS`] keeps it behind its
-/// one `Mutex`, and every method here runs on the core that lock hands
-/// out, so the core itself holds no lock and no atomic.
+/// subscription table with its predicate ids, syntactic engine (its trait
+/// allows interior scratch, so `match_event` takes `&mut self`), candidate
+/// scratch, lifetime counters and the control epoch. [`SToPSS`] keeps it
+/// behind its one `Mutex`, and every method here runs on the core that
+/// lock hands out, so the core itself holds no lock and no atomic.
 struct MatcherCore {
     config: Config,
     source: Arc<dyn SemanticSource>,
     engine: Box<dyn MatchingEngine>,
     scratch: MatchScratch,
     subs: FxHashMap<SubId, Box<SubEntry>>,
+    /// The ids of the registered subscriptions' original predicates.
+    preds: PredTable,
     stats: MatcherStats,
     /// Bumped by every control mutation (linearization token).
     control_epoch: u64,
@@ -256,6 +440,7 @@ impl MatcherCore {
             config,
             source,
             subs: FxHashMap::default(),
+            preds: PredTable::default(),
             stats: MatcherStats::default(),
             control_epoch: 0,
         }
@@ -269,8 +454,8 @@ impl MatcherCore {
         self.subs.contains_key(&id)
     }
 
-    fn subscription(&self, id: SubId) -> Option<&Subscription> {
-        self.subs.get(&id).map(|e| &e.original)
+    fn subscription(&self, id: SubId) -> Option<Subscription> {
+        self.subs.get(&id).map(|e| Subscription::new(id, e.original.to_vec()))
     }
 
     fn tolerance(&self, id: SubId) -> Option<Tolerance> {
@@ -287,7 +472,7 @@ impl MatcherCore {
         let classes: FxHashSet<Tolerance> = self
             .subs
             .values()
-            .filter(|e| e.needs_verify)
+            .filter(|e| e.hot.needs_verify())
             .map(|e| e.effective.verify_class())
             .collect();
         classes.into_iter().collect()
@@ -303,22 +488,22 @@ impl MatcherCore {
 
     fn subscribe_with_tolerance(&mut self, sub: Subscription, tolerance: Tolerance) {
         self.remove_entry(sub.id());
-        let entry = self.build_entry(sub, tolerance);
-        self.subs.insert(entry.original.id(), Box::new(entry));
+        self.insert_entry(sub, tolerance);
     }
 
-    fn build_entry(&mut self, sub: Subscription, requested: Tolerance) -> SubEntry {
+    /// Indexes `sub` and files its entry; its id must not be registered.
+    fn insert_entry(&mut self, sub: Subscription, requested: Tolerance) {
         let system = self.config.system_tolerance();
         let effective = requested.clamp_to(&system);
-        let needs_verify = effective != system;
+        let hot = Hot::Pending { needs_verify: effective != system };
 
         // The engine indexes the subscription under the subscriber's own
         // id, in canonical (root-term) space whenever the system runs the
         // synonym stage. The resolved form is kept on the entry so the
-        // verify/provenance fast paths never re-resolve per candidate;
-        // `Cow::Borrowed` means resolution was the identity and `original`
-        // can serve both roles.
-        let canonical: Option<Subscription> = if self.config.stages.synonym() {
+        // verify path never re-resolves per candidate; `Cow::Borrowed`
+        // means resolution was the identity and `original` can serve both
+        // roles.
+        let resolved = if self.config.stages.synonym() {
             match synonym_resolve_subscription(&sub, self.source.as_ref()) {
                 Cow::Borrowed(_) => None,
                 Cow::Owned(resolved) => Some(resolved),
@@ -326,16 +511,19 @@ impl MatcherCore {
         } else {
             None
         };
-        let engine_sub = canonical.clone().unwrap_or_else(|| sub.clone());
-        self.engine.insert(engine_sub);
-        SubEntry { original: sub, canonical, requested, effective, needs_verify }
+        let (id, original) = (sub.id(), sub.predicates().into());
+        let canonical = resolved.as_ref().map(|r| r.predicates().into());
+        self.engine.insert(resolved.unwrap_or(sub));
+        let entry = SubEntry { hot, original, canonical, requested, effective };
+        self.subs.insert(id, Box::new(entry));
     }
 
     /// Removes a subscription; returns whether it existed.
     fn remove_entry(&mut self, id: SubId) -> bool {
-        if self.subs.remove(&id).is_none() {
+        let Some(entry) = self.subs.remove(&id) else {
             return false;
-        }
+        };
+        self.preds.release(entry.hot.ids());
         self.engine.remove(id);
         true
     }
@@ -374,19 +562,19 @@ impl MatcherCore {
         // the gain is largest for entries subscribed together, which sit
         // together on the heap, and smaller where other allocations
         // interleave with them.
-        let mut entries: Vec<&SubEntry> = self.subs.values().map(|e| &**e).collect();
-        entries.sort_unstable_by_key(|e| *e as *const SubEntry as usize);
+        let mut entries: Vec<(SubId, &SubEntry)> =
+            self.subs.iter().map(|(id, e)| (*id, &**e)).collect();
+        entries.sort_unstable_by_key(|(_, e)| *e as *const SubEntry as usize);
         let mut stale: Vec<(Subscription, Tolerance)> = entries
             .into_iter()
-            .filter(|e| {
+            .filter(|(_, e)| {
                 let indexed = e.canonical.as_ref().unwrap_or(&e.original);
                 e.original
-                    .predicates()
                     .iter()
-                    .zip(indexed.predicates())
+                    .zip(indexed.iter())
                     .any(|(p, q)| synonym_resolve_predicate(p, source) != *q)
             })
-            .map(|e| (e.original.clone(), e.requested))
+            .map(|(id, e)| (Subscription::new(id, e.original.to_vec()), e.requested))
             .collect();
         // Re-index in id order, so the engine's slot layout does not
         // depend on addresses.
@@ -398,12 +586,21 @@ impl MatcherCore {
         reindexed
     }
 
+    /// Re-files every entry under the current configuration, releasing
+    /// each drained entry's predicate ids before its rebuild interns them
+    /// again.
     fn rebuild_entries(&mut self) {
-        let old: Vec<(Subscription, Tolerance)> =
-            self.subs.drain().map(|(_, e)| (e.original.clone(), e.requested)).collect();
+        let old: Vec<(Subscription, Tolerance)> = self
+            .subs
+            .drain()
+            .map(|(id, e)| {
+                self.preds.release(e.hot.ids());
+                let SubEntry { original, requested, .. } = *e;
+                (Subscription::new(id, original.into_vec()), requested)
+            })
+            .collect();
         for (sub, requested) in old {
-            let entry = self.build_entry(sub, requested);
-            self.subs.insert(entry.original.id(), Box::new(entry));
+            self.insert_entry(sub, requested);
         }
     }
 
@@ -452,9 +649,10 @@ impl MatcherCore {
         mut tiers: TierCache,
         interner: &Interner,
     ) -> PublishResult {
-        let MatcherCore { config, source, engine, scratch, subs, stats, control_epoch } = self;
+        let MatcherCore { config, source, engine, scratch, subs, preds, stats, control_epoch } =
+            self;
         let (source, config) = (source.as_ref(), &*config);
-        let MatchScratch { users, provenance } = scratch;
+        let MatchScratch { users, provenance, publication } = scratch;
         let mut result = PublishResult {
             matches: Vec::new(),
             derived_events,
@@ -462,7 +660,6 @@ impl MatcherCore {
             truncated,
             epoch: *control_epoch,
         };
-        provenance.clear();
         // The engine indexes subscriptions under their own ids and, by its
         // contract, reports each at most once; sorted, matches come out in
         // id order. The event side holds one event, the closure.
@@ -474,10 +671,17 @@ impl MatcherCore {
         debug_assert!(users.windows(2).all(|w| w[0] != w[1]), "engine emitted duplicate ids");
         result.matches.reserve(users.len());
 
-        let classifier = Classifier { side, source, config, interner };
+        // Verification first, then classification. Verifying reads every
+        // candidate's entry head, and the probes are independent cache
+        // misses, which overlap when issued back to back but not when each
+        // waits behind a classification; classification then finds every
+        // accepted head in cache. `accepted` borrows the table, so it is a
+        // local rather than scratch.
+        let mut accepted: Vec<(SubId, &SubEntry)> = Vec::with_capacity(users.len());
+        let mut pending = false;
         for &user_id in users.iter() {
             let entry = subs.get(&user_id).expect("invariant: engine ids are live subscriptions");
-            if entry.needs_verify {
+            if entry.hot.needs_verify() {
                 stats.verifications += 1;
                 // One closure per distinct tolerance class per
                 // publication, then a plain conjunctive match.
@@ -489,19 +693,42 @@ impl MatcherCore {
                     interner,
                     &config.limits.closure,
                 );
-                if !entry.verify_sub().matches(&class.event, interner) {
+                if !entry.verify_preds().iter().all(|p| class.event.satisfies(p, interner)) {
                     stats.verify_rejections += 1;
                     continue;
                 }
             }
-            let origin = if config.track_provenance {
-                let classifier_tiers = tiers.classifier_tiers(side, source, config, interner);
-                classifier.classify(&entry.original, classifier_tiers, provenance)
-            } else {
-                MatchOrigin::Unclassified
-            };
-            result.matches.push(Match { sub: user_id, origin });
+            pending |= matches!(entry.hot, Hot::Pending { .. });
+            accepted.push((user_id, entry));
         }
+        if !config.track_provenance || accepted.is_empty() {
+            let unclassified =
+                |&(sub, _): &(SubId, &SubEntry)| Match { sub, origin: MatchOrigin::Unclassified };
+            result.matches.extend(accepted.iter().map(unclassified));
+            return result;
+        }
+        if pending {
+            // Some candidate is classified for the first time: intern it,
+            // then look the accepted entries up again.
+            let ids: Vec<SubId> = accepted.iter().map(|&(id, _)| id).collect();
+            for id in &ids {
+                subs.get_mut(id).expect("invariant: accepted ids are live").intern(preds);
+            }
+            let lookup =
+                |id: &SubId| (*id, &**subs.get(id).expect("invariant: accepted ids are live"));
+            accepted = ids.iter().map(lookup).collect();
+        }
+        *publication += 1;
+        if provenance.len() < preds.len() {
+            provenance.resize(preds.len(), (0, PredLevel::default()));
+        }
+        let tiers = tiers.classifier_tiers(side, source, config, interner);
+        let (preds, publication) = (&*preds, *publication);
+        let classifier = Classifier { side, source, config, interner, preds, publication };
+        result.matches.extend(accepted.iter().map(|&(sub, entry)| Match {
+            sub,
+            origin: classifier.classify(sub, entry, tiers, provenance),
+        }));
         result
     }
 }
@@ -609,7 +836,7 @@ impl SToPSS {
 
     /// The original subscription registered under `id`.
     pub fn subscription(&self, id: SubId) -> Option<Subscription> {
-        self.core.lock().subscription(id).cloned()
+        self.core.lock().subscription(id)
     }
 
     /// The effective (clamped) tolerance of subscription `id`.
@@ -1267,15 +1494,88 @@ mod tests {
         let event = EventBuilder::new(&mut i).term("credential", "phd").build();
         let config = Config::default();
         let lim = config.limits.closure;
+        let mut core = MatcherCore::new(config, Arc::new(o.clone()));
+        for sub in &subs {
+            core.subscribe(sub.clone());
+            core.subs.get_mut(&sub.id()).unwrap().intern(&mut core.preds);
+        }
+        assert_eq!(core.preds.ids.len(), 3, "one id per distinct predicate");
         let mut tiers = TierCache::new();
         let side = EventSide { raw: &event, engine_events: &[], info: &[] };
-        let classifier = Classifier { side, source: &o, config: &config, interner: &i };
-        let tiers = tiers.classifier_tiers(side, &o, &config, &i);
-        let mut memo = FxHashMap::default();
+        let publication = 1;
+        let (preds, config) = (&core.preds, &config);
+        let classifier = Classifier { side, source: &o, config, interner: &i, preds, publication };
+        let tiers = tiers.classifier_tiers(side, &o, config, &i);
+        let mut memo = vec![(0, PredLevel::default()); preds.len()];
         for sub in &subs {
             let want = classify_match(sub, &event, &o, StageMask::all(), 2003, &i, &lim);
-            assert_eq!(classifier.classify(sub, tiers, &mut memo), want, "sub {:?}", sub.id());
+            let got = classifier.classify(sub.id(), &core.subs[&sub.id()], tiers, &mut memo);
+            assert_eq!(got, want, "sub {:?}", sub.id());
         }
-        assert_eq!(memo.len(), 3, "one memo entry per distinct predicate");
+        let computed = memo.iter().filter(|(stamp, _)| *stamp == publication).count();
+        assert_eq!(computed, 3, "one level computation per distinct predicate");
+    }
+
+    /// The predicate-id table is bounded under churn: a classified
+    /// subscription holds one reference per distinct predicate, ids are
+    /// released on unsubscribe and on the rebuild a `set_stages` runs, and
+    /// freed ids are reused, so five rounds over fresh predicates never
+    /// grow the table past one round's distinct count.
+    #[test]
+    fn predicate_ids_are_released_and_recycled() {
+        let mut i = Interner::new();
+        let rounds: Vec<Vec<Subscription>> = (0..5)
+            .map(|round| {
+                (0..20u64)
+                    .map(|k| {
+                        // Two subscriptions per distinct predicate pair,
+                        // the second repeating its first predicate.
+                        let value = format!("r{round}v{}", k / 2);
+                        let b = SubscriptionBuilder::new(&mut i)
+                            .term_eq("k", &value)
+                            .term_eq("round", &format!("r{round}"));
+                        let b = if k % 2 == 1 { b.term_eq("k", &value) } else { b };
+                        b.build(SubId(k))
+                    })
+                    .collect()
+            })
+            .collect();
+        // Each round's event matches all of that round's subscriptions.
+        let events: Vec<Event> = (0..5)
+            .map(|round| {
+                let b = EventBuilder::new(&mut i).term("round", &format!("r{round}"));
+                (0..10).fold(b, |b, v| b.term("k", &format!("r{round}v{v}"))).build()
+            })
+            .collect();
+        let source = Arc::new(Ontology::new("churn"));
+        let matcher = SToPSS::new(Config::default(), source, SharedInterner::from_interner(i));
+        let live = |m: &SToPSS| {
+            let core = m.core.lock();
+            (core.preds.ids.len(), core.preds.ids.values().map(|(_, refs)| refs).sum::<u32>())
+        };
+        // Per round: 10 `k` values and one `round` value.
+        let peak = 11;
+        for (round, (subs, event)) in rounds.iter().zip(&events).enumerate() {
+            for sub in subs {
+                matcher.subscribe(sub.clone());
+            }
+            assert_eq!(live(&matcher), (0, 0), "round {round}: nothing classified yet");
+            assert_eq!(matcher.publish(event).len(), 20, "round {round}");
+            // One reference per subscription and distinct predicate.
+            assert_eq!(live(&matcher), (peak, 40), "round {round}: classified");
+            matcher.set_stages(StageMask::syntactic());
+            assert_eq!(live(&matcher), (0, 0), "round {round}: the rebuild released them");
+            matcher.set_stages(StageMask::all());
+            assert_eq!(matcher.publish(event).len(), 20, "round {round}");
+            assert_eq!(live(&matcher), (peak, 40), "round {round}: classified again");
+            for sub in subs {
+                assert!(matcher.unsubscribe(sub.id()).is_some());
+            }
+        }
+        let core = matcher.core.lock();
+        assert!(core.preds.ids.is_empty(), "no live id after the last unsubscribe");
+        assert_eq!(core.preds.free.len(), core.preds.len());
+        assert!(core.preds.len() <= peak, "ids must be reused, got {}", core.preds.len());
+        assert!(core.scratch.provenance.len() <= peak);
     }
 }

@@ -1174,3 +1174,134 @@ fn provenance_levels_are_computed_once_per_distinct_predicate_per_publication() 
     assert!(once > 0, "the fixture must produce matches");
     assert!(once * 2 < per_match, "predicates are shared: {once} resolutions vs {per_match}");
 }
+
+#[test]
+fn recycled_predicate_ids_classify_like_the_oracle_after_control_ops() {
+    // The memo is indexed by predicate ids, which control ops release and
+    // intern again: a re-indexing `set_source`, the rebuilds of
+    // `set_stages` and `reconfigure`, and a re-subscription of a live id
+    // with other predicates, after which the freed id of `city != to`
+    // goes to another predicate and `city != to` itself returns under a
+    // new subscription. After each op the one live matcher must match and
+    // classify every event as the oracle path does on the same
+    // subscriptions, configuration and source. An entry that kept a
+    // released id, or an id read with another predicate's levels, would
+    // misclassify.
+    let (mut i, ontology) = classifier_world();
+    let full = Tolerance::full();
+    let subs = [
+        (
+            SubscriptionBuilder::new(&mut i)
+                .term_eq("credential", "degree")
+                .term_eq("university", "uoft")
+                .build(SubId(1)),
+            full,
+        ),
+        (SubscriptionBuilder::new(&mut i).term("city", Operator::Ne, "to").build(SubId(2)), full),
+        (SubscriptionBuilder::new(&mut i).term_eq("school", "varsity").build(SubId(3)), full),
+        (
+            SubscriptionBuilder::new(&mut i)
+                .pred("professional_experience", Operator::Ge, 4i64)
+                .term_eq("credential", "degree")
+                .build(SubId(4)),
+            Tolerance::bounded(1),
+        ),
+        (
+            SubscriptionBuilder::new(&mut i)
+                .term_eq("position", "teach")
+                .term_eq("credential", "graduate_degree")
+                .term_eq("school", "varsity")
+                .term_eq("city", "ontario_city")
+                .build(SubId(5)),
+            Tolerance::stages(StageMask::SYNONYM.with(StageMask::HIERARCHY)),
+        ),
+        (
+            SubscriptionBuilder::new(&mut i).term_eq("credential", "phd").build(SubId(6)),
+            Tolerance::syntactic(),
+        ),
+    ];
+    let resubscribed = SubscriptionBuilder::new(&mut i)
+        .term_eq("credential", "graduate_degree")
+        .term_eq("position", "teach")
+        .build(SubId(2));
+    let returning =
+        SubscriptionBuilder::new(&mut i).term("city", Operator::Ne, "to").build(SubId(7));
+    let events = [
+        EventBuilder::new(&mut i)
+            .term("credential", "phd")
+            .term("school", "uoft")
+            .term("city", "toronto")
+            .pair("graduation_year", 1993i64)
+            .build(),
+        terms(&mut i, &[("credential", "degree"), ("university", "varsity"), ("city", "to")]),
+        terms(
+            &mut i,
+            &[
+                ("credential", "graduate_degree"),
+                ("school", "varsity"),
+                ("position", "teach"),
+                ("city", "ottawa"),
+            ],
+        ),
+        terms(
+            &mut i,
+            &[("title", "instruct"), ("credential", "phd"), ("university", "uoft"), ("city", "to")],
+        ),
+        EventBuilder::new(&mut i)
+            .term("credential", "degree")
+            .term("position", "teach")
+            .pair("graduation_year", 1990i64)
+            .build(),
+    ];
+    // `varsity` becomes an alias of `uoft`: subscriptions 3 and 5 change
+    // form and are re-indexed.
+    let mut aliased = ontology.clone();
+    let (uoft, varsity) = (i.intern("uoft"), i.intern("varsity"));
+    aliased.synonyms.add_synonym(uoft, varsity, &i).unwrap();
+    let interner = SharedInterner::from_interner(i);
+
+    let mut config = Config::default();
+    let mut source: Arc<dyn SemanticSource> = Arc::new(ontology);
+    let matcher = SToPSS::new(config, source.clone(), interner.clone());
+    let mut live = subs.to_vec();
+    for (sub, tolerance) in &live {
+        matcher.subscribe_with_tolerance(sub.clone(), *tolerance);
+    }
+    let mut origins = Vec::new();
+    let mut check = |step: &str, config: Config, source: &Arc<dyn SemanticSource>, live: &[_]| {
+        let mut oracle = OraclePath::new(config, source.clone(), interner.clone(), live.to_vec());
+        for (k, event) in events.iter().enumerate() {
+            let want = oracle.publish_detailed(event).matches;
+            assert_eq!(matcher.publish(event), want, "after {step}: event {k} diverged");
+            origins.extend(want.iter().map(|m| m.origin));
+        }
+    };
+    check("subscribing", config, &source, &live);
+
+    source = Arc::new(aliased);
+    matcher.set_source(source.clone());
+    check("set_source", config, &source, &live);
+
+    config = config.with_stages(StageMask::HIERARCHY.with(StageMask::MAPPING));
+    matcher.set_stages(config.stages);
+    check("set_stages", config, &source, &live);
+
+    config = Config::default().with_engine(EngineKind::Naive);
+    matcher.reconfigure(config);
+    check("reconfigure", config, &source, &live);
+
+    live[1] = (resubscribed.clone(), full);
+    matcher.subscribe(resubscribed);
+    check("re-subscribing sub#2", config, &source, &live);
+
+    live.remove(5);
+    live.push((returning.clone(), full));
+    matcher.unsubscribe(SubId(6));
+    matcher.subscribe(returning);
+    check("unsubscribing sub#6 and subscribing sub#7", config, &source, &live);
+
+    for origin in [MatchOrigin::Syntactic, MatchOrigin::Synonym, MatchOrigin::Mapping] {
+        assert!(origins.contains(&origin), "no {origin:?} match to check");
+    }
+    assert!(origins.iter().any(|o| matches!(o, MatchOrigin::Hierarchy { .. })));
+}
