@@ -255,7 +255,7 @@ impl Broker {
     /// mutation: ownership is recorded per request, then every accepted
     /// subscription lands in the matcher through a single control mutation
     /// ([`SToPSS::subscribe_batch`]) instead of one per subscription, so
-    /// publishers wait for the matcher's write lock once per batch.
+    /// publishers wait for the matcher's lock once per batch.
     /// Results are positional: the
     /// `k`-th entry answers the `k`-th request, and rejected requests
     /// (unknown client) consume neither a [`SubId`] nor matcher work. The

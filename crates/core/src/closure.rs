@@ -94,7 +94,7 @@ impl ClosedEvent {
 /// symbol values too (they are categorical terms). Numeric and boolean
 /// values pass through.
 ///
-/// Runs once per publication (and once per verification class through the
+/// Runs once per publication (and once per tolerance class through the
 /// closure), so the common case — no term of the event has a synonym
 /// mapping — returns the input borrowed: the function itself allocates
 /// nothing, and the closure paths that must own their base event fall
@@ -132,8 +132,8 @@ pub fn synonym_resolve_event<'a>(event: &'a Event, source: &dyn SemanticSource) 
 /// `Suffix`, `Contains`) are fragments, not terms — rewriting `"teach"`
 /// because some ontology maps `teach → instruct` would corrupt them.
 ///
-/// Runs once per subscribe and once per candidate in the verify oracle,
-/// so the common case — no term of the subscription has a synonym
+/// Runs once per subscribe and once per `semantic_match` call, so the
+/// common case — no term of the subscription has a synonym
 /// mapping — returns the input borrowed, with no clone or allocation.
 pub fn synonym_resolve_subscription<'a>(
     sub: &'a Subscription,

@@ -17,29 +17,27 @@
 //!
 //! # The tier cache
 //!
-//! The engine events are not the only event-side work a publication
+//! The main closure is not the only event-side work a publication
 //! induces. Two back-end obligations are *also* pure functions of the
-//! event, the ontology and a tolerance — yet they used to be recomputed
-//! per matched candidate:
+//! event, the ontology and a tolerance:
 //!
-//! * **Tolerance verification**: a subscriber whose effective tolerance
-//!   differs from the system-wide one is re-checked by closing the raw
-//!   event under *their* tolerance and matching — one full closure per
-//!   candidate, even though candidates sharing a tolerance share the
-//!   closure.
+//! * **Tolerance classes**: the matcher keeps one engine partition per
+//!   *verification class* ([`Tolerance::verify_class`]) of its
+//!   subscribers' tolerances, and matches every partition but the system
+//!   class's against the raw event closed under that class.
 //! * **Provenance classification**: [`crate::classify_match`] re-derives
-//!   the synonym-only and synonym+hierarchy closures per candidate, then
+//!   the synonym-only and synonym+hierarchy closures per match, then
 //!   linearly re-closes the event once per candidate hierarchy distance
 //!   (up to [`crate::CLASSIFY_DISTANCE_CAP`] times).
 //!
-//! [`TierCache`] hoists all of it into one plain per-publication value:
-//! the classifier's tier closures and one closed event per distinct
-//! *verification class* ([`Tolerance::verify_class`]) are each computed at
-//! most once per publication, lazily on first use, and filled through
-//! `&mut`. The matcher's classifier evaluates each distinct predicate of a
-//! publication's matches once against these tiers, reading the minimal
-//! hierarchy distance straight off the cached closure's [`PairInfo`]
-//! instead of searching for it by repeated re-closing (see `matcher.rs`).
+//! [`TierCache`] holds both in one plain per-publication value: the
+//! classifier's tier closures and one closed event per verification class
+//! are each computed at most once per publication, lazily on first use,
+//! and filled through `&mut`. The matcher's classifier evaluates each
+//! distinct predicate of a publication's matches once against these tiers,
+//! reading the minimal hierarchy distance straight off the cached
+//! closure's [`PairInfo`] instead of searching for it by repeated
+//! re-closing (see `matcher.rs`).
 //! The oracle functions in [`crate::oracle`] are untouched ground truth;
 //! byte-identical behaviour is pinned by `tests/tier_cache_differential.rs`.
 //!
@@ -91,8 +89,8 @@ use crate::tolerance::{StageMask, Tolerance};
 #[derive(Clone, Debug)]
 pub struct PreparedEvent {
     /// The publication exactly as the publisher wrote it. Tolerance
-    /// verification and provenance classification are defined against the
-    /// raw event, so it travels with the artifact.
+    /// classes and provenance classification are defined against the raw
+    /// event, so it travels with the artifact.
     pub raw: Event,
     /// The events the syntactic engine sees: exactly one, the flattened
     /// closure.
@@ -192,11 +190,11 @@ pub(crate) fn prepare_parts(
 }
 
 /// The per-publication tier cache: every closure the matching back end
-/// needs beyond the engine events — the provenance classifier's tier
-/// closures and one closed event per distinct verification class — each
+/// needs beyond the main closure — the provenance classifier's tier
+/// closures and one closed event per tolerance-class partition — each
 /// computed at most once, on first use. See the module docs for why this
-/// is event-side work, how it replaces the per-candidate oracle closures,
-/// and when an entry is read off the main closure instead of computed.
+/// is event-side work and when an entry is read off the main closure
+/// instead of computed.
 ///
 /// One cache serves exactly one `(publication, configuration)` pair: the
 /// slots memoize the first computation, so callers must not reuse a cache
@@ -213,8 +211,8 @@ pub struct TierCache {
     /// Classifier tier: the unbounded synonym∩stages+hierarchy closure,
     /// tagged with the stage mask it was computed under.
     hierarchy: Option<(StageMask, ClosedEvent)>,
-    /// One closed event per distinct [`Tolerance::verify_class`] among
-    /// the candidates verified so far.
+    /// One closed event per distinct [`Tolerance::verify_class`] asked for
+    /// so far: one per partition the publication matched.
     classes: FxHashMap<Tolerance, ClosedEvent>,
 }
 
@@ -265,9 +263,8 @@ impl TierCache {
     }
 
     /// The closed event for `tolerance`'s verification class, computed on
-    /// first use. Tolerances with equal [`Tolerance::verify_class`] share
-    /// one entry, so per-candidate verification costs one closure per
-    /// *distinct class* per publication instead of one per candidate.
+    /// first use: the event that class's engine partition matches.
+    /// Tolerances with equal [`Tolerance::verify_class`] share one entry.
     pub fn tolerance_class(
         &mut self,
         tolerance: &Tolerance,
@@ -287,7 +284,7 @@ impl TierCache {
     /// The classifier tiers `config` runs (synonym-only if the synonym
     /// stage is on, synonym∩stages+hierarchy if the hierarchy stage is),
     /// filled on first use. The matcher asks once per publication that
-    /// has a match to classify, after verifying its candidates.
+    /// has a match to classify, after matching its partitions.
     pub(crate) fn classifier_tiers(
         &mut self,
         side: EventSide<'_>,

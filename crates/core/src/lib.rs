@@ -21,7 +21,8 @@
 //! * [`frontend`] — the event-side semantic pass: [`prepare_event`]
 //!   computes a [`PreparedEvent`] artifact (the closure + counters) once
 //!   per publication, and the per-publication [`TierCache`] serves
-//!   tolerance verification and provenance classification from it;
+//!   the tolerance classes' closures and provenance classification from
+//!   it;
 //! * [`strategy`] — cold references for the two alternatives the matcher
 //!   does not use, Figure 1's event materialization and subscription
 //!   rewriting, measured against it in experiment E8;

@@ -4,14 +4,22 @@
 //! synonym stage ("root subscription") and are indexed in the unmodified
 //! syntactic engine under the subscriber's own [`SubId`]; each publication
 //! is closed once into one flattened multi-valued event (see
-//! [`crate::frontend`]), matched once, and the resulting candidates are
-//! filtered by each subscriber's information-loss tolerance and annotated
-//! with provenance.
+//! [`crate::frontend`]), matched once, and its matches are annotated with
+//! provenance.
+//!
+//! # One engine partition per tolerance class
+//!
+//! Each verification class ([`Tolerance::verify_class`]) of the effective
+//! tolerances has its own engine, holding its subscriptions synonym-resolved
+//! only if the class runs the synonym stage. The system class's partition
+//! matches the main closure, every other one the event closed under its
+//! class (from the [`TierCache`]). So a subscription matches exactly when
+//! [`crate::semantic_match`] under its own tolerance accepts the event.
 //!
 //! # One lock
 //!
 //! The matcher's state (`MatcherCore`: the configuration, ontology handle,
-//! subscription table, syntactic engine, candidate scratch, lifetime
+//! subscription table, engine partitions, candidate scratch, lifetime
 //! counters and control epoch) sits behind one `Mutex`. A publication
 //! holds it for its whole pass, closure included; a control mutation
 //! (`subscribe`, `unsubscribe`, `set_stages`, `reconfigure`, `set_source`)
@@ -33,9 +41,7 @@
 use stopss_matching::MatchingEngine;
 use stopss_ontology::SemanticSource;
 use stopss_types::sync::{Arc, Mutex};
-use stopss_types::{
-    Event, FxHashMap, FxHashSet, Interner, Predicate, SharedInterner, SubId, Subscription,
-};
+use stopss_types::{Event, FxHashMap, Interner, Predicate, SharedInterner, SubId, Subscription};
 
 use std::borrow::Cow;
 
@@ -59,9 +65,10 @@ pub struct MatcherStats {
     pub closure_pairs: u64,
     /// Publications whose semantic processing hit a resource bound.
     pub truncations: u64,
-    /// Per-candidate tolerance verifications performed.
+    /// Always 0: tolerance is matched per engine partition. Kept because
+    /// the benchmark package reads it.
     pub verifications: u64,
-    /// Candidates rejected by per-subscription tolerance.
+    /// Always 0, as [`MatcherStats::verifications`].
     pub verify_rejections: u64,
 }
 
@@ -154,8 +161,7 @@ impl PredTable {
 const INLINE_IDS: usize = 3;
 
 /// A subscription's distinct original predicates as [`PredId`]s, inline up
-/// to [`INLINE_IDS`] of them, with the entry's `needs_verify` flag packed
-/// beside them in 16 bytes.
+/// to [`INLINE_IDS`] of them, in 16 bytes.
 ///
 /// An entry starts `Pending` and is interned when it is first classified
 /// (see [`MatcherCore::match_inner`]), not when it is registered: a
@@ -163,14 +169,14 @@ const INLINE_IDS: usize = 3;
 /// cache, so interning there would add a cache miss per predicate to every
 /// subscribe, where a first classification pays it once, in a publication.
 enum Hot {
-    Pending { needs_verify: bool },
-    Inline { needs_verify: bool, len: u8, ids: [PredId; INLINE_IDS] },
-    Spilled { needs_verify: bool, ids: Box<Box<[PredId]>> },
+    Pending,
+    Inline { len: u8, ids: [PredId; INLINE_IDS] },
+    Spilled(Box<Box<[PredId]>>),
 }
 
 impl Hot {
     /// Interns the distinct predicates of `preds` in `table`.
-    fn interned(needs_verify: bool, preds: &[Predicate], table: &mut PredTable) -> Self {
+    fn interned(preds: &[Predicate], table: &mut PredTable) -> Self {
         let (mut ids, mut len) = ([0; INLINE_IDS], 0);
         let mut rest = preds.iter();
         for &p in rest.by_ref() {
@@ -193,28 +199,18 @@ impl Hot {
                     }
                     repeated
                 });
-                return Hot::Spilled { needs_verify, ids: Box::new(spilled.into_boxed_slice()) };
+                return Hot::Spilled(Box::new(spilled.into_boxed_slice()));
             }
         }
-        Hot::Inline { needs_verify, len: len as u8, ids }
-    }
-
-    /// True if candidates must be re-verified against the entry's
-    /// effective tolerance.
-    fn needs_verify(&self) -> bool {
-        match *self {
-            Hot::Pending { needs_verify }
-            | Hot::Inline { needs_verify, .. }
-            | Hot::Spilled { needs_verify, .. } => needs_verify,
-        }
+        Hot::Inline { len: len as u8, ids }
     }
 
     /// The ids; none while `Pending`.
     fn ids(&self) -> &[PredId] {
         match self {
-            Hot::Pending { .. } => &[],
-            Hot::Inline { len, ids, .. } => &ids[..*len as usize],
-            Hot::Spilled { ids, .. } => ids,
+            Hot::Pending => &[],
+            Hot::Inline { len, ids } => &ids[..*len as usize],
+            Hot::Spilled(ids) => ids,
         }
     }
 }
@@ -224,51 +220,48 @@ const _: () = assert!(std::mem::size_of::<Hot>() == 16 && std::mem::size_of::<Su
 
 /// One subscription's entry in the subscription table, boxed under its
 /// [`SubId`]. It holds predicates, not `Subscription`s, because the key is
-/// already the id. `hot` comes first: it is all that a match reads unless
-/// the candidate needs verification.
+/// already the id. `hot` comes first: it is all that a match reads.
 #[repr(C)]
 struct SubEntry {
     hot: Hot,
     /// The predicates exactly as the subscriber registered them.
     original: Box<[Predicate]>,
-    /// The synonym-resolved (canonical root-term) predicates, cached at
-    /// subscribe time for the verify path and for `set_source`'s check of
-    /// which forms changed — `None` when they would equal `original`
-    /// (synonym stage off, or no term of the subscription has a synonym
-    /// mapping). Provenance never reads them: it resolves each distinct
-    /// predicate itself, once per publication (see [`Classifier`]).
+    /// The synonym-resolved (canonical root-term) predicates its partition
+    /// indexes, kept for `set_source`'s check of which forms changed —
+    /// `None` when they would equal `original` (its tolerance runs no
+    /// synonym stage, or no term has a synonym mapping). Provenance never
+    /// reads them: it resolves each distinct predicate itself (see
+    /// [`Classifier`]).
     canonical: Option<Box<[Predicate]>>,
     /// The tolerance the subscriber asked for (re-clamped on rebuild).
     requested: Tolerance,
-    /// `requested` clamped to the current system configuration.
+    /// `requested` clamped to the current system configuration; its
+    /// verification class names the entry's partition.
     effective: Tolerance,
 }
 
 impl SubEntry {
     /// Interns the predicates of a `Pending` entry.
     fn intern(&mut self, table: &mut PredTable) {
-        if let Hot::Pending { needs_verify } = self.hot {
-            self.hot = Hot::interned(needs_verify, &self.original, table);
+        if let Hot::Pending = self.hot {
+            self.hot = Hot::interned(&self.original, table);
         }
     }
+}
 
-    /// The predicates the verify oracle would match with under this
-    /// entry's effective tolerance: the synonym-resolved ones (aliasing
-    /// `original` when resolution is the identity) if that tolerance runs
-    /// the synonym stage.
-    fn verify_preds(&self) -> &[Predicate] {
-        match &self.canonical {
-            Some(canonical) if self.effective.stages.synonym() => canonical,
-            _ => &self.original,
-        }
-    }
+/// The engine of one tolerance class: every subscription whose effective
+/// tolerance has verification class `class`, indexed in the form
+/// [`crate::semantic_match`] matches under it (see the module docs).
+struct Partition {
+    class: Tolerance,
+    engine: Box<dyn MatchingEngine>,
 }
 
 /// Per-publication candidate scratch, owned by the matcher so the hot
 /// path allocates once per matcher lifetime rather than once per publish.
 #[derive(Default)]
 struct MatchScratch {
-    /// The subscription ids the engine matched, sorted.
+    /// The subscription ids the partitions matched, sorted.
     users: Vec<SubId>,
     /// The provenance memo, indexed by [`PredId`]: each distinct
     /// predicate's levels, stamped with the publication that computed
@@ -322,10 +315,9 @@ const NO_PAIR: u32 = u32::MAX;
 /// levels are computed the first time the publication meets its id. So a
 /// match hashes no predicate and reads neither its subscription's
 /// predicates nor the rest of its entry. The tiers come from the
-/// publication's [`TierCache`], filled once the verification pass is done
-/// and there is a match to classify. A truncated hierarchy tier no longer
-/// equals "unbounded pairs filtered by distance", so a subscription that
-/// needs it defers to the oracle.
+/// publication's [`TierCache`], filled once there is a match to classify.
+/// A truncated hierarchy tier no longer equals "unbounded pairs filtered
+/// by distance", so a subscription that needs it defers to the oracle.
 struct Classifier<'a> {
     side: EventSide<'a>,
     source: &'a dyn SemanticSource,
@@ -337,8 +329,8 @@ struct Classifier<'a> {
 }
 
 impl Classifier<'_> {
-    /// Why subscription `id` matches the publication (which it must, under
-    /// the configured stages with unbounded distance), with `entry` its
+    /// Why subscription `id` matches the publication, as [`classify_match`]
+    /// decides it under the configured stages, with `entry` its
     /// interned entry, `tiers` the publication's classifier tiers and
     /// `memo` the provenance memo.
     fn classify(
@@ -414,15 +406,17 @@ impl Classifier<'_> {
 }
 
 /// The matcher's whole state: configuration, ontology handle,
-/// subscription table with its predicate ids, syntactic engine (its trait
-/// allows interior scratch, so `match_event` takes `&mut self`), candidate
-/// scratch, lifetime counters and the control epoch. [`SToPSS`] keeps it
-/// behind its one `Mutex`, and every method here runs on the core that
-/// lock hands out, so the core itself holds no lock and no atomic.
+/// subscription table with its predicate ids, engine partitions (an
+/// engine may keep interior scratch, so `match_event` takes `&mut self`),
+/// candidate scratch, lifetime counters and the control epoch. [`SToPSS`]
+/// keeps it behind its one `Mutex`, and every method here runs on the core
+/// that lock hands out, so the core itself holds no lock and no atomic.
 struct MatcherCore {
     config: Config,
     source: Arc<dyn SemanticSource>,
-    engine: Box<dyn MatchingEngine>,
+    /// One per verification class with a live subscription, in no
+    /// particular order.
+    partitions: Vec<Partition>,
     scratch: MatchScratch,
     subs: FxHashMap<SubId, Box<SubEntry>>,
     /// The ids of the registered subscriptions' original predicates.
@@ -435,7 +429,7 @@ struct MatcherCore {
 impl MatcherCore {
     fn new(config: Config, source: Arc<dyn SemanticSource>) -> Self {
         MatcherCore {
-            engine: config.engine.build(),
+            partitions: Vec::new(),
             scratch: MatchScratch::default(),
             config,
             source,
@@ -466,16 +460,16 @@ impl MatcherCore {
         self.subs.get(&id).map(|e| e.requested)
     }
 
-    /// A cold scan over the subscription table (see
+    /// The partition keys other than the system class (see
     /// [`SToPSS::verify_classes`]).
     fn verify_classes(&self) -> Vec<Tolerance> {
-        let classes: FxHashSet<Tolerance> = self
-            .subs
-            .values()
-            .filter(|e| e.hot.needs_verify())
-            .map(|e| e.effective.verify_class())
-            .collect();
-        classes.into_iter().collect()
+        let system = self.config.system_tolerance().verify_class();
+        self.partitions.iter().map(|p| p.class).filter(|class| *class != system).collect()
+    }
+
+    /// The position of `class`'s partition, if it has one.
+    fn partition(&self, class: Tolerance) -> Option<usize> {
+        self.partitions.iter().position(|p| p.class == class)
     }
 
     /// Registers `sub` with no tolerance of its own: it asks for full
@@ -491,19 +485,16 @@ impl MatcherCore {
         self.insert_entry(sub, tolerance);
     }
 
-    /// Indexes `sub` and files its entry; its id must not be registered.
+    /// Indexes `sub` in its class's partition, creating the partition if
+    /// the class has none, and files its entry; its id must not be
+    /// registered.
     fn insert_entry(&mut self, sub: Subscription, requested: Tolerance) {
-        let system = self.config.system_tolerance();
-        let effective = requested.clamp_to(&system);
-        let hot = Hot::Pending { needs_verify: effective != system };
-
-        // The engine indexes the subscription under the subscriber's own
-        // id, in canonical (root-term) space whenever the system runs the
-        // synonym stage. The resolved form is kept on the entry so the
-        // verify path never re-resolves per candidate; `Cow::Borrowed`
-        // means resolution was the identity and `original` can serve both
-        // roles.
-        let resolved = if self.config.stages.synonym() {
+        let effective = requested.clamp_to(&self.config.system_tolerance());
+        // The partition indexes the subscription under the subscriber's
+        // own id, in canonical (root-term) space whenever its tolerance
+        // runs the synonym stage. `Cow::Borrowed` means resolution was the
+        // identity and `original` serves both roles.
+        let resolved = if effective.stages.synonym() {
             match synonym_resolve_subscription(&sub, self.source.as_ref()) {
                 Cow::Borrowed(_) => None,
                 Cow::Owned(resolved) => Some(resolved),
@@ -513,30 +504,34 @@ impl MatcherCore {
         };
         let (id, original) = (sub.id(), sub.predicates().into());
         let canonical = resolved.as_ref().map(|r| r.predicates().into());
-        self.engine.insert(resolved.unwrap_or(sub));
-        let entry = SubEntry { hot, original, canonical, requested, effective };
+        let class = effective.verify_class();
+        let k = self.partition(class).unwrap_or_else(|| {
+            self.partitions.push(Partition { class, engine: self.config.engine.build() });
+            self.partitions.len() - 1
+        });
+        self.partitions[k].engine.insert(resolved.unwrap_or(sub));
+        let entry = SubEntry { hot: Hot::Pending, original, canonical, requested, effective };
         self.subs.insert(id, Box::new(entry));
     }
 
-    /// Removes a subscription; returns whether it existed.
+    /// Removes a subscription, and its partition with it if it was the
+    /// last; returns whether it existed.
     fn remove_entry(&mut self, id: SubId) -> bool {
         let Some(entry) = self.subs.remove(&id) else {
             return false;
         };
         self.preds.release(entry.hot.ids());
-        self.engine.remove(id);
+        let k = self.partition(entry.effective.verify_class());
+        let k = k.expect("invariant: a live entry's class has a partition");
+        self.partitions[k].engine.remove(id);
+        if self.partitions[k].engine.is_empty() {
+            self.partitions.swap_remove(k);
+        }
         true
-    }
-
-    fn set_stages(&mut self, stages: crate::tolerance::StageMask) {
-        self.config.stages = stages;
-        self.engine.clear();
-        self.rebuild_entries();
     }
 
     fn reconfigure(&mut self, config: Config) {
         self.config = config;
-        self.engine = self.config.engine.build();
         self.rebuild_entries();
     }
 
@@ -544,11 +539,13 @@ impl MatcherCore {
     /// returns how many subscriptions it re-indexed.
     ///
     /// The only thing an indexed subscription reads from the ontology is
-    /// its synonym-resolved form: tolerances depend on the configuration
-    /// alone, and hierarchy and mappings are applied to the event. So one
-    /// pass re-resolves each entry's predicates against the new source and
-    /// re-indexes only the entries whose form changed; every other entry
-    /// keeps its engine slot.
+    /// its synonym-resolved form, and only if its tolerance runs the
+    /// synonym stage: tolerances depend on the configuration alone, and
+    /// hierarchy and mappings are applied to the event. So one pass
+    /// re-resolves the predicates of each entry whose tolerance runs the
+    /// synonym stage against the new source, and re-indexes only the
+    /// entries whose form changed; every other entry keeps its engine
+    /// slot.
     fn set_source(&mut self, source: Arc<dyn SemanticSource>) -> usize {
         self.source = source;
         if !self.config.stages.synonym() {
@@ -569,10 +566,11 @@ impl MatcherCore {
             .into_iter()
             .filter(|(_, e)| {
                 let indexed = e.canonical.as_ref().unwrap_or(&e.original);
-                e.original
-                    .iter()
-                    .zip(indexed.iter())
-                    .any(|(p, q)| synonym_resolve_predicate(p, source) != *q)
+                e.effective.stages.synonym()
+                    && e.original
+                        .iter()
+                        .zip(indexed.iter())
+                        .any(|(p, q)| synonym_resolve_predicate(p, source) != *q)
             })
             .map(|(id, e)| (Subscription::new(id, e.original.to_vec()), e.requested))
             .collect();
@@ -586,10 +584,11 @@ impl MatcherCore {
         reindexed
     }
 
-    /// Re-files every entry under the current configuration, releasing
-    /// each drained entry's predicate ids before its rebuild interns them
-    /// again.
+    /// Drops every partition and re-files every entry under the current
+    /// configuration, releasing each drained entry's predicate ids before
+    /// its rebuild interns them again.
     fn rebuild_entries(&mut self) {
+        self.partitions.clear();
         let old: Vec<(Subscription, Tolerance)> = self
             .subs
             .drain()
@@ -608,7 +607,8 @@ impl MatcherCore {
         // `prepare_parts` (not `prepare_event`) so the inline path keeps
         // borrowing the caller's event instead of cloning it into an
         // artifact; the tier cache is a fresh per-publication local,
-        // filled lazily only if candidates need it.
+        // filled lazily only with the closures the partitions and the
+        // classifier need.
         let parts = prepare_parts(event_raw, self.source.as_ref(), &self.config, interner);
         self.stats.published += 1;
         self.stats.truncations += u64::from(parts.truncated);
@@ -634,14 +634,15 @@ impl MatcherCore {
     }
 
     /// The subscription-side half shared by both publish entry points:
-    /// engine matching over the precomputed closed event, tolerance
-    /// verification and provenance against the raw event, with the
-    /// event-side counters passed through into the result.
+    /// every partition matched against its class's closure, then
+    /// provenance against the raw event, with the event-side counters
+    /// passed through into the result.
     ///
-    /// Per-candidate semantic work is served from `tiers`, the
-    /// publication's closure cache: verification matches each candidate
-    /// against its tolerance class's closure, and provenance comes from
-    /// the per-predicate memo of a [`Classifier`].
+    /// The system class's partition matches the main closure; every other
+    /// partition matches its class's closure from `tiers`, the
+    /// publication's closure cache, which also serves the classifier's
+    /// tiers. Provenance comes from the per-predicate memo of a
+    /// [`Classifier`].
     fn match_inner(
         &mut self,
         side: EventSide<'_>,
@@ -649,8 +650,7 @@ impl MatcherCore {
         mut tiers: TierCache,
         interner: &Interner,
     ) -> PublishResult {
-        let MatcherCore { config, source, engine, scratch, subs, preds, stats, control_epoch } =
-            self;
+        let MatcherCore { config, source, partitions, scratch, subs, preds, .. } = self;
         let (source, config) = (source.as_ref(), &*config);
         let MatchScratch { users, provenance, publication } = scratch;
         let mut result = PublishResult {
@@ -658,65 +658,47 @@ impl MatcherCore {
             derived_events,
             closure_pairs,
             truncated,
-            epoch: *control_epoch,
+            epoch: self.control_epoch,
         };
-        // The engine indexes subscriptions under their own ids and, by its
-        // contract, reports each at most once; sorted, matches come out in
-        // id order. The event side holds one event, the closure.
+        let Some(main) = side.engine_events.first() else {
+            return result;
+        };
+        // Each partition indexes its subscriptions under their own ids
+        // and, by the engine contract, reports each at most once; no id is
+        // in two partitions, so sorted, matches come out in id order.
         users.clear();
-        if let Some(event) = side.engine_events.first() {
+        let system = config.system_tolerance().verify_class();
+        let (now_year, limits) = (config.now_year, &config.limits.closure);
+        for Partition { class, engine } in partitions.iter_mut() {
+            let event = if *class == system {
+                main
+            } else {
+                &tiers.tolerance_class(class, side, source, now_year, interner, limits).event
+            };
             engine.match_event(event, interner, users);
         }
         users.sort_unstable();
-        debug_assert!(users.windows(2).all(|w| w[0] != w[1]), "engine emitted duplicate ids");
+        debug_assert!(users.windows(2).all(|w| w[0] != w[1]), "a partition emitted duplicate ids");
         result.matches.reserve(users.len());
-
-        // Verification first, then classification. Verifying reads every
-        // candidate's entry head, and the probes are independent cache
-        // misses, which overlap when issued back to back but not when each
-        // waits behind a classification; classification then finds every
-        // accepted head in cache. `accepted` borrows the table, so it is a
-        // local rather than scratch.
-        let mut accepted: Vec<(SubId, &SubEntry)> = Vec::with_capacity(users.len());
-        let mut pending = false;
-        for &user_id in users.iter() {
-            let entry = subs.get(&user_id).expect("invariant: engine ids are live subscriptions");
-            if entry.hot.needs_verify() {
-                stats.verifications += 1;
-                // One closure per distinct tolerance class per
-                // publication, then a plain conjunctive match.
-                let class = tiers.tolerance_class(
-                    &entry.effective,
-                    side,
-                    source,
-                    config.now_year,
-                    interner,
-                    &config.limits.closure,
-                );
-                if !entry.verify_preds().iter().all(|p| class.event.satisfies(p, interner)) {
-                    stats.verify_rejections += 1;
-                    continue;
-                }
-            }
-            pending |= matches!(entry.hot, Hot::Pending { .. });
-            accepted.push((user_id, entry));
-        }
-        if !config.track_provenance || accepted.is_empty() {
-            let unclassified =
-                |&(sub, _): &(SubId, &SubEntry)| Match { sub, origin: MatchOrigin::Unclassified };
-            result.matches.extend(accepted.iter().map(unclassified));
+        if !config.track_provenance || users.is_empty() {
+            let unclassified = |&sub: &SubId| Match { sub, origin: MatchOrigin::Unclassified };
+            result.matches.extend(users.iter().map(unclassified));
             return result;
         }
-        if pending {
-            // Some candidate is classified for the first time: intern it,
-            // then look the accepted entries up again.
-            let ids: Vec<SubId> = accepted.iter().map(|&(id, _)| id).collect();
-            for id in &ids {
-                subs.get_mut(id).expect("invariant: accepted ids are live").intern(preds);
+
+        // Every entry head is looked up before any is classified: the
+        // probes are independent cache misses, which overlap when issued
+        // back to back but not when each waits behind a classification;
+        // classification then finds every head in cache. `matched` borrows
+        // the table, so it is a local rather than scratch.
+        let mut matched: Vec<(SubId, &SubEntry)> = users.iter().map(|id| entry(subs, id)).collect();
+        if matched.iter().any(|(_, e)| matches!(e.hot, Hot::Pending)) {
+            // Some match is classified for the first time: intern it, then
+            // look the matched entries up again.
+            for id in users.iter() {
+                subs.get_mut(id).expect("invariant: matched ids are live").intern(preds);
             }
-            let lookup =
-                |id: &SubId| (*id, &**subs.get(id).expect("invariant: accepted ids are live"));
-            accepted = ids.iter().map(lookup).collect();
+            matched = users.iter().map(|id| entry(subs, id)).collect();
         }
         *publication += 1;
         if provenance.len() < preds.len() {
@@ -725,7 +707,7 @@ impl MatcherCore {
         let tiers = tiers.classifier_tiers(side, source, config, interner);
         let (preds, publication) = (&*preds, *publication);
         let classifier = Classifier { side, source, config, interner, preds, publication };
-        result.matches.extend(accepted.iter().map(|&(sub, entry)| Match {
+        result.matches.extend(matched.iter().map(|&(sub, entry)| Match {
             sub,
             origin: classifier.classify(sub, entry, tiers, provenance),
         }));
@@ -733,13 +715,18 @@ impl MatcherCore {
     }
 }
 
+/// Matched subscription `id` with its entry.
+fn entry<'a>(subs: &'a FxHashMap<SubId, Box<SubEntry>>, id: &SubId) -> (SubId, &'a SubEntry) {
+    (*id, subs.get(id).expect("invariant: matched ids are live"))
+}
+
 /// The semantic publish/subscribe matcher.
 ///
 /// Every method takes `&self`. The whole state is one `MatcherCore` behind
 /// one `Mutex`, and every method takes it once for the whole call: a
 /// publication ([`SToPSS::publish`], [`SToPSS::prepare`],
-/// [`SToPSS::match_prepared`], …) runs its closure, engine match,
-/// verification and provenance under it, an accessor reads under it, and
+/// [`SToPSS::match_prepared`], …) runs its closures, partition matches
+/// and provenance under it, an accessor reads under it, and
 /// a control op (`subscribe`, `unsubscribe`, `set_stages`, `reconfigure`,
 /// `set_source`) mutates the core in place under it. So in-process
 /// publishers on different threads serialize for their whole publication,
@@ -816,10 +803,10 @@ impl SToPSS {
         self.core.lock().control_epoch
     }
 
-    /// The distinct verification classes ([`Tolerance::verify_class`])
-    /// among registered subscriptions whose effective tolerance differs
-    /// from the system-wide one, in no particular order. A cold scan over
-    /// the subscription table; the publish path never asks for it.
+    /// The distinct verification classes ([`Tolerance::verify_class`]) of
+    /// the registered subscriptions other than the system-wide tolerance's,
+    /// in no particular order: the keys of every engine partition but the
+    /// system class's. A class leaves with its last subscription.
     pub fn verify_classes(&self) -> Vec<Tolerance> {
         self.core.lock().verify_classes()
     }
@@ -912,10 +899,10 @@ impl SToPSS {
     }
 
     /// Switches the enabled stages (the demo's semantic/syntactic mode
-    /// switch) and rebuilds every engine subscription accordingly.
+    /// switch) and rebuilds every engine partition accordingly.
     /// Returns the control epoch of the switch.
     pub fn set_stages(&self, stages: crate::tolerance::StageMask) -> u64 {
-        self.mutate(|core| core.set_stages(stages))
+        self.mutate(|core| core.reconfigure(Config { stages, ..core.config }))
     }
 
     /// Replaces the configuration (engine, stages, …) and
@@ -930,8 +917,9 @@ impl SToPSS {
     /// publication that starts after the swap, while in-flight
     /// publications finish against the ontology they started with (the
     /// swap waits for them). The swap is one scan of the subscription
-    /// table that re-indexes only the subscriptions whose synonym-resolved
-    /// form changed, so an is-a or mapping edit re-indexes none; a
+    /// table that re-indexes only the subscriptions whose tolerance runs
+    /// the synonym stage and whose synonym-resolved form changed, so an
+    /// is-a or mapping edit re-indexes none; a
     /// publisher that arrives meanwhile waits for that work. Returns the
     /// control epoch of the swap.
     pub fn set_source(&self, source: Arc<dyn SemanticSource>) -> u64 {
@@ -978,14 +966,13 @@ impl SToPSS {
         self.interner.with(|i| prepare_event(event, core.source.as_ref(), &core.config, i))
     }
 
-    /// The subscription-side half of a publication: feeds the prepared
-    /// artifact's closed event to the syntactic engine, verifies
-    /// per-subscription tolerances, and classifies provenance.
+    /// The subscription-side half of a publication: matches every engine
+    /// partition against the prepared artifact's closure under its
+    /// tolerance class, and classifies provenance.
     ///
     /// Takes the lock once for the whole match, as a publication does;
     /// the lock is released between [`SToPSS::prepare`] and this call, so
-    /// a control op may run in between. Only the subscription-side
-    /// counters (`verifications`, `verify_rejections`) accumulate here.
+    /// a control op may run in between. No counter accumulates here.
     /// The artifact is matched against the current core, so it must have
     /// been prepared under the current configuration and ontology; no
     /// epoch token checks that.
@@ -998,10 +985,12 @@ impl SToPSS {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::closure::ClosureLimits;
+    use crate::oracle::semantic_match;
     use crate::tolerance::StageMask;
     use stopss_matching::EngineKind;
     use stopss_ontology::{Expr, MappingFunction, Ontology, PatternItem, Production};
-    use stopss_types::{EventBuilder, Operator, SubscriptionBuilder};
+    use stopss_types::{EventBuilder, FxHashSet, Operator, SubscriptionBuilder, Symbol};
 
     /// Builds the paper's world against one plain interner, then shares it.
     struct World {
@@ -1080,16 +1069,24 @@ mod tests {
     #[test]
     fn per_subscription_tolerance_filters_matches() {
         let w = world();
-        let matcher = SToPSS::new(Config::default(), w.source, w.interner);
+        let matcher = SToPSS::new(Config::default(), w.source.clone(), w.interner.clone());
         // Same predicates, different tolerances.
         let strict = w.sub.with_id(SubId(200));
-        matcher.subscribe(w.sub);
-        matcher.subscribe_with_tolerance(strict, Tolerance::syntactic());
+        matcher.subscribe(w.sub.clone());
+        matcher.subscribe_with_tolerance(strict.clone(), Tolerance::syntactic());
+        assert_eq!(matcher.verify_classes(), vec![Tolerance::syntactic()], "two partitions");
         let matches = matcher.publish(&w.event);
         assert_eq!(matches.len(), 1, "the syntactic-tolerance subscriber must not match");
         assert_eq!(matches[0].sub, SubId(100));
-        assert!(matcher.stats().verifications >= 1);
-        assert!(matcher.stats().verify_rejections >= 1);
+        // Each subscriber matches exactly as the definition decides under
+        // its own tolerance.
+        let limits = ClosureLimits::default();
+        for (sub, tolerance) in [(&w.sub, Tolerance::full()), (&strict, Tolerance::syntactic())] {
+            let want = w
+                .interner
+                .with(|i| semantic_match(sub, &w.event, &*w.source, &tolerance, 2003, i, &limits));
+            assert_eq!(matches.iter().any(|m| m.sub == sub.id()), want, "{:?}", sub.id());
+        }
     }
 
     #[test]
@@ -1317,6 +1314,46 @@ mod tests {
         }
     }
 
+    /// The partitions follow their subscriptions: a tolerance class gets
+    /// its engine with its first subscription and loses it with its last,
+    /// and a synonym edit re-indexes only the subscriptions of partitions
+    /// whose class runs the synonym stage.
+    #[test]
+    fn tolerance_partitions_live_and_reindex_with_their_subscriptions() {
+        let w = world();
+        let matcher = SToPSS::new(Config::default(), w.source.clone(), w.interner.clone());
+        let partitions = |m: &SToPSS| m.core.lock().partitions.len();
+        // `university = toronto`, the paper subscription's first predicate.
+        let strict = Subscription::new(SubId(200), w.sub.predicates()[..1].to_vec());
+        matcher.subscribe(w.sub.clone());
+        matcher.subscribe_with_tolerance(strict.clone(), Tolerance::syntactic());
+        assert_eq!((partitions(&matcher), matcher.verify_classes().len()), (2, 1));
+        // `university`, named by both subscriptions, becomes an alias of
+        // `institution`: only the system partition indexes resolved forms.
+        let [university, school, institution] =
+            ["university", "school", "institution"].map(|s| w.interner.intern(s));
+        let mut evolved = (*w.source).clone();
+        w.interner.with(|i| evolved.synonyms.add_synonym(institution, university, i)).unwrap();
+        assert_eq!(set_source_counted(&matcher, Arc::new(evolved)), 1, "the system partition's");
+        let renamed = |to: Symbol| -> Event {
+            let rename = |attr| if attr == school { to } else { attr };
+            w.event.pairs().iter().map(|&(attr, value)| (rename(attr), value)).collect()
+        };
+        let (exact, aliased) = (renamed(university), renamed(institution));
+        let ids = |m: &SToPSS, e: &Event| m.publish(e).iter().map(|m| m.sub).collect::<Vec<_>>();
+        assert_eq!(ids(&matcher, &exact), [SubId(100), SubId(200)]);
+        assert_eq!(ids(&matcher, &aliased), [SubId(100)], "the strict one keeps its raw form");
+        assert!(matcher.unsubscribe(strict.id()).is_some());
+        assert_eq!((partitions(&matcher), matcher.verify_classes().len()), (1, 0));
+        // The last subscription drops the system partition too, and the
+        // next one creates it again.
+        assert!(matcher.unsubscribe(w.sub.id()).is_some());
+        assert_eq!(partitions(&matcher), 0);
+        assert!(matcher.publish(&aliased).is_empty());
+        matcher.subscribe_with_tolerance(strict, Tolerance::syntactic());
+        assert_eq!((partitions(&matcher), matcher.verify_classes().len()), (1, 1));
+    }
+
     /// Every kind of control op runs in place: N sequential ops move the
     /// epoch by exactly N, with publications in between.
     #[test]
@@ -1439,6 +1476,18 @@ mod tests {
             check(fresh_on(&empty, &live[..2]));
             matcher.subscribe(added.clone());
             check(fresh_on(&empty, &live));
+            // A syntactic-tolerance subscription creates its class's
+            // partition (event 1 names its role raw), and its unsubscribe
+            // drops the partition again.
+            matcher.subscribe_with_tolerance(dropped.clone(), Tolerance::syntactic());
+            assert_eq!(matcher.verify_classes(), [Tolerance::syntactic()], "{name}");
+            let want = fresh_on(&empty, &live);
+            want.subscribe_with_tolerance(dropped.clone(), Tolerance::syntactic());
+            assert!(want.publish(&events[1]).iter().any(|m| m.sub == dropped.id()), "{name}");
+            check(want);
+            assert!(matcher.unsubscribe(dropped.id()).is_some());
+            assert!(matcher.verify_classes().is_empty(), "{name}");
+            check(fresh_on(&empty, &live));
             for (k, (source, reindexed)) in swaps.iter().enumerate() {
                 let want = if config.stages.synonym() { *reindexed } else { 0 };
                 assert_eq!(set_source_counted(&matcher, source.clone()), want, "{name}: swap {k}");
@@ -1462,6 +1511,10 @@ mod tests {
                 check(fresh_on(current, &live[k + 1..]));
             }
             assert!(events.iter().all(|event| matcher.publish(event).is_empty()), "{name}");
+            // The last unsubscribe dropped the system partition; the next
+            // subscribe builds it again.
+            matcher.subscribe(keep[1].clone());
+            check(fresh_on(current, &[&keep[1]]));
         }
     }
 

@@ -3,21 +3,22 @@
 //! [`semantic_match`] decides the semantic matching relation directly from
 //! its definition — synonym canonicalization, bounded closure, conjunctive
 //! ∃-semantics — without any engine, index, or strategy. It is the ground
-//! truth for the property tests, the per-subscription tolerance filter,
-//! and the provenance classifier.
+//! truth for the property tests and the provenance classifier.
 //!
-//! These functions are off the hot matching path: per-candidate tolerance
-//! verification and provenance classification are served from the
-//! per-publication [`crate::TierCache`] (see `frontend.rs`), which
-//! computes each closure at most once per publication instead of per
-//! candidate — [`classify_match`] alone re-derives up to 3 closures plus
-//! one per candidate hierarchy distance (bounded by
-//! [`CLASSIFY_DISTANCE_CAP`]). The matcher calls [`classify_match`] only
-//! when a truncated closure leaves the cached tiers inexact. The functions
-//! here stay **untouched ground truth**: `tests/tier_cache_differential.rs`
-//! rebuilds the per-candidate reference from them and pins the matcher
-//! byte-identical to it across engines × stage masks × mixed tolerances,
-//! including truncated-closure and distance-cap edge cases.
+//! These functions are off the hot matching path: the matcher matches each
+//! tolerance class in its own engine partition, and serves the class
+//! closures and provenance classification from the per-publication
+//! [`crate::TierCache`] (see `frontend.rs`), which computes each closure
+//! at most once per publication instead of per match — [`classify_match`]
+//! alone re-derives up to 3 closures plus one per candidate hierarchy
+//! distance (bounded by [`CLASSIFY_DISTANCE_CAP`]). The matcher calls
+//! [`classify_match`] only when a truncated closure leaves the cached
+//! tiers inexact. The functions here stay **untouched ground truth**:
+//! `tests/tier_cache_differential.rs` rebuilds the reference from them
+//! (every subscription `semantic_match` accepts under its own tolerance,
+//! classified by `classify_match`) and pins the matcher byte-identical to
+//! it across engines × stage masks × mixed tolerances, including
+//! truncated-closure and distance-cap edge cases.
 
 use stopss_ontology::SemanticSource;
 use stopss_types::{Event, Interner, Subscription};

@@ -184,6 +184,7 @@ impl Tolerance {
     /// The canonical representative of this tolerance's *closure
     /// behaviour*: two tolerances with equal verification classes close
     /// every event into bit-identical [`crate::ClosedEvent`]s, so the
+    /// matcher keeps one engine partition per class and the
     /// per-publication tolerance-class cache ([`crate::TierCache`]) keys
     /// on it instead of the raw tolerance.
     ///

@@ -1,17 +1,19 @@
 //! Differential suite for the event-side tier cache.
 //!
-//! The matcher verifies each candidate with one `sub.matches(closed)`
-//! against a cached per-tolerance-class closure, and classifies
-//! provenance by reading the minimal hierarchy distance off the cached
-//! unbounded closure's `PairInfo` instead of re-closing the event once
-//! per candidate distance. The oracle functions (`semantic_match`,
-//! `classify_match`) are untouched ground truth, and [`OraclePath`]
-//! rebuilds the per-candidate path from them alone, without an engine —
-//! so this suite pins the matcher **byte-identical** to it (matches,
-//! provenance including `Hierarchy { distance }` values, and aggregated
-//! stats) across engines × stage masks × mixed per-subscription
-//! tolerances, on job-finder and synthetic workloads, including
-//! truncated-closure and distance-cap edge cases.
+//! The matcher keeps one engine partition per tolerance class and matches
+//! each against that class's closure of the publication, served from the
+//! cached per-class closures, and classifies provenance by reading the
+//! minimal hierarchy distance off the cached unbounded closure's
+//! `PairInfo` instead of re-closing the event once per candidate distance.
+//! The oracle functions (`semantic_match`, `classify_match`) are untouched
+//! ground truth, and [`OraclePath`] rebuilds the definition from them
+//! alone, without an engine — so this suite pins the matcher
+//! **byte-identical** to it (matches, provenance including
+//! `Hierarchy { distance }` values, and aggregated stats) across engines ×
+//! stage masks × mixed per-subscription tolerances, on job-finder and
+//! synthetic workloads, including truncated-closure and distance-cap edge
+//! cases, and two named cases of operators that synonym resolution does
+//! not preserve (`Ne` and `Contains` over an alias).
 //!
 //! Its second part pins the cache's entries one level down: each
 //! classifier tier and verification class, whether read off the main
@@ -72,27 +74,11 @@ fn paths_with_mixed_tolerances(fixture: &Fixture, config: Config) -> (SToPSS, Or
     (matcher, oracle)
 }
 
-/// The per-candidate reference path, built from `oracle.rs` alone: no
-/// engine, no tier cache, no memo. For each publication it
-///
-/// 1. takes the subscriptions `semantic_match` accepts under the system
-///    tolerance — the engine's candidate set, by definition: the engine
-///    matches synonym-resolved subscriptions against the system closure;
-/// 2. re-verifies each candidate whose effective tolerance differs from
-///    the system one with `semantic_match` under that tolerance;
-/// 3. classifies each accepted match with `classify_match`.
-///
-/// Because step 1 defines the candidates under the system tolerance, this
-/// reference shares one divergence with the matcher and cannot see it: a
-/// subscription whose own tolerance accepts an event the system tolerance
-/// rejects is never a candidate. Operators that synonym resolution
-/// preserves never do that; `Ne` and the string patterns do. With `red` a
-/// synonym of `crimson`, `color != crimson` registered with
-/// `Tolerance::syntactic()` under the default configuration matches the
-/// raw `color = red` by `semantic_match` under its own tolerance, yet
-/// neither this reference nor `SToPSS::publish` reports it; likewise
-/// `title contains "dev"` against `title = developer`, where `developer`
-/// is an alias of `engineer`.
+/// The reference path, built from `oracle.rs` alone: no engine, no tier
+/// cache, no memo. It is the definition: for each publication it takes
+/// every subscription that `semantic_match` accepts under that
+/// subscription's own effective tolerance, and classifies each with
+/// `classify_match` under the system stages.
 struct OraclePath {
     config: Config,
     source: Arc<dyn SemanticSource>,
@@ -124,19 +110,11 @@ impl OraclePath {
     fn publish_detailed(&mut self, event: &Event) -> PublishResult {
         let Config { stages, max_distance, now_year, track_provenance, .. } = self.config;
         let (source, limits) = (self.source.as_ref(), &self.config.limits.closure);
-        let system = self.config.system_tolerance();
-        let (stats, mut matches) = (&mut self.stats, Vec::new());
+        let mut matches = Vec::new();
         let closed = self.interner.with(|i| {
             for (sub, effective) in &self.subs {
-                if !semantic_match(sub, event, source, &system, now_year, i, limits) {
+                if !semantic_match(sub, event, source, effective, now_year, i, limits) {
                     continue;
-                }
-                if *effective != system {
-                    stats.verifications += 1;
-                    if !semantic_match(sub, event, source, effective, now_year, i, limits) {
-                        stats.verify_rejections += 1;
-                        continue;
-                    }
                 }
                 let origin = if track_provenance {
                     classify_match(sub, event, source, stages, now_year, i, limits)
@@ -147,6 +125,7 @@ impl OraclePath {
             }
             semantic_closure(event, source, stages, max_distance, now_year, i, limits)
         });
+        let stats = &mut self.stats;
         stats.published += 1;
         stats.derived_events += 1;
         stats.closure_pairs += closed.event.len() as u64;
@@ -182,9 +161,10 @@ fn jobfinder_fast_path_equals_oracle_across_engines() {
         let mixed =
             assert_paths_agree(&fixture, config, &format!("jobfinder engine={}", engine.name()));
         if engine == default.engine {
-            // Non-vacuity: the mixed tolerances really verify candidates,
-            // and they reject some that uniform full tolerance matches.
-            assert!(mixed.stats().verifications > 0, "no candidate was verified");
+            // Non-vacuity: the mixed tolerances really fill several
+            // partitions, and they drop matches that uniform full
+            // tolerance finds.
+            assert!(mixed.verify_classes().len() > 1, "the cycle registers several classes");
             let uniform = SToPSS::new(config, fixture.source.clone(), fixture.interner.clone());
             for sub in &fixture.subscriptions {
                 uniform.subscribe_with_tolerance(sub.clone(), Tolerance::full());
@@ -347,10 +327,10 @@ fn multi_path_derivations_report_the_minimal_distance() {
 #[test]
 fn alias_written_subscription_verifies_in_its_resolved_form() {
     // `school` is an alias of `university`. A subscription written with
-    // the alias under a synonym-only tolerance is verified against the
-    // event's synonym closure, which holds the root: only the
-    // subscription's synonym-resolved form matches there, not the form
-    // it was written in.
+    // the alias under a synonym-only tolerance is matched in its class's
+    // partition against the event's synonym closure, which holds the
+    // root: only the subscription's synonym-resolved form matches there,
+    // not the form it was written in.
     let mut i = Interner::new();
     let mut o = Ontology::new("alias");
     let (root, alias) = (i.intern("university"), i.intern("school"));
@@ -367,27 +347,86 @@ fn alias_written_subscription_verifies_in_its_resolved_form() {
     assert_eq!(got.iter().map(|m| m.sub).collect::<Vec<_>>(), vec![SubId(1)]);
 }
 
+/// Publishes `event` through a default matcher and the [`OraclePath`],
+/// each holding `sub` with `Tolerance::syntactic()`. Asserts the system
+/// tolerance rejects the pair, so only the subscription's own tolerance
+/// can match it; asserts both paths agree and returns the matches.
+fn publish_syntactic_tolerance_case(
+    interner: Interner,
+    ontology: Ontology,
+    sub: Subscription,
+    event: Event,
+) -> Vec<Match> {
+    let (interner, source) = (SharedInterner::from_interner(interner), Arc::new(ontology));
+    let (config, tolerance) = (Config::default(), Tolerance::syntactic());
+    let system_matches = interner.with(|i| {
+        let limits = &config.limits.closure;
+        let system = config.system_tolerance();
+        semantic_match(&sub, &event, source.as_ref(), &system, config.now_year, i, limits)
+    });
+    assert!(!system_matches, "the system tolerance must reject the case");
+    let matcher = SToPSS::new(config, source.clone(), interner.clone());
+    matcher.subscribe_with_tolerance(sub.clone(), tolerance);
+    let mut oracle = OraclePath::new(config, source, interner, vec![(sub, tolerance)]);
+    let got = matcher.publish(&event);
+    assert_eq!(got, oracle.publish_detailed(&event).matches, "diverged from the oracle path");
+    got
+}
+
+#[test]
+fn syntactic_tolerance_matches_ne_over_a_synonym() {
+    // `red` is a synonym of `crimson`. Under the system tolerance both
+    // sides resolve to one term and `color != crimson` fails; the
+    // subscriber's syntactic tolerance keeps `color = red` as written, and
+    // `red != crimson` holds.
+    let mut i = Interner::new();
+    let mut o = Ontology::new("colors");
+    o.synonyms.add_synonym(i.intern("crimson"), i.intern("red"), &i).unwrap();
+    let sub =
+        SubscriptionBuilder::new(&mut i).term("color", Operator::Ne, "crimson").build(SubId(1));
+    let event = EventBuilder::new(&mut i).term("color", "red").build();
+    let got = publish_syntactic_tolerance_case(i, o, sub, event);
+    assert_eq!(got, [Match { sub: SubId(1), origin: MatchOrigin::Syntactic }]);
+}
+
+#[test]
+fn syntactic_tolerance_matches_contains_over_an_alias() {
+    // `developer` is an alias of `engineer`. Under the system tolerance the
+    // event resolves to `title = engineer`, which does not contain "dev";
+    // the subscriber's syntactic tolerance matches the raw `developer`.
+    let mut i = Interner::new();
+    let mut o = Ontology::new("jobs");
+    o.synonyms.add_synonym(i.intern("engineer"), i.intern("developer"), &i).unwrap();
+    let sub =
+        SubscriptionBuilder::new(&mut i).term("title", Operator::Contains, "dev").build(SubId(2));
+    let event = EventBuilder::new(&mut i).term("title", "developer").build();
+    let got = publish_syntactic_tolerance_case(i, o, sub, event);
+    assert_eq!(got, [Match { sub: SubId(2), origin: MatchOrigin::Syntactic }]);
+}
+
 #[test]
 fn prepared_fast_path_equals_oracle() {
     // The stage split: `prepare` then `match_prepared`, each artifact
     // filling its own tier cache in the match stage, against the
-    // per-candidate oracle path with mixed tolerances.
+    // definition with mixed tolerances.
     let fixture = jobfinder_fixture(160, 40, 23);
     for engine in EngineKind::ALL {
         let config = Config::default().with_engine(engine);
         let label = engine.name();
         let (fast, mut oracle) = paths_with_mixed_tolerances(&fixture, config);
         assert!(fast.verify_classes().len() > 1, "{label}: the cycle registers several classes");
+        let system = config.system_tolerance().verify_class();
+        let mut outside_system = 0;
         for (k, event) in fixture.publications.iter().enumerate() {
             let got = fast.match_prepared(&fast.prepare(event));
             let want = oracle.publish_detailed(event);
             assert_eq!(got.matches, want.matches, "{label}: event {k} diverged");
             assert_eq!(got.closure_pairs, want.closure_pairs, "{label}: event {k}");
             assert_eq!(got.truncated, want.truncated, "{label}: event {k}");
+            let class = |m: &Match| fast.tolerance(m.sub).unwrap().verify_class();
+            outside_system += got.matches.iter().filter(|m| class(m) != system).count();
         }
-        let (got, want) = (fast.stats(), oracle.stats);
-        assert_eq!(got.verifications, want.verifications, "{label}: verifications diverged");
-        assert_eq!(got.verify_rejections, want.verify_rejections, "{label}: rejections diverged");
+        assert!(outside_system > 0, "{label}: no partition but the system's matched");
     }
 }
 
@@ -528,7 +567,7 @@ fn every_entry(system: StageMask) -> Vec<Entry> {
 
 /// Pair → (multiplicity, distance). Which derivation reached a pair first
 /// (and so its `via_mapping` flag) may differ between runs; the pairs and
-/// their minimal distances, which verification and classification read,
+/// their minimal distances, which the partitions and the classifier read,
 /// may not.
 fn distance_map(closed: &ClosedEvent) -> FxHashMap<(Symbol, Value), (usize, u32)> {
     let mut out = FxHashMap::default();
@@ -650,8 +689,8 @@ fn read_off_entries_equal_fresh_closures_across_domains_masks_and_limits() {
 fn match_closure_shape_reads_off_nearly_every_publication() {
     // The suite above is only as strong as the share of entries that take
     // the read-off path: on the shape the read-off targets, the classes
-    // its subscribers verify under and both classifier tiers must be read
-    // off for at least 90 % of publications.
+    // its subscribers' partitions match under and both classifier tiers
+    // must be read off for at least 90 % of publications.
     let fixture = closure_shape_fixture(200);
     let entries = [
         Entry::Class(Tolerance::bounded(1)),
@@ -1121,8 +1160,8 @@ fn memoized_classifier_forgets_levels_between_publications() {
 
 #[test]
 fn provenance_levels_are_computed_once_per_distinct_predicate_per_publication() {
-    // With no tolerance to verify, the match stage queries the ontology
-    // for two things only. It fills the classifier tiers when it
+    // With one partition, the system class's, the match stage queries the
+    // ontology for two things only. It fills the classifier tiers when it
     // classifies a publication's first match. It resolves a predicate's
     // synonyms the first time the publication meets that predicate.
     // Resolution asks for the attribute, plus the value of an `Eq`/`Ne`
