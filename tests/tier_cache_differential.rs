@@ -268,23 +268,25 @@ fn distance_cap_is_reported_identically_past_the_search_horizon() {
     // The match needs distance 70 — beyond CLASSIFY_DISTANCE_CAP — so the
     // oracle's linear search exhausts and reports the cap; the cached
     // classification must clamp to the same value.
-    let matches = publish_both_paths(chain_world(70));
+    let matches = publish_both_paths(chain_world(70), Tolerance::full());
     assert_eq!(matches.len(), 1);
     assert_eq!(matches[0].origin, MatchOrigin::Hierarchy { distance: CLASSIFY_DISTANCE_CAP });
     // Below the cap both paths report the exact distance.
-    let matches = publish_both_paths(chain_world(9));
+    let matches = publish_both_paths(chain_world(9), Tolerance::full());
     assert_eq!(matches[0].origin, MatchOrigin::Hierarchy { distance: 9 });
 }
 
 /// Publishes `event` through a default matcher and the [`OraclePath`],
-/// each holding `sub` alone; asserts they agree and returns the matches.
+/// each holding `sub` alone under `tolerance`; asserts they agree and
+/// returns the matches.
 fn publish_both_paths(
     (interner, source, sub, event): (SharedInterner, Arc<Ontology>, Subscription, Event),
+    tolerance: Tolerance,
 ) -> Vec<Match> {
     let config = Config::default();
     let matcher = SToPSS::new(config, source.clone(), interner.clone());
-    matcher.subscribe(sub.clone());
-    let mut oracle = OraclePath::new(config, source, interner, vec![(sub, Tolerance::full())]);
+    matcher.subscribe_with_tolerance(sub.clone(), tolerance);
+    let mut oracle = OraclePath::new(config, source, interner, vec![(sub, tolerance)]);
     let got = matcher.publish(&event);
     assert_eq!(got, oracle.publish_detailed(&event).matches, "diverged from the oracle path");
     got
@@ -320,7 +322,7 @@ fn multi_path_derivations_report_the_minimal_distance() {
         );
         assert_eq!(want, MatchOrigin::Hierarchy { distance: 1 }, "oracle ground truth");
     });
-    let matches = publish_both_paths((interner, source, sub, event));
+    let matches = publish_both_paths((interner, source, sub, event), Tolerance::full());
     assert_eq!(matches[0].origin, MatchOrigin::Hierarchy { distance: 1 });
 }
 
@@ -347,30 +349,22 @@ fn alias_written_subscription_verifies_in_its_resolved_form() {
     assert_eq!(got.iter().map(|m| m.sub).collect::<Vec<_>>(), vec![SubId(1)]);
 }
 
-/// Publishes `event` through a default matcher and the [`OraclePath`],
-/// each holding `sub` with `Tolerance::syntactic()`. Asserts the system
-/// tolerance rejects the pair, so only the subscription's own tolerance
-/// can match it; asserts both paths agree and returns the matches.
+/// [`publish_both_paths`] with `Tolerance::syntactic()`, on a pair the
+/// system tolerance rejects, so only the subscription's own tolerance can
+/// match it.
 fn publish_syntactic_tolerance_case(
     interner: Interner,
     ontology: Ontology,
     sub: Subscription,
     event: Event,
 ) -> Vec<Match> {
-    let (interner, source) = (SharedInterner::from_interner(interner), Arc::new(ontology));
-    let (config, tolerance) = (Config::default(), Tolerance::syntactic());
-    let system_matches = interner.with(|i| {
-        let limits = &config.limits.closure;
-        let system = config.system_tolerance();
-        semantic_match(&sub, &event, source.as_ref(), &system, config.now_year, i, limits)
-    });
+    let config = Config::default();
+    let (limits, system) = (&config.limits.closure, config.system_tolerance());
+    let system_matches =
+        semantic_match(&sub, &event, &ontology, &system, config.now_year, &interner, limits);
     assert!(!system_matches, "the system tolerance must reject the case");
-    let matcher = SToPSS::new(config, source.clone(), interner.clone());
-    matcher.subscribe_with_tolerance(sub.clone(), tolerance);
-    let mut oracle = OraclePath::new(config, source, interner, vec![(sub, tolerance)]);
-    let got = matcher.publish(&event);
-    assert_eq!(got, oracle.publish_detailed(&event).matches, "diverged from the oracle path");
-    got
+    let world = (SharedInterner::from_interner(interner), Arc::new(ontology), sub, event);
+    publish_both_paths(world, Tolerance::syntactic())
 }
 
 #[test]
